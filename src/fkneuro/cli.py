@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .config import SimulationConfig, load_config, serialize_config
+from .config import FIELD_TYPES, SimulationConfig, load_config, serialize_config
 from .errors import ConfigError, FkneuroError
 from .geometry.connectome import generate_connectome, write_connectome
 from .geometry.mesh import generate_structured_mesh, slab_labeler, write_mesh
@@ -20,67 +20,24 @@ from .staging import load_clinical_csv, map_clinical_rows
 from .harness import write_staging_report
 from .trajectory import fmt17, read_series_csv
 
-_CONFIG_FLOATS = [
-    "alpha",
-    "dt",
-    "T",
-    "eta0",
-    "d_ext",
-    "d_axn",
-    "seed_value",
-    "c_crit",
-    "solver_tol",
-    "solver_maxit_factor",
-    "scale_k",
-    "abeta_theta_low",
-    "abeta_theta_high",
-    "abeta_positivity_cutoff",
-    "tau_theta_low",
-    "tau_theta_high",
-    "tau_gamma",
-    "tau_epsilon",
-]
-_CONFIG_INTS = ["ell", "workers"]
-_CONFIG_STRS = [
-    "domain",
-    "mesh_path",
-    "graph_path",
-    "atlas_path",
-    "atlas_table",
-    "seed_regions",
-    "output_dir",
-]
-_CONFIG_BOOLS = ["paper_literal_rhs", "dump_states"]
-
-
 def _add_config_flags(parser):
     parser.add_argument("--config", help="configuration file (key = value lines)")
-    for name in _CONFIG_FLOATS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}", dest=name, type=float,
-            default=argparse.SUPPRESS,
-        )
-    for name in _CONFIG_INTS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}", dest=name, type=int,
-            default=argparse.SUPPRESS,
-        )
-    for name in _CONFIG_STRS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}", dest=name, default=argparse.SUPPRESS
-        )
-    for name in _CONFIG_BOOLS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}", dest=name,
-            action=argparse.BooleanOptionalAction, default=argparse.SUPPRESS,
-        )
+    for name, (kind, _) in FIELD_TYPES.items():
+        flag = f"--{name.replace('_', '-')}"
+        if kind is bool:
+            parser.add_argument(
+                flag, dest=name, action=argparse.BooleanOptionalAction,
+                default=argparse.SUPPRESS,
+            )
+        else:
+            parser.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS)
 
 
 def _config_from_args(args) -> SimulationConfig:
     cfg = SimulationConfig()
     if getattr(args, "config", None):
         cfg = load_config(args.config, base=cfg)
-    for name in _CONFIG_FLOATS + _CONFIG_INTS + _CONFIG_STRS + _CONFIG_BOOLS:
+    for name in FIELD_TYPES:
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     return cfg

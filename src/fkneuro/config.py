@@ -6,6 +6,7 @@ line, `#` comments, unknown keys rejected.  Serialization is canonical
 idempotent.
 """
 
+import typing
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -101,43 +102,36 @@ class SimulationConfig:
         )
 
 
-_FIELDS = {f.name: f for f in fields(SimulationConfig)}
-_OPTIONAL_STR = {"mesh_path", "graph_path", "atlas_path"}
-_OPTIONAL_FLOAT = {"scale_k"}
-_BOOLS = {"paper_literal_rhs", "dump_states"}
-_INTS = {"ell", "workers"}
-_STRS = {"domain", "atlas_table", "seed_regions", "output_dir"}
+def _field_type(annotation) -> tuple[type, bool]:
+    """(value type, optional) of an annotation such as ``float | None``."""
+    args = typing.get_args(annotation)
+    return (args[0], True) if args else (annotation, False)
+
+
+# field name -> (str | float | int | bool, whether None is allowed), in
+# declaration order; the CLI derives its flags from the same table
+FIELD_TYPES = {f.name: _field_type(f.type) for f in fields(SimulationConfig)}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in _OPTIONAL_STR:
-        return raw or None
-    if key in _STRS:
+    kind, optional = FIELD_TYPES[key]
+    if optional and not raw:
+        return None
+    if kind is str:
         return raw
-    if key in _BOOLS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INTS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-    if key in _OPTIONAL_FLOAT:
-        if not raw:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}")
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {noun}, got {raw!r}")
 
 
 def parse_config_text(text: str, base: SimulationConfig | None = None) -> SimulationConfig:
@@ -150,7 +144,7 @@ def parse_config_text(text: str, base: SimulationConfig | None = None) -> Simula
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         setattr(cfg, key, _parse_value(key, raw))
     return cfg
@@ -164,15 +158,16 @@ def load_config(path, base: SimulationConfig | None = None) -> SimulationConfig:
 def _format_value(key: str, value) -> str:
     if value is None:
         return ""
-    if key in _BOOLS:
+    kind = FIELD_TYPES[key][0]
+    if kind is bool:
         return "true" if value else "false"
-    if key in _INTS or key in _STRS or key in _OPTIONAL_STR:
-        return str(value)
-    return fmt17(value)
+    if kind is float:
+        return fmt17(value)
+    return str(value)
 
 
 def serialize_config(cfg: SimulationConfig) -> str:
-    lines = [f"{name} = {_format_value(name, getattr(cfg, name))}" for name in _FIELDS]
+    lines = [f"{name} = {_format_value(name, getattr(cfg, name))}" for name in FIELD_TYPES]
     return "\n".join(lines) + "\n"
 
 

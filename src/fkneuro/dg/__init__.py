@@ -2,7 +2,7 @@
 
 from .quadrature import face_rule, gauss_legendre_01, reference_simplex_rule, simplex_rule
 from .space import DGSpace, monomial_exponents
-from .stepper import solve_fk_mesh, solve_linear, step_semi_implicit_euler
+from .stepper import solve_fk_mesh, solve_linear
 from .system import DGSystem, assemble, face_penalty, harmonic_average
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "simplex_rule",
     "solve_fk_mesh",
     "solve_linear",
-    "step_semi_implicit_euler",
 ]

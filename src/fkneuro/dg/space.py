@@ -2,8 +2,12 @@
 
 Each element carries monomials scaled to its bounding box, orthonormalized
 against the element measure (Cholesky of the quadrature Gram matrix), so
-element mass blocks are identities.  Degrees of freedom are blocked per
-element: element e owns the global index range [e*n_local, (e+1)*n_local).
+element mass blocks are identities and the global mass matrix is I.  The
+only other volume product the reaction term needs is the triple product
+T_e[i,j,k] = (phi_i phi_j, phi_k)_e, stacked as `triple` (E, nb, nb, nb) on
+each element's own rule (exact to degree 2*degree, like the Gram matrix).
+Degrees of freedom are blocked per element: element e owns the global
+index range [e*n_local, (e+1)*n_local).
 """
 
 import itertools
@@ -54,6 +58,8 @@ class DGSpace:
         self.quad_wts = []  # per element: (n_q,)
         self.basis_vals = []  # per element: (n_q, n_local)
         self.basis_grads = []  # per element: (n_q, n_local, d)
+        nb = self.n_local
+        self.triple = np.empty((mesh.n_elements, nb, nb, nb))
 
         for e, el in enumerate(mesh.elements):
             self.centers[e] = 0.5 * (el.bbox_min + el.bbox_max)
@@ -74,7 +80,10 @@ class DGSpace:
             self.ortho.append(coeff)
             self.quad_pts.append(pts)
             self.quad_wts.append(wts)
-            self.basis_vals.append(mono @ coeff.T)
+            phi = mono @ coeff.T
+            self.basis_vals.append(phi)
+            pairs = (phi[:, :, None] * phi[:, None, :]).reshape(len(wts), -1)
+            self.triple[e] = (pairs.T @ (wts[:, None] * phi)).reshape(nb, nb, nb)
             grads = self._monomial_grads(e, pts)
             self.basis_grads.append(np.einsum("qkd,ik->qid", grads, coeff))
 
@@ -83,12 +92,6 @@ class DGSpace:
         self.basis_integrals = np.array(
             [v.T @ w for v, w in zip(self.basis_vals, self.quad_wts)]
         )  # (E, n_local)
-
-        n_q = {len(w) for w in self.quad_wts}
-        self.uniform_quadrature = len(n_q) == 1
-        if self.uniform_quadrature:
-            self.quad_wts_stack = np.stack(self.quad_wts)
-            self.basis_vals_stack = np.stack(self.basis_vals)
 
     def element_dofs(self, e: int) -> slice:
         return slice(e * self.n_local, (e + 1) * self.n_local)

@@ -2,15 +2,16 @@
 
 Each step solves
 
-    (M + dt*(A - M_alpha + M_nl(C^n))) C^{n+1} = M C^n [+ dt F(t^{n+1})]
+    (I + dt*(A - alpha*I + M_nl(C^n))) C^{n+1} = C^n [+ dt F(t^{n+1})]
 
 with the nonlinear reaction matrix rebuilt from the current state.  The
+basis is orthonormal per element, so the mass matrix is the identity I.  The
 optional forcing term F exists only for manufactured-solution verification
 and defaults to zero.
 
 Linear systems go through conjugate gradients at relative tolerance 1e-10
 with an iteration cap, preconditioned by a factorization of the static
-part M + dt*(A - M_alpha) computed once per run (the per-step matrix
+part I + dt*(A - alpha*I) computed once per run (the per-step matrix
 differs from it only by the O(dt*alpha*c) nonlinear block, so CG needs a
 handful of iterations).  If the iteration stalls -- e.g. the matrix loses
 definiteness for large dt*alpha -- the step falls back to a direct
@@ -122,7 +123,7 @@ class MeshStepper:
             raise ValueError(f"state has shape {C_n.shape}, want ({system.N},)")
         m_nl = system.nonlinear_reaction(C_n)
         lhs = (self.static_part + self.dt * m_nl).tocsr()
-        rhs = system.mass @ C_n
+        rhs = C_n
         if forcing is not None:
             rhs = rhs + self.dt * _forcing_vector(system.space, forcing, t_next)
         return solve_linear(
@@ -133,20 +134,6 @@ class MeshStepper:
             maxiter=self.maxiter,
             precond=self.precond,
         )
-
-
-def step_semi_implicit_euler(
-    system,
-    C_n: np.ndarray,
-    dt: float,
-    forcing=None,
-    t_next: float = 0.0,
-    rtol: float = 1e-10,
-    maxiter: int | None = None,
-):
-    """Single-shot step (builds a one-off context); returns (C_next, stats)."""
-    stepper = MeshStepper(system, dt, rtol=rtol, maxiter=maxiter)
-    return stepper.step(C_n, forcing=forcing, t_next=t_next)
 
 
 def _forcing_vector(space, forcing, t: float) -> np.ndarray:

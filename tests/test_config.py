@@ -1,5 +1,9 @@
+import typing
+from dataclasses import fields
+
 import pytest
 
+from fkneuro.cli import _config_from_args, build_parser
 from fkneuro.config import (
     SimulationConfig,
     load_config,
@@ -101,3 +105,31 @@ def test_suvr_params_built_from_config():
     assert tau.epsilon == 0.2
     abeta = cfg.suvr_abeta()
     assert abeta.positivity_cutoff == 1.55
+
+
+def _non_default_flag(f):
+    """(argv, value) that sets field f to a value other than its default."""
+    flag = "--" + f.name.replace("_", "-")
+    if isinstance(f.default, bool):
+        value = not f.default
+        return [flag if value else "--no-" + flag[2:]], value
+    if f.default is None:
+        value = 2.5 if float in typing.get_args(f.type) else "some/path"
+    elif isinstance(f.default, str):
+        value = f.default + "-other"
+    else:
+        value = f.default + 3
+    return [flag, str(value)], value
+
+
+@pytest.mark.parametrize("f", fields(SimulationConfig), ids=lambda f: f.name)
+def test_every_field_has_a_roundtripping_cli_flag(f):
+    argv, value = _non_default_flag(f)
+    args = build_parser().parse_args(["simulate", *argv])
+    cfg = _config_from_args(args)
+    assert value != f.default
+    assert getattr(cfg, f.name) == value
+    assert type(getattr(cfg, f.name)) is type(value)
+    reparsed = parse_config_text(serialize_config(cfg))
+    assert getattr(reparsed, f.name) == value
+    assert serialize_config(reparsed) == serialize_config(cfg)

@@ -34,13 +34,22 @@ def test_monomial_exponents_graded():
     assert exps.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
 
 
-def test_element_mass_blocks_identity():
-    mesh = generate_structured_mesh(2, 2, 3.0)
-    space = DGSpace(mesh, 3)
-    for e in range(mesh.n_elements):
-        block = space.basis_vals[e].T @ (space.quad_wts[e][:, None] * space.basis_vals[e])
-        off = block - np.eye(space.n_local)
-        assert np.abs(off).max() <= 1e-10
+def test_element_mass_blocks_identity(tmp_path):
+    # the DG system takes the mass matrix to be I on the strength of this
+    from test_dg_system import mixed_mesh, perturbed_mesh
+
+    meshes = [
+        generate_structured_mesh(2, 2, 3.0),
+        perturbed_mesh(4, seed=3),
+        mixed_mesh(tmp_path),
+        generate_structured_mesh(3, 2, 1.0),
+    ]
+    for mesh in meshes:
+        for degree, bound in ((1, 1e-12), (2, 1e-12), (3, 1e-10)):
+            space = DGSpace(mesh, degree)
+            for phi, w in zip(space.basis_vals, space.quad_wts):
+                block = phi.T @ (w[:, None] * phi)
+                assert np.abs(block - np.eye(space.n_local)).max() <= bound
 
 
 def test_quadrature_insufficient_rejected():

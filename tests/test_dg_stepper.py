@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import logistic, scalar_euler_semi_implicit
-from fkneuro.dg import assemble, solve_fk_mesh, solve_linear, step_semi_implicit_euler
+from fkneuro.dg import assemble, solve_fk_mesh, solve_linear
 from fkneuro.dg.stepper import MeshStepper
 from fkneuro.errors import LinearSolverError
 from fkneuro.geometry import DiffusionModel, generate_structured_mesh
@@ -16,7 +16,7 @@ def test_identity_evolution_without_reaction_or_diffusion():
     assert np.abs(system.stiffness.toarray()).max() == 0.0
     rng = np.random.default_rng(1)
     C0 = rng.normal(size=system.N)
-    C1, _ = step_semi_implicit_euler(system, C0, dt=0.05)
+    C1, _ = MeshStepper(system, 0.05).step(C0)
     assert np.abs(C1 - C0).max() <= 1e-12 * np.abs(C0).max()
 
 
@@ -24,7 +24,7 @@ def test_single_element_constant_mode_update():
     mesh = square_polygon_mesh()
     system = assemble(mesh, DiffusionModel(1.0, 0.0), alpha=0.61, eta0=10.0, degree=1)
     C0 = system.space.project_element_constants(np.array([0.1]))
-    C1, _ = step_semi_implicit_euler(system, C0, dt=0.05)
+    C1, _ = MeshStepper(system, 0.05).step(C0)
     # brute-force 1x1 reduction of the implicit update
     oracle = 0.1 / (1.0 - 0.05 * 0.61 * (1.0 - 0.1))
     assert system.space.region_average(C1, [1]) == pytest.approx(oracle, abs=1e-12)

@@ -146,13 +146,18 @@ SUBTESS 3
 """
 
 
-def test_mixed_polygon_triangle_faces(tmp_path):
-    # quad next to two triangles: faces pair up across element types
+def mixed_mesh(tmp_path):
+    """A quad (two sub-triangles) next to two triangles."""
     from fkneuro.geometry import load_mesh
 
     path = tmp_path / "mixed.fkmesh"
     path.write_text(MIXED_MESH)
-    mesh = load_mesh(path)
+    return load_mesh(path)
+
+
+def test_mixed_polygon_triangle_faces(tmp_path):
+    # quad next to two triangles: faces pair up across element types
+    mesh = mixed_mesh(tmp_path)
     assert mesh.n_elements == 3
     assert len(mesh.internal_faces) == 2
     assert len(mesh.boundary_faces) == 6
@@ -169,8 +174,8 @@ def test_mixed_polygon_triangle_faces(tmp_path):
     u = system.space.project(lambda p: p[:, 0] + 2.0 * p[:, 1])
     assert u @ (A @ u) == pytest.approx(5.0 * mesh.measure, rel=1e-12)
 
-    # mixed quadrature sizes take the per-element path of the nonlinear term
-    assert not system.space.uniform_quadrature
+    # the elements carry quadrature rules of different sizes
+    assert len({len(w) for w in system.space.quad_wts}) > 1
     diff = system.nonlinear_reaction(ones) - system.linear_reaction
     assert np.abs(diff.toarray()).max() <= 1e-10
 
@@ -221,6 +226,27 @@ def test_nonlinear_reaction_linearity_and_half():
     ones = system.space.project(lambda p: np.ones(len(p)))
     half = system.nonlinear_reaction(0.5 * ones) - 0.5 * system.linear_reaction
     assert np.abs(half.toarray()).max() <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["mixed", "3d"])
+def test_nonlinear_reaction_matches_quadrature_oracle(which, tmp_path):
+    # per-element oracle on the element's own rule: phi^T diag(w * (phi c_e)) phi
+    if which == "mixed":
+        mesh = mixed_mesh(tmp_path)
+    else:
+        mesh = generate_structured_mesh(3, 2, 1.0)
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=2)
+    space = system.space
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        C = rng.normal(size=system.N)
+        got = system.nonlinear_reaction(C).toarray()
+        want = np.zeros_like(got)
+        for e in range(mesh.n_elements):
+            phi, w = space.basis_vals[e], space.quad_wts[e]
+            dofs = space.element_dofs(e)
+            want[dofs, dofs] = 0.61 * phi.T @ ((w * (phi @ C[dofs]))[:, None] * phi)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_nonlinear_reaction_dimension_mismatch():
