@@ -92,6 +92,8 @@ class DGSpace:
         self.basis_integrals = np.array(
             [v.T @ w for v, w in zip(self.basis_vals, self.quad_wts)]
         )  # (E, n_local)
+        self.labels = mesh.region_labels()  # (E,) region id per element
+        self.measures = np.array([el.measure for el in mesh.elements])  # (E,)
 
     def element_dofs(self, e: int) -> slice:
         return slice(e * self.n_local, (e + 1) * self.n_local)
@@ -141,35 +143,30 @@ class DGSpace:
 
     def seed_vector(self, region_ids, value: float) -> np.ndarray:
         """Projection of `value` on the listed regions, zero elsewhere."""
-        wanted = set(int(r) for r in region_ids)
-        per_el = np.array(
-            [value if el.region in wanted else 0.0 for el in self.mesh.elements]
-        )
-        return self.project_element_constants(per_el)
+        inside = np.isin(self.labels, list(region_ids))
+        return self.project_element_constants(np.where(inside, value, 0.0))
 
     # -- integrals ---------------------------------------------------------
 
-    def integrate(self, C: np.ndarray, elements=None) -> float:
-        """Integral of the DG function over the mesh (or an element subset)."""
+    def integrate(self, C: np.ndarray) -> float:
+        """Integral of the DG function over the mesh."""
         blocks = C.reshape(self.mesh.n_elements, self.n_local)
         per_el = np.einsum("ei,ei->e", blocks, self.basis_integrals)
-        if elements is None:
-            return float(per_el.sum())
-        return float(per_el[list(elements)].sum())
+        return float(per_el.sum())
 
-    def region_elements(self, region_ids) -> np.ndarray:
-        wanted = set(int(r) for r in region_ids)
-        return np.array(
-            [e for e, el in enumerate(self.mesh.elements) if el.region in wanted],
-            dtype=int,
-        )
+    def region_weights(self, region_ids) -> np.ndarray:
+        """Weights w, shape (N,), with w @ C the mean of C over the regions.
+
+        The mean is the integral over the regions divided by their measure.
+        """
+        inside = np.isin(self.labels, list(region_ids))
+        if not inside.any():
+            raise ValueError(f"regions {sorted(region_ids)} not present in mesh")
+        w = np.where(inside[:, None], self.basis_integrals, 0.0)
+        return w.ravel() / self.measures[inside].sum()
 
     def region_average(self, C: np.ndarray, region_ids) -> float:
-        els = self.region_elements(region_ids)
-        if len(els) == 0:
-            raise ValueError(f"no elements carry region ids {sorted(region_ids)}")
-        measure = sum(self.mesh.elements[e].measure for e in els)
-        return self.integrate(C, elements=els) / measure
+        return float(self.region_weights(region_ids) @ C)
 
     def eval_state(self, e: int, C: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.eval_basis(e, pts) @ C[self.element_dofs(e)]

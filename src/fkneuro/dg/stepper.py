@@ -173,6 +173,4 @@ def solve_fk_mesh(
         states[n + 1] = C
         stats.append(st)
     times = dt * np.arange(n_steps + 1)
-    return Trajectory(
-        times=times, states=states, kind="mesh", alpha=system.alpha, solver_stats=stats
-    )
+    return Trajectory(times=times, states=states, solver_stats=stats)

@@ -98,6 +98,15 @@ class Connectome:
             raise KeyError(f"region id {region_id} not in connectome")
         return int(hits[0])
 
+    def region_weights(self, region_ids) -> np.ndarray:
+        """Weights w, shape (M,), with w @ C the volume-weighted mean of the
+        nodal state C over the regions."""
+        inside = np.isin(self.region_ids, list(region_ids))
+        if not inside.any():
+            raise ValueError(f"regions {sorted(region_ids)} not present in graph")
+        vols = np.where(inside, self.volumes, 0.0)
+        return vols / vols.sum()
+
     def components(self) -> list[set[int]]:
         """Connected components as sets of region ids."""
         adj: dict[int, list[int]] = {i: [] for i in range(self.n_nodes)}

@@ -134,16 +134,9 @@ def solve_fk_graph(
         residuals.append({"residual": rel})
         prev, curr = curr, nxt
     times = dt * np.arange(n_steps + 1)
-    return Trajectory(
-        times=times, states=states, kind="graph", alpha=alpha, solver_stats=residuals
-    )
+    return Trajectory(times=times, states=states, solver_stats=residuals)
 
 
 def seed_vector(conn, region_ids, value: float) -> np.ndarray:
     """Nodal initial condition: `value` on the listed regions, zero elsewhere."""
-    wanted = set(int(r) for r in region_ids)
-    C0 = np.zeros(conn.n_nodes)
-    for i, rid in enumerate(conn.region_ids):
-        if int(rid) in wanted:
-            C0[i] = value
-    return C0
+    return np.where(np.isin(conn.region_ids, list(region_ids)), value, 0.0)

@@ -126,7 +126,6 @@ def _simulate(cfg: SimulationConfig) -> RunResult:
         )
         domain = system.space
         all_ids = mesh.region_ids()
-        whole = all_ids
     else:
         if not cfg.graph_path:
             raise ConfigError("domain=graph requires graph_path")
@@ -139,10 +138,9 @@ def _simulate(cfg: SimulationConfig) -> RunResult:
         )
         domain = conn
         all_ids = sorted(int(r) for r in conn.region_ids)
-        whole = all_ids
 
     stage_curves = stage_average_curves(traj, atlas, domain)
-    global_avg = spatial_average(traj, whole, domain)
+    global_avg = spatial_average(traj, all_ids, domain)
     region_curves = {
         rid: spatial_average(traj, [rid], domain) for rid in all_ids
     }
@@ -207,9 +205,7 @@ def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
     staging_path = outdir / "staging.csv"
     write_staging_report(staging_path, times, result.stage_curves, cfg.c_crit)
 
-    order = braak_activation_order(
-        result.trajectory, result.atlas, result.domain, cfg.c_crit
-    )
+    order = braak_activation_order(times, result.stage_curves, cfg.c_crit)
     order_path = outdir / "activation_order.csv"
     with open(order_path, "w") as f:
         f.write("stage,activation_time_years\n")
@@ -236,12 +232,13 @@ def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
 
 
 def _write_node_csv(path, traj, conn):
-    """Long-format node-level output: t,node_id,c."""
+    """Long-format node-level output: t,node_id,c, one write per time step."""
+    id_fields = [f",{int(rid)}," for rid in conn.region_ids]
     with open(path, "w") as f:
         f.write("t,node_id,c\n")
-        for i, t in enumerate(traj.times):
-            for j, rid in enumerate(conn.region_ids):
-                f.write(f"{fmt17(t)},{int(rid)},{fmt17(traj.states[i, j])}\n")
+        for t, row in zip(traj.times, traj.states):
+            t_text = fmt17(t)
+            f.write("".join(f"{t_text}{i}{fmt17(c)}\n" for i, c in zip(id_fields, row)))
 
 
 def _sweep_one(cfg_text: str, alpha: float, outdir: str):

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry.atlas import STAGE_ORDER
-from .geometry.connectome import Connectome
-from .dg.space import DGSpace
 from .trajectory import Trajectory, first_crossing
 
 logger = logging.getLogger(__name__)
@@ -168,30 +166,12 @@ def classify_phase(
 def spatial_average(traj: Trajectory, region_ids, domain) -> np.ndarray:
     """Volume-weighted space average of the state restricted to a region set.
 
-    ``domain`` is the DGSpace for mesh trajectories or the Connectome for
-    graph trajectories; mesh states are integrated exactly, nodal states
-    are volume-weighted means.
+    ``domain`` is the run's DG space or connectome; it supplies the average
+    as a linear functional, ``region_weights``.
     """
     if not region_ids:
         raise ValueError("empty region set")
-    if isinstance(domain, DGSpace):
-        els = domain.region_elements(region_ids)
-        if len(els) == 0:
-            raise ValueError(f"regions {sorted(region_ids)} not present in mesh")
-        weights = np.zeros(domain.N)
-        measure = 0.0
-        for e in els:
-            weights[domain.element_dofs(e)] = domain.basis_integrals[e]
-            measure += domain.mesh.elements[e].measure
-        return traj.states @ weights / measure
-    if isinstance(domain, Connectome):
-        wanted = set(int(r) for r in region_ids)
-        idx = [i for i, rid in enumerate(domain.region_ids) if int(rid) in wanted]
-        if not idx:
-            raise ValueError(f"regions {sorted(region_ids)} not present in graph")
-        vols = domain.volumes[idx]
-        return traj.states[:, idx] @ vols / vols.sum()
-    raise TypeError(f"unsupported domain type {type(domain).__name__}")
+    return traj.states @ domain.region_weights(region_ids)
 
 
 def stage_average_curves(traj: Trajectory, atlas, domain) -> dict:
@@ -287,24 +267,34 @@ class ActivationOrderReport:
 
 
 def braak_activation_order(
-    traj: Trajectory, atlas, domain, c_crit: float, tie_tol: float = 1e-9
+    times, stage_curves: dict, c_crit: float, tie_tol: float = 1e-9
 ) -> ActivationOrderReport:
-    """Activation times per Braak stage and whether they follow II<...<VI."""
-    curves = stage_average_curves(traj, atlas, domain)
+    """Activation times per Braak stage and whether they follow II<...<VI.
+
+    Entries are sorted by time; stages whose times form a tie group (each
+    within ``tie_tol`` of the one before) are listed in anatomical order.
+    """
     acts = {}
     never = []
-    for stage, vals in curves.items():
-        t = first_crossing(traj.times, vals, c_crit)
+    for stage, vals in stage_curves.items():
+        t = first_crossing(times, vals, c_crit)
         if t is None:
             never.append(stage)
         acts[stage] = t
-    stages = [s for s in STAGE_ORDER if s in curves]
+    stages = [s for s in STAGE_ORDER if s in stage_curves]
     known = [(s, acts[s]) for s in stages if acts[s] is not None]
-    entries = sorted(known, key=lambda kv: kv[1]) + [(s, None) for s in never]
+    # a new tie group starts where the sorted times step by more than
+    # tie_tol; the stable sort keeps each group in anatomical order
+    group, n, prev = {}, 0, None
+    for s, t in sorted(known, key=lambda kv: kv[1]):
+        if prev is not None and t - prev > tie_tol:
+            n += 1
+        group[s], prev = n, t
+    entries = sorted(known, key=lambda kv: group[kv[0]]) + [(s, None) for s in never]
 
     if len(known) >= 2:
-        times = [t for _, t in known]
-        if max(times) - min(times) <= tie_tol:
+        known_times = [t for _, t in known]
+        if max(known_times) - min(known_times) <= tie_tol:
             order = ORDER_DEGENERATE
         else:
             anatomical = all(

@@ -26,8 +26,6 @@ class Trajectory:
 
     times: np.ndarray  # (n_steps + 1,)
     states: np.ndarray  # (n_steps + 1, N)
-    kind: str  # "mesh" | "graph"
-    alpha: float
     solver_stats: list = field(default_factory=list)
 
     def __post_init__(self):

@@ -289,7 +289,7 @@ def test_criterion_8_staging_order_and_robustness():
     checks = []
     timelines = {}
     for c_crit in (0.4, 0.5):
-        rep = braak_activation_order(traj, atlas, system.space, c_crit)
+        rep = braak_activation_order(traj.times, curves, c_crit)
         strict = [s for s, _ in rep.entries] == ["II", "III", "IV", "V", "VI"] and all(
             b[1] > a[1] for a, b in zip(rep.entries, rep.entries[1:])
         )

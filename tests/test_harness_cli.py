@@ -17,7 +17,7 @@ from fkneuro.geometry import (
     write_connectome,
     write_mesh,
 )
-from fkneuro.trajectory import read_series_csv
+from fkneuro.trajectory import fmt17, read_series_csv
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,12 @@ def test_run_graph_artifacts_and_states(domains, tmp_path):
     t0, nid, c0 = node_lines[1].split(",")
     assert (float(t0), int(nid)) == (0.0, 1)
     assert float(c0) == 0.3  # seeded node
+    expected = "t,node_id,c\n" + "".join(
+        f"{fmt17(t)},{rid},{fmt17(c)}\n"
+        for t, row in zip(result.trajectory.times, states)
+        for rid, c in zip(range(1, 6), row)
+    )
+    assert open(result.paths["nodes"]).read() == expected
 
 
 def test_sweep_parallel_workers(domains, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import logistic
 from fkneuro import graphfk
@@ -11,6 +13,7 @@ from fkneuro.geometry import (
     DiffusionModel,
     generate_connectome,
     generate_structured_mesh,
+    slab_labeler,
 )
 from fkneuro.staging import (
     ACTIVE,
@@ -27,12 +30,13 @@ from fkneuro.staging import (
     map_suvr_tau,
     reconstruct_macrostages,
     spatial_average,
+    stage_average_curves,
 )
 from fkneuro.trajectory import Trajectory
 
 
-def make_traj(times, states, kind="graph", alpha=0.7):
-    return Trajectory(times=np.asarray(times), states=np.asarray(states), kind=kind, alpha=alpha)
+def make_traj(times, states):
+    return Trajectory(times=np.asarray(times), states=np.asarray(states))
 
 
 # -- spatial averages --------------------------------------------------------
@@ -71,17 +75,78 @@ def test_average_dg_projection_of_coordinate():
     mesh = generate_structured_mesh(2, 3, 1.0)
     space = DGSpace(mesh, 2)
     C = space.project(lambda p: p[:, 0])
-    traj = make_traj([0.0], C[None, :], kind="mesh")
+    traj = make_traj([0.0], C[None, :])
     assert spatial_average(traj, [1], space)[0] == pytest.approx(0.5, abs=1e-13)
 
 
-def test_average_empty_region_rejected():
-    conn = generate_connectome(3)
-    traj = make_traj([0.0], [[0.1, 0.2, 0.3]])
+@pytest.fixture(scope="module")
+def weight_domains():
+    """A 2D slab mesh (regions 1..5, degree 2) and a ring connectome (ids 1..5)."""
+    mesh = generate_structured_mesh(2, 3, 30.0, labeler=slab_labeler(5, 30.0))
+    ring = Connectome(
+        region_ids=np.arange(1, 6),
+        coords=np.zeros((5, 3)),
+        volumes=np.array([1.0, 2.0, 3.0, 0.5, 4.0]),
+        edges=[(i, (i + 1) % 5, 5.0, 5.0) for i in range(5)],
+    )
+    return {"mesh": DGSpace(mesh, 2), "graph": ring}
+
+
+def unit_labels(domain):
+    """Region id of every unknown: per DG coefficient, or per graph node."""
+    if isinstance(domain, DGSpace):
+        return np.repeat(domain.labels, domain.n_local)
+    return domain.region_ids
+
+
+def region_measure(domain, ids):
+    if isinstance(domain, DGSpace):
+        return domain.measures[np.isin(domain.labels, ids)].sum()
+    return domain.volumes[np.isin(domain.region_ids, ids)].sum()
+
+
+def constant_one(domain):
+    if isinstance(domain, DGSpace):
+        return domain.project(lambda p: np.ones(len(p)))
+    return np.ones(domain.n_nodes)
+
+
+@pytest.mark.parametrize("kind", ["mesh", "graph"])
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.sampled_from([0, 1, 2]), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_region_weights_are_the_region_mean(weight_domains, kind, picks, seed):
+    # picks[r] puts region r+1 in set A (1), set B (2) or neither (0)
+    domain = weight_domains[kind]
+    A = [r + 1 for r, p in enumerate(picks) if p == 1]
+    B = [r + 1 for r, p in enumerate(picks) if p == 2]
+    one = constant_one(domain)
+    C = np.random.default_rng(seed).normal(size=one.shape)
+    for ids in (A, B, A + B):
+        if not ids:
+            continue
+        w = domain.region_weights(ids)
+        assert not w[~np.isin(unit_labels(domain), ids)].any()
+        assert abs(w @ one - 1.0) <= 1e-13
+    if A and B:
+        mass = {
+            key: region_measure(domain, ids) * (domain.region_weights(ids) @ C)
+            for key, ids in (("A", A), ("B", B), ("AB", A + B))
+        }
+        scale = np.abs(C).max() * region_measure(domain, A + B)
+        assert abs(mass["A"] + mass["B"] - mass["AB"]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["mesh", "graph"])
+def test_average_empty_region_rejected(weight_domains, kind):
+    domain = weight_domains[kind]
+    traj = make_traj([0.0], np.zeros((1, len(unit_labels(domain)))))
     with pytest.raises(ValueError, match="empty"):
-        spatial_average(traj, [], conn)
+        spatial_average(traj, [], domain)
     with pytest.raises(ValueError, match="not present"):
-        spatial_average(traj, [99], conn)
+        spatial_average(traj, [99], domain)
 
 
 # -- SUVR maps ---------------------------------------------------------------
@@ -250,7 +315,9 @@ def test_activation_order_slab_mesh(slab_mesh, atlas5):
     system = assemble(slab_mesh, DiffusionModel(8.0, 80.0), alpha=0.70, eta0=10.0, degree=2)
     C0 = system.space.seed_vector(atlas5.stages["II"], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.05, T=12.0)
-    report = braak_activation_order(traj, atlas5, system.space, 0.5)
+    report = braak_activation_order(
+        traj.times, stage_average_curves(traj, atlas5, system.space), 0.5
+    )
     assert report.order == "anatomical"
     assert [s for s, _ in report.entries] == ["II", "III", "IV", "V", "VI"]
 
@@ -263,14 +330,40 @@ def test_activation_order_slab_mesh_3d(atlas5):
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.70, eta0=10.0, degree=1)
     C0 = system.space.seed_vector(atlas5.stages["II"], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.1, T=10.0)
-    report = braak_activation_order(traj, atlas5, system.space, 0.5)
+    report = braak_activation_order(
+        traj.times, stage_average_curves(traj, atlas5, system.space), 0.5
+    )
     assert report.order == "anatomical"
+
+
+def crossing_curves(crossings):
+    """Stage curves on times [0, 1] that cross 0.5 at the given times."""
+    return {stage: np.array([0.0, 0.5 / t]) for stage, t in crossings.items()}
+
+
+def test_activation_order_lists_tied_stages_anatomically():
+    # reverse anatomical order, all within 1e-12 y: one tie group
+    stages = ["II", "III", "IV", "V", "VI"]
+    curves = crossing_curves({s: 0.5 - 2e-13 * i for i, s in enumerate(stages)})
+    report = braak_activation_order(np.array([0.0, 1.0]), curves, 0.5)
+    assert [s for s, _ in report.entries] == stages
+    assert report.order == "degenerate"
+
+
+def test_activation_order_separated_reverse_stays_by_time():
+    stages = ["II", "III", "IV", "V", "VI"]
+    curves = crossing_curves({s: 0.9 - 0.1 * i for i, s in enumerate(stages)})
+    report = braak_activation_order(np.array([0.0, 1.0]), curves, 0.5)
+    assert [s for s, _ in report.entries] == stages[::-1]
+    assert report.order == "violated"
 
 
 def test_activation_order_uniform_is_degenerate(atlas5, chain5):
     C0 = np.full(5, 0.1)
     traj = graphfk.solve_fk_graph(chain5, C0, alpha=0.70, dt=0.05, T=10.0)
-    report = braak_activation_order(traj, atlas5, chain5, 0.5)
+    report = braak_activation_order(
+        traj.times, stage_average_curves(traj, atlas5, chain5), 0.5
+    )
     assert report.order == "degenerate"
 
 
@@ -278,7 +371,9 @@ def test_activation_order_shortcut_violation(atlas5):
     conn = generate_connectome(5, topology="chain", extra_edges=[(1, 5)])
     C0 = graphfk.seed_vector(conn, [1], 0.3)
     traj = graphfk.solve_fk_graph(conn, C0, alpha=0.70, dt=0.05, T=20.0)
-    report = braak_activation_order(traj, atlas5, conn, 0.5)
+    report = braak_activation_order(
+        traj.times, stage_average_curves(traj, atlas5, conn), 0.5
+    )
     assert report.order == "violated"
 
 

@@ -14,9 +14,9 @@ from fkneuro.trajectory import (
 
 def test_trajectory_validation():
     with pytest.raises(ValueError, match="uniform"):
-        Trajectory(times=[0.0, 0.1, 0.3], states=np.zeros((3, 2)), kind="graph", alpha=1.0)
+        Trajectory(times=[0.0, 0.1, 0.3], states=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="step count"):
-        Trajectory(times=[0.0, 0.1], states=np.zeros((3, 2)), kind="graph", alpha=1.0)
+        Trajectory(times=[0.0, 0.1], states=np.zeros((3, 2)))
 
 
 def test_series_csv_roundtrip(tmp_path):
@@ -63,9 +63,7 @@ def test_series_csv_rejects_non_finite(tmp_path):
 def test_state_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     states = rng.normal(size=(5, 7))
-    traj = Trajectory(
-        times=0.1 * np.arange(5), states=states, kind="mesh", alpha=0.61
-    )
+    traj = Trajectory(times=0.1 * np.arange(5), states=states)
     path = tmp_path / "states.bin"
     write_state_dump(path, traj)
     with open(path, "rb") as f:
