@@ -14,8 +14,10 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
+from ..geometry.atlas import region_weight_matrix
 from .quadrature import simplex_rule
 
 
@@ -159,11 +161,14 @@ class DGSpace:
 
         The mean is the integral over the regions divided by their measure.
         """
-        inside = np.isin(self.labels, list(region_ids))
-        if not inside.any():
-            raise ValueError(f"regions {sorted(region_ids)} not present in mesh")
-        w = np.where(inside[:, None], self.basis_integrals, 0.0)
-        return w.ravel() / self.measures[inside].sum()
+        return self.region_weight_matrix([region_ids]).toarray()[:, 0]
+
+    def region_weight_matrix(self, groups) -> sp.csc_matrix:
+        """Weights W, shape (N, G), with states @ W the mean over each of
+        the disjoint groups of region ids."""
+        return region_weight_matrix(
+            self.labels, self.measures, self.basis_integrals, groups, "mesh"
+        )
 
     def region_average(self, C: np.ndarray, region_ids) -> float:
         return float(self.region_weights(region_ids) @ C)

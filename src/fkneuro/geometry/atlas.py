@@ -9,6 +9,9 @@ meshes where staging structure is emulated by geometry.
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+import scipy.sparse as sp
+
 from ..errors import AtlasError
 
 STAGE_ORDER = ("II", "III", "IV", "V", "VI")
@@ -212,3 +215,39 @@ def load_region_labels(path) -> dict:
     if not labels:
         raise AtlasError("no labels found")
     return labels
+
+
+def region_weight_matrix(labels, measures, unit_weights, groups, where: str):
+    """Averaging weights W, shape (N, G), over disjoint groups of regions.
+
+    A domain's units (mesh elements or graph nodes) each carry a region
+    label, a measure and the integrals of their k unknowns, ``unit_weights``
+    (U, k); unknown j of unit u is entry u*k + j of a state.  Column g of W
+    holds unit_weights / (measure of group g) on the units whose label is in
+    ``groups[g]``, so ``states @ W`` is the mean over every group at once.
+    The labels are mapped to columns in one sorted search.
+    """
+    groups = [sorted({int(r) for r in group}) for group in groups]
+    ids = np.array([r for group in groups for r in group], dtype=int)
+    if not len(ids):
+        raise ValueError("empty region set")
+    if len(np.unique(ids)) < len(ids):
+        raise ValueError("region groups overlap")
+    column_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    order = np.argsort(ids)
+    pos = np.searchsorted(ids[order], labels).clip(max=len(ids) - 1)
+    cols = np.where(ids[order][pos] == labels, column_of[order[pos]], -1)
+    units = np.flatnonzero(cols >= 0)
+    units = units[np.argsort(cols[units], kind="stable")]  # column by column
+    cols = cols[units]
+    totals = np.bincount(cols, weights=measures[units], minlength=len(groups))
+    if (totals == 0).any():
+        missing = sorted(r for g in np.flatnonzero(totals == 0) for r in groups[g])
+        raise ValueError(f"regions {missing} not present in {where}")
+    k = unit_weights.shape[1]
+    values = unit_weights[units] / totals[cols][:, None]
+    rows = units[:, None] * k + np.arange(k)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=len(groups)))))
+    return sp.csc_matrix(
+        (values.ravel(), rows.ravel(), k * starts), shape=(len(labels) * k, len(groups))
+    )

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import GraphConnectivityError, GraphFormatError
+from .atlas import region_weight_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -31,6 +32,7 @@ class Connectome:
     edges: list[tuple[int, int, float, float]]  # (i_idx, j_idx, n_ij, l_ij)
     scale_k: float = 1.0
     weights: np.ndarray = field(init=False)
+    degree: np.ndarray = field(init=False)  # (M,) weighted degree, diagonal of L
     laplacian: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
@@ -71,9 +73,9 @@ class Connectome:
                 )
             w.append(self.scale_k * n_ij / l_ij)
         self.weights = np.array(w, dtype=float)
-        self.laplacian = self._assemble_laplacian()
+        self.degree, self.laplacian = self._assemble_laplacian()
 
-    def _assemble_laplacian(self) -> sp.csr_matrix:
+    def _assemble_laplacian(self) -> tuple[np.ndarray, sp.csr_matrix]:
         M = self.n_nodes
         rows, cols, vals = [], [], []
         degree = np.zeros(M)
@@ -86,7 +88,7 @@ class Connectome:
         rows += list(range(M))
         cols += list(range(M))
         vals += degree.tolist()
-        return sp.csr_matrix((vals, (rows, cols)), shape=(M, M))
+        return degree, sp.csr_matrix((vals, (rows, cols)), shape=(M, M))
 
     @property
     def n_nodes(self) -> int:
@@ -101,11 +103,14 @@ class Connectome:
     def region_weights(self, region_ids) -> np.ndarray:
         """Weights w, shape (M,), with w @ C the volume-weighted mean of the
         nodal state C over the regions."""
-        inside = np.isin(self.region_ids, list(region_ids))
-        if not inside.any():
-            raise ValueError(f"regions {sorted(region_ids)} not present in graph")
-        vols = np.where(inside, self.volumes, 0.0)
-        return vols / vols.sum()
+        return self.region_weight_matrix([region_ids]).toarray()[:, 0]
+
+    def region_weight_matrix(self, groups) -> sp.csc_matrix:
+        """Weights W, shape (M, G), with states @ W the mean over each of
+        the disjoint groups of region ids."""
+        return region_weight_matrix(
+            self.region_ids, self.volumes, self.volumes[:, None], groups, "graph"
+        )
 
     def components(self) -> list[set[int]]:
         """Connected components as sets of region ids."""

@@ -31,6 +31,7 @@ from . import graphfk
 from .staging import (
     braak_activation_order,
     reconstruct_macrostages,
+    region_average_curves,
     spatial_average,
     stage_average_curves,
 )
@@ -141,9 +142,7 @@ def _simulate(cfg: SimulationConfig) -> RunResult:
 
     stage_curves = stage_average_curves(traj, atlas, domain)
     global_avg = spatial_average(traj, all_ids, domain)
-    region_curves = {
-        rid: spatial_average(traj, [rid], domain) for rid in all_ids
-    }
+    region_curves = region_average_curves(traj, all_ids, domain)
     return RunResult(
         trajectory=traj,
         atlas=atlas,

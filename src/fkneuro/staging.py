@@ -169,9 +169,17 @@ def spatial_average(traj: Trajectory, region_ids, domain) -> np.ndarray:
     ``domain`` is the run's DG space or connectome; it supplies the average
     as a linear functional, ``region_weights``.
     """
-    if not region_ids:
-        raise ValueError("empty region set")
     return traj.states @ domain.region_weights(region_ids)
+
+
+def region_average_curves(traj: Trajectory, region_ids, domain) -> dict:
+    """Space-average time series of each listed region, keyed by region id.
+
+    One product with the domain's ``region_weight_matrix`` reduces every
+    region at once.
+    """
+    weights = domain.region_weight_matrix([[rid] for rid in region_ids])
+    return dict(zip(region_ids, weights.T @ traj.states.T))
 
 
 def stage_average_curves(traj: Trajectory, atlas, domain) -> dict:

@@ -1,11 +1,33 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import edgeless_graph, logistic, scalar_cn_extrapolated
 from fkneuro import graphfk
+from fkneuro.dg.stepper import solve_linear
 from fkneuro.errors import LinearSolverError
 from fkneuro.geometry import Connectome, generate_connectome
 from fkneuro.trajectory import first_crossing
+
+
+def dense_cn_system(conn, C_n, C_nm1, alpha, dt):
+    """The Crank-Nicolson system (A, b) of one step, from the dense Laplacian."""
+    L = conn.laplacian.toarray()
+    eye = np.eye(conn.n_nodes)
+    reaction = np.diag(alpha * dt * (1.0 - 0.5 * (3.0 * C_n - C_nm1)))
+    return 2.0 * eye + dt * L - reaction, (2.0 * eye - dt * L + reaction) @ C_n
+
+
+def dense_cn_states(conn, C0, alpha, dt, n_steps):
+    """Direct-solve reference of solve_fk_graph: np.linalg.solve every step."""
+    states = [np.asarray(C0, dtype=float)]
+    prev = states[0]
+    for _ in range(n_steps):
+        states.append(np.linalg.solve(*dense_cn_system(conn, states[-1], prev, alpha, dt)))
+        prev = states[-2]
+    return np.array(states)
 
 
 def test_rhs_equilibria(triangle_graph):
@@ -27,13 +49,13 @@ def test_rhs_dimension_mismatch(triangle_graph):
 
 def test_single_node_update_matches_brute_force():
     conn = edgeless_graph(1)
-    c1, residual = graphfk.step_cn_extrapolated(
+    c1, stats = graphfk.step_cn_extrapolated(
         conn, np.array([0.1]), np.array([0.1]), alpha=0.61, dt=0.05
     )
     oracle = scalar_cn_extrapolated(0.1, 0.61, 0.05, 1)[-1]
     assert c1[0] == pytest.approx(oracle, abs=1e-15)
     assert c1[0] == pytest.approx(0.1 * 2.02745 / 1.97255, abs=1e-15)
-    assert residual <= 1e-12
+    assert stats["residual"] <= 1e-12
 
 
 def test_literal_rhs_variant_damps_growth():
@@ -144,19 +166,89 @@ def test_chain_activation_monotone_in_hops(chain5):
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
-def test_large_graph_sparse_path_matches_dense(monkeypatch):
-    conn = generate_connectome(300, topology="ring")
+def test_large_graph_matches_dense_direct_solve():
+    conn = generate_connectome(
+        300, topology="ring", extra_edges=[(1, 150), (40, 260), (75, 226)]
+    )
     C0 = graphfk.seed_vector(conn, [1, 150], 0.4)
-    traj_sparse = graphfk.solve_fk_graph(conn, C0, alpha=0.7, dt=0.05, T=0.5)
-
-    monkeypatch.setattr(graphfk, "_DENSE_LIMIT", 10_000)
-    conn2 = generate_connectome(300, topology="ring")
-    traj_dense = graphfk.solve_fk_graph(conn2, C0, alpha=0.7, dt=0.05, T=0.5)
-    assert np.abs(traj_sparse.states - traj_dense.states).max() <= 1e-12
+    traj = graphfk.solve_fk_graph(conn, C0, alpha=0.7, dt=0.05, T=0.5)
+    reference = dense_cn_states(conn, C0, 0.7, 0.05, traj.n_steps)
+    assert np.abs(traj.states - reference).max() <= 1e-12
 
     ones = np.ones(300)
     nxt, _ = graphfk.step_cn_extrapolated(conn, ones, ones, alpha=0.7, dt=0.05)
     assert np.abs(nxt - 1.0).max() <= 1e-12
+
+
+def test_solver_stats_recorded(chain5):
+    C0 = graphfk.seed_vector(chain5, [1], 0.3)
+    traj = graphfk.solve_fk_graph(chain5, C0, alpha=0.61, dt=0.05, T=0.5)
+    dg_keys = solve_linear(sp.identity(2, format="csr"), np.ones(2))[1].keys()
+    assert len(traj.solver_stats) == traj.n_steps
+    for entry in traj.solver_stats:
+        assert entry.keys() == dg_keys
+        assert entry["residual"] <= 1e-12
+        assert entry["fallback"] is False
+        assert 1 <= entry["iterations"] <= 10
+
+
+@st.composite
+def cn_steps(draw):
+    """A ring plus random weighted chords, two back states and (alpha, dt)."""
+    M = draw(st.integers(2, 40))
+    pairs = {(i, (i + 1) % M) for i in range(M if M > 2 else 1)}
+    chords = draw(
+        st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)), max_size=2 * M)
+    )
+    pairs |= {(i, j) for i, j in chords if i != j}
+    pairs = {(min(p), max(p)) for p in pairs}
+    n_ij = st.floats(0.1, 50.0)
+    l_ij = st.floats(1.0, 20.0)
+    edges = [(i, j, draw(n_ij), draw(l_ij)) for i, j in sorted(pairs)]
+    conn = Connectome(
+        region_ids=np.arange(1, M + 1), coords=np.zeros((M, 3)), volumes=np.ones(M),
+        edges=edges,
+    )
+    state = st.lists(st.floats(-0.1, 1.1), min_size=M, max_size=M).map(np.array)
+    alpha = draw(st.floats(0.0, 45.0))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    return conn, draw(state), draw(state), alpha, dt
+
+
+def test_step_matches_dense_direct_solve():
+    # a backward-stable solve has forward error <= cond(A) * its residual, so
+    # the 1e-12 agreement with the dense solve is asked where cond(A) <= 100
+    # (CG stops at 1e-14); every step must pass the residual gate
+    indefinite_seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cn_steps())
+    def check(case):
+        conn, C_n, C_nm1, alpha, dt = case
+        A, b = dense_cn_system(conn, C_n, C_nm1, alpha, dt)
+        indefinite = bool((2.0 - alpha * dt * (1.0 - 0.5 * (3.0 * C_n - C_nm1))).min() <= 0)
+        indefinite_seen.add(indefinite)
+        try:
+            reference = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            with pytest.raises(LinearSolverError):
+                graphfk.step_cn_extrapolated(conn, C_n, C_nm1, alpha, dt)
+            return
+        try:
+            C_next, stats = graphfk.step_cn_extrapolated(conn, C_n, C_nm1, alpha, dt)
+        except LinearSolverError:
+            assert np.linalg.cond(A) > 100
+            return
+        assert stats["residual"] <= 1e-12
+        if indefinite:
+            assert stats["fallback"] and stats["iterations"] == 0
+        if np.linalg.cond(A) <= 100:
+            scale = np.abs(reference).max()
+            assert np.abs(C_next - reference).max() <= 1e-12 * scale
+            assert np.linalg.norm(b - A @ C_next) <= 1e-12 * np.linalg.norm(b)
+
+    check()
+    assert indefinite_seen == {False, True}
 
 
 def test_singular_system_raises():

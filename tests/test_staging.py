@@ -29,6 +29,7 @@ from fkneuro.staging import (
     map_suvr_abeta,
     map_suvr_tau,
     reconstruct_macrostages,
+    region_average_curves,
     spatial_average,
     stage_average_curves,
 )
@@ -140,13 +141,36 @@ def test_region_weights_are_the_region_mean(weight_domains, kind, picks, seed):
 
 
 @pytest.mark.parametrize("kind", ["mesh", "graph"])
+def test_region_average_curves_are_the_region_means(weight_domains, kind):
+    domain = weight_domains[kind]
+    if isinstance(domain, DGSpace):
+        integrals = domain.basis_integrals.ravel()  # of each basis function
+    else:
+        integrals = domain.volumes
+    labels = unit_labels(domain)
+    states = np.random.default_rng(5).normal(size=(3, len(labels)))
+    ids = [4, 1, 5, 3, 2]
+    curves = region_average_curves(make_traj([0.0, 1.0, 2.0], states), ids, domain)
+    assert list(curves) == ids
+    for rid in ids:
+        inside = labels == rid
+        mean = states[:, inside] @ integrals[inside] / region_measure(domain, [rid])
+        assert np.abs(curves[rid] - mean).max() <= 1e-13 * np.abs(mean).max()
+
+
+@pytest.mark.parametrize("kind", ["mesh", "graph"])
 def test_average_empty_region_rejected(weight_domains, kind):
     domain = weight_domains[kind]
     traj = make_traj([0.0], np.zeros((1, len(unit_labels(domain)))))
-    with pytest.raises(ValueError, match="empty"):
-        spatial_average(traj, [], domain)
-    with pytest.raises(ValueError, match="not present"):
-        spatial_average(traj, [99], domain)
+    for reduce in (spatial_average, region_average_curves):
+        with pytest.raises(ValueError, match="empty"):
+            reduce(traj, [], domain)
+        with pytest.raises(ValueError, match="not present"):
+            reduce(traj, [99], domain)
+    with pytest.raises(ValueError, match=r"\[99\] not present"):
+        region_average_curves(traj, [2, 99], domain)
+    with pytest.raises(ValueError, match="overlap"):
+        region_average_curves(traj, [2, 2], domain)
 
 
 # -- SUVR maps ---------------------------------------------------------------
