@@ -150,12 +150,6 @@ class DGSpace:
 
     # -- integrals ---------------------------------------------------------
 
-    def integrate(self, C: np.ndarray) -> float:
-        """Integral of the DG function over the mesh."""
-        blocks = C.reshape(self.mesh.n_elements, self.n_local)
-        per_el = np.einsum("ei,ei->e", blocks, self.basis_integrals)
-        return float(per_el.sum())
-
     def region_weights(self, region_ids) -> np.ndarray:
         """Weights w, shape (N,), with w @ C the mean of C over the regions.
 
@@ -169,9 +163,6 @@ class DGSpace:
         return region_weight_matrix(
             self.labels, self.measures, self.basis_integrals, groups, "mesh"
         )
-
-    def region_average(self, C: np.ndarray, region_ids) -> float:
-        return float(self.region_weights(region_ids) @ C)
 
     def eval_state(self, e: int, C: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.eval_basis(e, pts) @ C[self.element_dofs(e)]

@@ -94,12 +94,6 @@ class Connectome:
     def n_nodes(self) -> int:
         return len(self.region_ids)
 
-    def node_index(self, region_id: int) -> int:
-        hits = np.nonzero(self.region_ids == region_id)[0]
-        if len(hits) == 0:
-            raise KeyError(f"region id {region_id} not in connectome")
-        return int(hits[0])
-
     def region_weights(self, region_ids) -> np.ndarray:
         """Weights w, shape (M,), with w @ C the volume-weighted mean of the
         nodal state C over the regions."""

@@ -162,10 +162,6 @@ class PolytopalMesh:
     def region_ids(self) -> list[int]:
         return sorted(set(int(el.region) for el in self.elements))
 
-    def region_measure(self, region_ids) -> float:
-        wanted = set(int(r) for r in region_ids)
-        return sum(el.measure for el in self.elements if el.region in wanted)
-
     def validate(self):
         """Check geometric invariants; raises on violation."""
         for i, el in enumerate(self.elements):

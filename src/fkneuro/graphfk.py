@@ -13,13 +13,14 @@ reaction and damps growth.  That variant stays available behind
 
 Each step solves (diag(a) + dt*L) C^{n+1} = b with a = 2 - alpha*dt*g.
 The matrix changes only on its diagonal, so no matrix is built: the
-operator is applied as a*v + dt*(L @ v) inside Jacobi-preconditioned CG,
-started from the extrapolant 2 C^n - C^{n-1}.  While every a_j > 0 the
-system is symmetric positive definite (diag(a) > 0, dt*L >= 0) and CG
-applies; it iterates to a relative residual of 1e-14, two decades under
-the 1e-12 gate every step must pass.  When some a_j <= 0, or CG does not
-get there within _CG_MAXITER iterations, one sparse LU of the system
-solves the step instead.
+operator is applied as a*v + dt*(L @ v) inside Jacobi-preconditioned CG
+(``linsolve.pcg``, the loop the DG stepper uses too), started from the
+extrapolant 2 C^n - C^{n-1}.  While every a_j > 0 the system is symmetric
+positive definite (diag(a) > 0, dt*L >= 0) and CG applies; it iterates to
+a relative residual of 1e-14, two decades under the 1e-12 gate every step
+must pass.  When some a_j <= 0, or CG does not get there within
+_CG_MAXITER iterations (or breaks down or stagnates first), one sparse LU
+of the system solves the step instead.
 """
 
 import logging
@@ -30,6 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolverError
+from .linsolve import pcg
 from .trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
@@ -48,33 +50,6 @@ def rhs_semidiscrete(conn, C: np.ndarray, alpha: float) -> np.ndarray:
     if C.shape != (conn.n_nodes,):
         raise ValueError(f"state has shape {C.shape}, want ({conn.n_nodes},)")
     return -(conn.laplacian @ C) + alpha * C * (1.0 - C)
-
-
-def _pcg(apply, b, x, inv_diag, tol):
-    """Preconditioned CG on an SPD operator from x until ||b - A x|| <= tol.
-
-    Returns (x, iterations), with x None when _CG_MAXITER iterations do not
-    reach the tolerance.
-    """
-    r = b - apply(x)
-    z = inv_diag * r
-    p = z
-    rz = r @ z
-    tol2 = tol * tol
-    iterations = 0
-    while not r @ r <= tol2:
-        if iterations == _CG_MAXITER:
-            return None, iterations
-        iterations += 1
-        q = apply(p)
-        step = rz / (p @ q)
-        x = x + step * p
-        r = r - step * q
-        z = inv_diag * r
-        rz_next = r @ z
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    return x, iterations
 
 
 def step_cn_extrapolated(
@@ -125,12 +100,14 @@ def step_cn_extrapolated(
             return np.zeros(M), {"iterations": 0, "residual": 0.0, "fallback": False}
         # CG starts from the extrapolant; one far from the solution may
         # overflow, which ends in the LU fallback below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            C_next, iterations = _pcg(
-                apply, rhs, (2.0 * C_n - C_nm1) / scale, 1.0 / (a + dt * conn.degree),
-                _CG_RTOL * rhs_norm,
-            )
-        if C_next is not None:
+        inv_diag = 1.0 / (a + dt * conn.degree)
+        tol = _CG_RTOL * rhs_norm
+        x, iterations, residuals = pcg(
+            apply, lambda r: inv_diag * r, rhs, (2.0 * C_n - C_nm1) / scale, tol,
+            _CG_MAXITER,
+        )
+        if residuals[-1] <= tol:
+            C_next = x
             rel = relative_residual(C_next)
     fallback = not rel <= _RESIDUAL_TOL
     if fallback:

@@ -3,8 +3,9 @@
 Installing it against the package fails as soon as one of those attributes
 is renamed or removed, so this guards the names the benchmark relies on.
 A wrapper only sees the calls made through the attribute it replaced, so
-the graph time loop must reach its step through the module attribute, not
-through a reference taken when the module was imported.
+the time loops must reach their step, and the DG step its linear solve,
+through the module or class attribute, not through a reference taken when
+the module was imported.
 """
 
 import os
@@ -32,6 +33,29 @@ result = fkneuro.run(cfg)
 print(tracer.totals()["graph.step"][0], result.trajectory.n_steps)
 """
 
+MESH_RUN = """
+import sys
+import fkneuro, tracing
+from fkneuro.config import SimulationConfig
+from fkneuro.geometry import generate_structured_mesh, slab_labeler, write_mesh
+
+tracer = tracing.Tracer()
+tracing.install(tracer, fkneuro)
+tmp = sys.argv[1]
+mesh = generate_structured_mesh(2, 5, 100.0, labeler=slab_labeler(5, 100.0))
+write_mesh(mesh, tmp + "/slabs.fkmesh")
+cfg = SimulationConfig(
+    domain="mesh", mesh_path=tmp + "/slabs.fkmesh", atlas_table="slabs",
+    seed_regions="II", T=0.5, output_dir=tmp + "/out",
+)
+result = fkneuro.run(cfg)
+totals = tracer.totals()
+print(
+    totals["dg.step"][0], totals["dg.solve"][0], max(tracer.values["dg.static_nnz"]),
+    result.trajectory.n_steps,
+)
+"""
+
 
 def run_with_bench(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "bench"]))
@@ -56,3 +80,13 @@ def test_bench_tracer_records_every_graph_step(tmp_path):
     spans, steps = map(int, proc.stdout.split())
     assert steps == 10
     assert spans == steps
+
+
+def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
+    proc = run_with_bench(MESH_RUN, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    step_spans, solve_spans, static_nnz, steps = map(float, proc.stdout.split())
+    assert steps == 10
+    assert step_spans == steps
+    assert solve_spans == steps
+    assert static_nnz > 0

@@ -4,10 +4,11 @@ import scipy.sparse as sp
 
 from conftest import logistic, scalar_euler_semi_implicit
 from fkneuro.dg import assemble, solve_fk_mesh, solve_linear
+from fkneuro.dg import stepper as stepper_module
 from fkneuro.dg.stepper import MeshStepper
 from fkneuro.errors import LinearSolverError
 from fkneuro.geometry import DiffusionModel, generate_structured_mesh
-from test_dg_system import square_polygon_mesh
+from test_dg_system import mixed_mesh, square_polygon_mesh
 
 
 def test_identity_evolution_without_reaction_or_diffusion():
@@ -27,7 +28,7 @@ def test_single_element_constant_mode_update():
     C1, _ = MeshStepper(system, 0.05).step(C0)
     # brute-force 1x1 reduction of the implicit update
     oracle = 0.1 / (1.0 - 0.05 * 0.61 * (1.0 - 0.1))
-    assert system.space.region_average(C1, [1]) == pytest.approx(oracle, abs=1e-12)
+    assert system.space.region_weights([1]) @ C1 == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(0.10282, abs=5e-6)
 
 
@@ -38,9 +39,7 @@ def test_uniform_state_tracks_scalar_recursion_exactly():
     C0 = system.space.seed_vector([1], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.05, T=1.0)
     oracle = scalar_euler_semi_implicit(0.1, 0.61, 0.05, traj.n_steps)
-    avgs = np.array(
-        [system.space.region_average(traj.states[i], [1]) for i in range(len(traj.times))]
-    )
+    avgs = traj.states @ system.space.region_weights([1])
     assert np.abs(avgs - oracle).max() <= 1e-10
 
 
@@ -49,9 +48,7 @@ def test_uniform_seed_short_logistic_run():
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
     C0 = system.space.seed_vector([1], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.01, T=5.0)
-    avgs = np.array(
-        [system.space.region_average(traj.states[i], [1]) for i in range(len(traj.times))]
-    )
+    avgs = traj.states @ system.space.region_weights([1])
     assert np.abs(avgs - logistic(traj.times, 0.1, 0.61)).max() <= 2.5e-3
 
 
@@ -85,12 +82,7 @@ def test_temporal_order_one():
     errors = []
     for dt in (0.1, 0.05, 0.025):
         traj = solve_fk_mesh(system, C0, dt=dt, T=10.0)
-        avgs = np.array(
-            [
-                system.space.region_average(traj.states[i], [1])
-                for i in range(len(traj.times))
-            ]
-        )
+        avgs = traj.states @ system.space.region_weights([1])
         errors.append(np.abs(avgs - logistic(traj.times, 0.1, 0.61)).max())
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for order in orders:
@@ -121,6 +113,68 @@ def test_manufactured_convergence_smoke():
         traj = solve_fk_mesh(system, C0, dt=5e-4, T=T, forcing=forcing)
         errors.append(system.space.l2_error(traj.states[-1], lambda p: exact(p, T)))
     assert np.log2(errors[0] / errors[1]) >= 1.5
+
+
+def manufactured_forcing(pts, t):
+    # the forcing of criterion 3's manufactured solution (alpha = 1)
+    g = np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
+    c = np.exp(-t) * (1.0 + g) / 4.0
+    return -c + (np.pi**2 / 2.0) * np.exp(-t) * g - c * (1.0 - c)
+
+
+def forcing_per_element(space, forcing, t):
+    """Projection of the forcing element by element, one call each."""
+    F = np.empty(space.N)
+    for e in range(space.mesh.n_elements):
+        vals = forcing(space.quad_pts[e], t)
+        F[space.element_dofs(e)] = space.basis_vals[e].T @ (space.quad_wts[e] * vals)
+    return F
+
+
+@pytest.mark.parametrize(
+    "degree,n",
+    [(1, 4), (1, 8), (1, 16), (1, 32), (2, 2), (2, 4), (2, 8), (2, 16), (1, 0), (2, 0)],
+)
+def test_forcing_vector_matches_per_element_projection(degree, n, tmp_path):
+    # criterion 3's meshes, and (n = 0) the mixed polygon mesh, whose
+    # elements carry quadrature rules of different sizes
+    mesh = generate_structured_mesh(2, n, 1.0) if n else mixed_mesh(tmp_path)
+    system = assemble(mesh, DiffusionModel(1.0, 0.0), alpha=1.0, eta0=10.0, degree=degree)
+    stepper = MeshStepper(system, 1e-3)
+    calls = []
+
+    def counted(pts, t):
+        calls.append(len(pts))
+        return manufactured_forcing(pts, t)
+
+    for t in (0.0, 0.05):
+        F = stepper._forcing_vector(counted, t)
+        reference = forcing_per_element(system.space, manufactured_forcing, t)
+        assert np.abs(F - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert calls == [sum(len(w) for w in system.space.quad_wts)] * 2
+    if not n:
+        assert len(stepper._quadrature[1]) > 1
+
+
+def test_cg_starts_from_the_extrapolant_of_its_own_states(monkeypatch):
+    mesh = generate_structured_mesh(2, 2, 1.0)
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
+    stepper = MeshStepper(system, 0.05)
+    starts = []
+    original = stepper_module.solve_linear
+
+    def spy(A, b, x0=None, **kwargs):
+        starts.append(x0.copy())
+        return original(A, b, x0=x0, **kwargs)
+
+    monkeypatch.setattr(stepper_module, "solve_linear", spy)
+    C0 = system.space.seed_vector([1], 0.1)
+    C1, _ = stepper.step(C0)
+    C2, _ = stepper.step(C1)
+    stepper.step(C2.copy())  # equal values, but not the array the stepper returned
+    assert np.array_equal(starts[0], C0)
+    assert np.array_equal(starts[1], 2.0 * C1 - C0)
+    assert np.array_equal(starts[2], C2)
 
 
 def test_nan_detection_reports_step(monkeypatch):
@@ -160,5 +214,8 @@ def test_solver_stats_recorded():
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
     traj = solve_fk_mesh(system, system.space.seed_vector([1], 0.1), dt=0.05, T=0.5)
     assert len(traj.solver_stats) == traj.n_steps
-    for st in traj.solver_stats:
-        assert st["residual"] <= 1e-10
+    for entry in traj.solver_stats:
+        assert entry.keys() == {"iterations", "residual", "fallback"}
+        assert entry["residual"] <= 1e-10
+        assert entry["fallback"] is False
+        assert 1 <= entry["iterations"] <= 10

@@ -1,0 +1,97 @@
+"""Property tests of the preconditioned CG loop both solvers share."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fkneuro.dg.stepper import solve_linear
+from fkneuro.errors import LinearSolverError
+from fkneuro.linsolve import _STALL, pcg
+
+RTOL = 1e-10
+MAXITER = 1000
+
+
+@st.composite
+def symmetric_systems(draw, kind):
+    """(A, b): a random symmetric matrix with eigenvalues spread over up to
+    eight decades, and a normal right-hand side.
+
+    kind "spd": all eigenvalues positive; "indefinite": some negative;
+    "singular": SPD on a subset of the unknowns, and the other rows and
+    columns exactly zero, so b is not in the range of A.
+    """
+    n = draw(st.integers(1 if kind == "spd" else 2, 12))
+    k = 0 if kind == "spd" else draw(st.integers(1, n - 1))
+    decades = draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = 10.0 ** rng.uniform(0.0, decades, size=n)
+    if kind == "indefinite":
+        lam[:k] *= -1.0
+    A = (Q * lam) @ Q.T
+    A = 0.5 * (A + A.T)
+    if kind == "singular":
+        dead = rng.permutation(n)[:k]
+        A[dead, :] = 0.0
+        A[:, dead] = 0.0
+    return A, rng.normal(size=n)
+
+
+def jacobi(A):
+    d = np.diag(A)
+    inv_diag = np.where(d != 0, 1.0 / np.where(d == 0, 1.0, d), 1.0)
+    return lambda r: inv_diag * r
+
+
+def run_pcg(A, b):
+    return pcg(A.dot, jacobi(A), b, np.zeros(len(b)), RTOL * np.linalg.norm(b), MAXITER)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_systems("spd"))
+def test_pcg_solves_spd_systems_to_the_tolerance(system):
+    # forward error <= cond(A) * relative residual; the factor 2 covers the
+    # gap between the recurrence residual and the true one, and the
+    # reference solve's own rounding
+    A, b = system
+    x, iterations, residuals = run_pcg(A, b)
+    assert residuals[-1] <= RTOL * np.linalg.norm(b)
+    assert len(residuals) == iterations + 1 <= MAXITER + 1
+    reference = np.linalg.solve(A, b)
+    bound = 2.0 * np.linalg.cond(A) * RTOL * np.linalg.norm(reference)
+    assert np.linalg.norm(x - reference) <= bound
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "singular"])
+def test_pcg_ends_early_without_a_positive_definite_system(kind):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(symmetric_systems(kind))
+    def check(system):
+        A, b = system
+        x, iterations, residuals = run_pcg(A, b)
+        assert len(residuals) == iterations + 1
+        converged = residuals[-1] <= RTOL * np.linalg.norm(b)
+        # breakdown or stagnation, not the iteration cap, ends the solve:
+        # on these small systems, within _STALL iterations of the residual's
+        # last halving, which comes early
+        assert converged or iterations <= 2 * _STALL
+        if kind == "singular":
+            assert not converged
+            with pytest.raises(LinearSolverError) as err:
+                solve_linear(sp.csr_matrix(A), b, rtol=RTOL, maxiter=MAXITER)
+            assert len(err.value.residual_history) >= 1
+
+    check()
+
+
+def test_pcg_stops_at_breakdown_before_stepping():
+    # p . A p = 0 on the first direction: the step length would be infinite
+    A = np.diag([1.0, -1.0])
+    b = np.array([1.0, 1.0])
+    x, iterations, residuals = pcg(A.dot, lambda r: r, b, np.zeros(2), 1e-10, MAXITER)
+    assert iterations == 0
+    assert residuals == [pytest.approx(np.sqrt(2.0))]
+    assert not x.any()
