@@ -50,31 +50,29 @@ def reference_simplex_rule(d: int, exactness: int):
 
 
 def simplex_rule(verts: np.ndarray, exactness: int):
-    """Quadrature on a physical d-simplex given its (d+1, d) vertices.
+    """Quadrature on physical d-simplices given their (..., d+1, d) vertices:
+    points (..., q, d) and weights (..., q).
 
     Reference weights sum to 1/d!, so scaling by |det J| makes the
     physical weights sum to the simplex measure.
     """
     verts = np.asarray(verts, dtype=float)
-    d = verts.shape[1]
-    ref_pts, ref_w = reference_simplex_rule(d, exactness)
-    jac = verts[1:] - verts[0]  # rows span the simplex
-    pts = verts[0] + ref_pts @ jac
-    return pts, ref_w * abs(np.linalg.det(jac))
+    ref_pts, ref_w = reference_simplex_rule(verts.shape[-1], exactness)
+    jac = verts[..., 1:, :] - verts[..., :1, :]  # rows span the simplex
+    pts = verts[..., :1, :] + ref_pts @ jac
+    return pts, ref_w * np.abs(np.linalg.det(jac))[..., None]
 
 
 def face_rule(verts: np.ndarray, exactness: int):
-    """Quadrature on a (d-1)-face embedded in R^d: segment (2D) or triangle (3D)."""
+    """Quadrature on (d-1)-faces embedded in R^d, segments (2D) or triangles
+    (3D), given their (..., d, d) vertices: points (..., q, d), weights (..., q)."""
     verts = np.asarray(verts, dtype=float)
-    d = verts.shape[1]
-    if d == 2:
-        x, w = gauss_legendre_01(max((int(exactness) + 2) // 2, 1))
-        a, b = verts[0], verts[1]
-        pts = a[None, :] + x[:, None] * (b - a)[None, :]
-        return pts, w * np.linalg.norm(b - a)
-    ref_pts, ref_w = reference_simplex_rule(2, exactness)
-    a, b, c = verts[0], verts[1], verts[2]
-    span = np.stack([b - a, c - a], axis=0)  # (2, 3)
-    pts = a[None, :] + ref_pts @ span
-    scale = np.linalg.norm(np.cross(b - a, c - a))  # ref weights sum to 1/2
-    return pts, ref_w * scale
+    span = verts[..., 1:, :] - verts[..., :1, :]  # (..., d-1, d)
+    if verts.shape[-1] == 2:
+        x, ref_w = gauss_legendre_01(max((int(exactness) + 2) // 2, 1))
+        ref_pts = x[:, None]
+        scale = np.linalg.norm(span[..., 0, :], axis=-1)
+    else:
+        ref_pts, ref_w = reference_simplex_rule(2, exactness)  # weights sum to 1/2
+        scale = np.linalg.norm(np.cross(span[..., 0, :], span[..., 1, :]), axis=-1)
+    return verts[..., :1, :] + ref_pts @ span, ref_w * scale[..., None]

@@ -8,6 +8,13 @@ T_e[i,j,k] = (phi_i phi_j, phi_k)_e, stacked as `triple` (E, nb, nb, nb) on
 each element's own rule (exact to degree 2*degree, like the Gram matrix).
 Degrees of freedom are blocked per element: element e owns the global
 index range [e*n_local, (e+1)*n_local).
+
+Quadrature is stored stacked, in `groups` of elements whose
+sub-tessellations have the same number of simplices (a structured mesh has
+one group): (elements, points (E_g, q, d), weights (E_g, q), basis values
+(E_g, q, nb)).  Every volume integral is one contraction per group, and
+`points` lists all of them in group order for one call of a projected
+function.  The contractions run over chunks of CHUNK elements.
 """
 
 import itertools
@@ -15,10 +22,22 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 
 from ..geometry.atlas import region_weight_matrix
 from .quadrature import simplex_rule
+
+# Elements (or faces) per batch of the stacked contractions.  On a 3D mesh
+# of 750 tetrahedra at degree 2 a whole group's gradient temporary
+# (E_g, q, nb, d) is 11.5 MB; freeing buffers that large raises glibc's
+# dynamic mmap threshold, and the SuperLU factor that follows then lands in
+# a fragmented heap: a sweep on that mesh peaked at 180 MB RSS with whole
+# groups and at 141 MB with fixed chunks of 64.
+CHUNK = 64
+
+
+def chunks(n: int):
+    """Slices of at most CHUNK consecutive items out of n."""
+    return [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
 
 
 def monomial_exponents(degree: int, d: int) -> np.ndarray:
@@ -32,110 +51,113 @@ def monomial_exponents(degree: int, d: int) -> np.ndarray:
 
 
 class DGSpace:
-    """Basis bookkeeping, quadrature caches, projections and integrals."""
+    """Basis bookkeeping, stacked quadrature, projections and integrals."""
 
-    def __init__(self, mesh, degree: int, quad_exactness: int | None = None):
+    def __init__(self, mesh, degree: int):
         if degree < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {degree}")
-        min_exactness = 2 * degree
-        if quad_exactness is None:
-            quad_exactness = min_exactness
-        if quad_exactness < min_exactness:
-            raise ValueError(
-                f"quadrature exactness {quad_exactness} insufficient for "
-                f"degree {degree} (need >= {min_exactness})"
-            )
         self.mesh = mesh
         self.degree = degree
-        self.quad_exactness = quad_exactness
+        self.quad_exactness = 2 * degree  # the Gram matrix is exact
         self.d = mesh.d
         self.exponents = monomial_exponents(degree, self.d)
-        self.n_local = len(self.exponents)
+        self.n_local = nb = len(self.exponents)
         assert self.n_local == math.comb(degree + self.d, self.d)
 
-        self.centers = np.empty((mesh.n_elements, self.d))
-        self.halfwidths = np.empty((mesh.n_elements, self.d))
-        self.ortho = []  # per element: (n_local, n_local) monomial -> basis map
-        self.quad_pts = []  # per element: (n_q, d)
-        self.quad_wts = []  # per element: (n_q,)
-        self.basis_vals = []  # per element: (n_q, n_local)
-        self.basis_grads = []  # per element: (n_q, n_local, d)
-        nb = self.n_local
-        self.triple = np.empty((mesh.n_elements, nb, nb, nb))
+        E = mesh.n_elements
+        bbox_min = np.array([el.bbox_min for el in mesh.elements])
+        bbox_max = np.array([el.bbox_max for el in mesh.elements])
+        self.centers = 0.5 * (bbox_min + bbox_max)
+        hw = 0.5 * (bbox_max - bbox_min)
+        self.halfwidths = np.where(hw > 0, hw, 1.0)
+        self.ortho = np.empty((E, nb, nb))  # monomial -> basis map per element
+        self.triple = np.empty((E, nb, nb, nb))
+        self.basis_integrals = np.empty((E, nb))  # integral of each basis function
+        self.groups = []
+        for elements, pts, wts in self.element_quadrature(self.quad_exactness):
+            phi = np.empty(wts.shape + (nb,))
+            for c in chunks(len(elements)):
+                els, w = elements[c], wts[c]
+                mono = self._monomials(els, pts[c])
+                gram = np.einsum("eqi,eq,eqj->eij", mono, w, mono)
+                chol = np.linalg.cholesky(0.5 * (gram + gram.transpose(0, 2, 1)))
+                self.ortho[els] = np.linalg.inv(chol)
+                phi[c] = mono @ self.ortho[els].transpose(0, 2, 1)
+                wphi = w[..., None] * phi[c]
+                for k in range(nb):  # never (E_g, q, nb, nb) at once
+                    wphi_k = wphi * phi[c, :, k, None]
+                    self.triple[els, :, :, k] = wphi_k.transpose(0, 2, 1) @ phi[c]
+                self.basis_integrals[els] = wphi.sum(axis=1)
+            self.groups.append((elements, pts, wts, phi))
+        self.points = np.concatenate([p.reshape(-1, self.d) for _, p, _, _ in self.groups])
 
-        for e, el in enumerate(mesh.elements):
-            self.centers[e] = 0.5 * (el.bbox_min + el.bbox_max)
-            hw = 0.5 * (el.bbox_max - el.bbox_min)
-            self.halfwidths[e] = np.where(hw > 0, hw, 1.0)
-            pts_list, wts_list = [], []
-            for simplex in el.sub_tessellation:
-                p, w = simplex_rule(simplex, quad_exactness)
-                pts_list.append(p)
-                wts_list.append(w)
-            pts = np.concatenate(pts_list)
-            wts = np.concatenate(wts_list)
-            mono = self._monomials(e, pts)
-            gram = mono.T @ (wts[:, None] * mono)
-            gram = 0.5 * (gram + gram.T)
-            chol = np.linalg.cholesky(gram)
-            coeff = solve_triangular(chol, np.eye(self.n_local), lower=True)
-            self.ortho.append(coeff)
-            self.quad_pts.append(pts)
-            self.quad_wts.append(wts)
-            phi = mono @ coeff.T
-            self.basis_vals.append(phi)
-            pairs = (phi[:, :, None] * phi[:, None, :]).reshape(len(wts), -1)
-            self.triple[e] = (pairs.T @ (wts[:, None] * phi)).reshape(nb, nb, nb)
-            grads = self._monomial_grads(e, pts)
-            self.basis_grads.append(np.einsum("qkd,ik->qid", grads, coeff))
-
-        self.N = mesh.n_elements * self.n_local
-        # integral of each basis function over its element
-        self.basis_integrals = np.array(
-            [v.T @ w for v, w in zip(self.basis_vals, self.quad_wts)]
-        )  # (E, n_local)
+        self.N = E * nb
         self.labels = mesh.region_labels()  # (E,) region id per element
         self.measures = np.array([el.measure for el in mesh.elements])  # (E,)
 
-    def element_dofs(self, e: int) -> slice:
-        return slice(e * self.n_local, (e + 1) * self.n_local)
+    def element_quadrature(self, exactness: int):
+        """Element rules of the given exactness on the sub-tessellations,
+        grouped by simplex count: [(elements, points (E_g, q, d), weights
+        (E_g, q))]."""
+        subtess = [el.sub_tessellation for el in self.mesh.elements]
+        sizes = np.array([len(s) for s in subtess])
+        groups = []
+        for size in np.unique(sizes):
+            elements = np.flatnonzero(sizes == size)
+            pts, wts = simplex_rule(np.stack([subtess[e] for e in elements]), exactness)
+            groups.append(
+                (elements, pts.reshape(len(elements), -1, self.d), wts.reshape(len(elements), -1))
+            )
+        return groups
 
-    def _scaled(self, e: int, pts: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(pts) - self.centers[e]) / self.halfwidths[e]
+    # -- basis evaluation: element index e (int or array), points (..., q, d)
 
-    def _monomials(self, e: int, pts: np.ndarray) -> np.ndarray:
-        s = self._scaled(e, pts)
-        return np.prod(s[:, None, :] ** self.exponents[None, :, :], axis=2)
+    def _powers(self, e, pts: np.ndarray) -> np.ndarray:
+        """Powers 0..degree of the bounding-box-scaled coordinates, shape
+        (..., q, d, degree + 1); a monomial gathers one per coordinate."""
+        s = (pts - self.centers[e][..., None, :]) / self.halfwidths[e][..., None, :]
+        powers = np.ones(s.shape + (self.degree + 1,))
+        for k in range(1, self.degree + 1):
+            powers[..., k] = powers[..., k - 1] * s
+        return powers
 
-    def _monomial_grads(self, e: int, pts: np.ndarray) -> np.ndarray:
-        s = self._scaled(e, pts)
-        n, k = s.shape[0], self.n_local
-        out = np.zeros((n, k, self.d))
+    def _monomials(self, e, pts: np.ndarray) -> np.ndarray:
+        """Monomial values, shape (..., q, n_local)."""
+        powers = self._powers(e, pts)
+        return np.prod(powers[..., np.arange(self.d), self.exponents], axis=-1)
+
+    def _monomial_grads(self, e, pts: np.ndarray) -> np.ndarray:
+        """Monomial gradients, shape (..., q, n_local, d)."""
+        powers = self._powers(e, pts)
+        out = np.empty(powers.shape[:-2] + self.exponents.shape)
         for j in range(self.d):
             exp_j = self.exponents[:, j]
             lowered = self.exponents.copy()
             lowered[:, j] = np.maximum(exp_j - 1, 0)
-            vals = np.prod(s[:, None, :] ** lowered[None, :, :], axis=2)
-            out[:, :, j] = vals * exp_j[None, :] / self.halfwidths[e, j]
-        return out
+            out[..., j] = np.prod(powers[..., np.arange(self.d), lowered], axis=-1) * exp_j
+        return out / self.halfwidths[e][..., None, None, :]
 
-    def eval_basis(self, e: int, pts: np.ndarray) -> np.ndarray:
-        """Basis values of element e's functions at points, shape (n, n_local)."""
-        return self._monomials(e, pts) @ self.ortho[e].T
+    def eval_basis(self, e, pts: np.ndarray) -> np.ndarray:
+        """Basis values of element e's functions at points, shape (..., q, n_local)."""
+        return self._monomials(e, pts) @ np.swapaxes(self.ortho[e], -1, -2)
 
-    def eval_basis_grad(self, e: int, pts: np.ndarray) -> np.ndarray:
-        """Basis gradients at points, shape (n, n_local, d)."""
-        return np.einsum("qkd,ik->qid", self._monomial_grads(e, pts), self.ortho[e])
+    def eval_basis_grad(self, e, pts: np.ndarray) -> np.ndarray:
+        """Basis gradients at points, shape (..., q, n_local, d)."""
+        return self.ortho[e][..., None, :, :] @ self._monomial_grads(e, pts)
 
     # -- projections -------------------------------------------------------
 
     def project(self, f) -> np.ndarray:
-        """Elementwise L2 projection of callable f(points) -> values."""
-        C = np.empty(self.N)
-        for e in range(self.mesh.n_elements):
-            vals = np.asarray(f(self.quad_pts[e]), dtype=float)
-            C[self.element_dofs(e)] = self.basis_vals[e].T @ (self.quad_wts[e] * vals)
-        return C
+        """Elementwise L2 projection of callable f(points) -> values, called
+        once on `points`."""
+        vals = np.asarray(f(self.points), dtype=float)
+        C = np.empty((self.mesh.n_elements, self.n_local))
+        start = 0
+        for elements, _, wts, phi in self.groups:
+            group_vals = vals[start : start + wts.size].reshape(wts.shape)
+            C[elements] = np.einsum("eqi,eq->ei", phi, wts * group_vals)
+            start += wts.size
+        return C.ravel()
 
     def project_element_constants(self, values: np.ndarray) -> np.ndarray:
         """Projection of a piecewise-constant (per-element) field."""
@@ -164,17 +186,13 @@ class DGSpace:
             self.labels, self.measures, self.basis_integrals, groups, "mesh"
         )
 
-    def eval_state(self, e: int, C: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return self.eval_basis(e, pts) @ C[self.element_dofs(e)]
-
     def l2_error(self, C: np.ndarray, f, extra_exactness: int = 2) -> float:
         """L2 distance between the DG function and callable f, by elevated
         quadrature on the sub-tessellation."""
+        blocks = np.asarray(C, dtype=float).reshape(self.mesh.n_elements, self.n_local)
         total = 0.0
-        exactness = self.quad_exactness + extra_exactness
-        for e, el in enumerate(self.mesh.elements):
-            for simplex in el.sub_tessellation:
-                pts, wts = simplex_rule(simplex, exactness)
-                diff = self.eval_state(e, C, pts) - np.asarray(f(pts), dtype=float)
-                total += float(wts @ diff**2)
+        for elements, pts, wts in self.element_quadrature(self.quad_exactness + extra_exactness):
+            u = np.einsum("eqi,ei->eq", self.eval_basis(elements, pts), blocks[elements])
+            diff = u - np.asarray(f(pts.reshape(-1, self.d)), dtype=float).reshape(wts.shape)
+            total += float(np.sum(wts * diff**2))
         return math.sqrt(total)

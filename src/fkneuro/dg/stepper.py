@@ -7,8 +7,8 @@ Each step solves
 with the nonlinear reaction matrix rebuilt from the current state.  The
 basis is orthonormal per element, so the mass matrix is the identity I.  The
 optional forcing term F exists only for manufactured-solution verification
-and defaults to zero; its quadrature points are stacked once per stepper,
-so each step calls the forcing once on all of them.
+and defaults to zero; it is the space's L2 projection (``DGSpace.project``),
+so each step calls the forcing once on all quadrature points.
 
 The step matrix lives in one CSR pattern fixed per run, the union of the
 static part S = I + dt*(A - alpha*I) and the element blocks of M_nl.  Each
@@ -26,7 +26,6 @@ the full step matrix.
 """
 
 import logging
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -161,38 +160,9 @@ class MeshStepper:
         self._last, self._previous = C_next, C_n
         return C_next, stats
 
-    @cached_property
-    def _quadrature(self):
-        """All element quadrature points, stacked in the order of the groups
-        of elements with one rule size: (points, [(elements, weights,
-        basis values)])."""
-        space = self.system.space
-        sizes = np.array([len(w) for w in space.quad_wts])
-        groups = []
-        for size in np.unique(sizes):
-            elements = np.flatnonzero(sizes == size)
-            groups.append(
-                (
-                    elements,
-                    np.stack([space.quad_wts[e] for e in elements]),
-                    np.stack([space.basis_vals[e] for e in elements]),
-                )
-            )
-        points = np.concatenate([space.quad_pts[e] for els, _, _ in groups for e in els])
-        return points, groups
-
     def _forcing_vector(self, forcing, t: float) -> np.ndarray:
         """L2 projection of forcing(points, t) onto the space."""
-        points, groups = self._quadrature
-        vals = np.asarray(forcing(points, t), dtype=float)
-        space = self.system.space
-        F = np.empty((space.mesh.n_elements, space.n_local))
-        start = 0
-        for elements, wts, phi in groups:
-            group_vals = vals[start : start + wts.size].reshape(wts.shape)
-            F[elements] = np.einsum("eqi,eq->ei", phi, wts * group_vals)
-            start += wts.size
-        return F.ravel()
+        return self.system.space.project(lambda p: forcing(p, t))
 
 
 def solve_fk_mesh(

@@ -52,7 +52,9 @@ result = fkneuro.run(cfg)
 totals = tracer.totals()
 print(
     totals["dg.step"][0], totals["dg.solve"][0], max(tracer.values["dg.static_nnz"]),
-    result.trajectory.n_steps,
+    result.trajectory.n_steps, totals["dg.space"][0], totals["dg.assemble"][0],
+    len(tracer.values["dg.dofs"]), tracer.values["dg.dofs"][0],
+    result.trajectory.states.shape[1],
 )
 """
 
@@ -85,8 +87,16 @@ def test_bench_tracer_records_every_graph_step(tmp_path):
 def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
     proc = run_with_bench(MESH_RUN, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    step_spans, solve_spans, static_nnz, steps = map(float, proc.stdout.split())
+    numbers = map(float, proc.stdout.split())
+    step_spans, solve_spans, static_nnz, steps, *rest = numbers
+    space_spans, assemble_spans, dofs_recorded, dofs, n_states = rest
     assert steps == 10
     assert step_spans == steps
     assert solve_spans == steps
     assert static_nnz > 0
+    # one space and one assembly per run, and the space the tracer saw is
+    # the one the trajectory lives in
+    assert space_spans == 1
+    assert assemble_spans == 1
+    assert dofs_recorded == 1
+    assert dofs == n_states
