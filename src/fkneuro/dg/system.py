@@ -23,6 +23,7 @@ face.  Element and face blocks go through a single COO -> CSR conversion,
 which sums the face blocks into the element diagonal blocks.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +59,29 @@ class DGSystem:
     eta0: float
     mass: sp.csr_matrix = field(init=False)
     stiffness: sp.csr_matrix = field(init=False)
-    linear_reaction: sp.csr_matrix = field(init=False)
     penalties: np.ndarray = field(init=False)  # per internal face
 
     def __post_init__(self):
         self._assemble()
+
+    def with_alpha(self, alpha: float) -> "DGSystem":
+        """The system at conversion rate ``alpha``.
+
+        alpha reaches the stiffness only through the face penalty's
+        max(dK, alpha).  While that is unchanged the new system shares
+        ``space``, ``stiffness`` and ``penalties`` with this one; otherwise
+        it is assembled afresh on the same space.
+        """
+        dK = self.model.max_eigenvalue()
+        if max(dK, alpha) != max(dK, self.alpha):
+            return DGSystem(space=self.space, model=self.model, alpha=alpha, eta0=self.eta0)
+        other = copy.copy(self)
+        other.alpha = alpha
+        return other
+
+    @property
+    def linear_reaction(self) -> sp.csr_matrix:
+        return self.alpha * self.mass
 
     @property
     def mesh(self):
@@ -119,7 +138,6 @@ class DGSystem:
         N = space.N
         self.mass = sp.identity(N, format="csr")
         self.stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-        self.linear_reaction = self.alpha * self.mass
         self.penalties = penalties
 
     def reaction_blocks(self, C: np.ndarray) -> np.ndarray:

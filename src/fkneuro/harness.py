@@ -9,7 +9,7 @@ randomness.
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +104,18 @@ class RunResult:
     paths: dict = field(default_factory=dict)
 
 
-def _simulate(cfg: SimulationConfig) -> RunResult:
+@dataclass
+class _LoadedDomain:
+    """What every run of one configuration shares, whatever its alpha."""
+
+    atlas: object
+    solver_domain: object  # DGSystem (mesh; see DGSystem.with_alpha) or Connectome
+    C0: np.ndarray
+    region_ids: list
+
+
+def _load(cfg: SimulationConfig) -> _LoadedDomain:
+    """Atlas, domain and initial state of cfg; a mesh is assembled at cfg.alpha."""
     cfg.validate()
     atlas = build_atlas(cfg)
     if cfg.domain == "mesh":
@@ -117,35 +128,42 @@ def _simulate(cfg: SimulationConfig) -> RunResult:
         system = assemble(mesh, model, cfg.alpha, cfg.eta0, cfg.ell)
         seeds = resolve_seed_regions(cfg, atlas, mesh.region_labels())
         C0 = system.space.seed_vector(seeds, cfg.seed_value)
+        return _LoadedDomain(atlas, system, C0, mesh.region_ids())
+    if not cfg.graph_path:
+        raise ConfigError("domain=graph requires graph_path")
+    conn = load_connectome(cfg.graph_path, scale_k=cfg.scale_k)
+    atlas.validate_against(conn.region_ids)
+    seeds = resolve_seed_regions(cfg, atlas, conn.region_ids)
+    C0 = graphfk.seed_vector(conn, seeds, cfg.seed_value)
+    return _LoadedDomain(atlas, conn, C0, sorted(int(r) for r in conn.region_ids))
+
+
+def _simulate(cfg: SimulationConfig, loaded: _LoadedDomain) -> RunResult:
+    """The run of cfg, at cfg.alpha, on a domain loaded for cfg."""
+    if cfg.domain == "mesh":
+        system = loaded.solver_domain.with_alpha(cfg.alpha)
         traj = solve_fk_mesh(
             system,
-            C0,
+            loaded.C0,
             cfg.dt,
             cfg.T,
             rtol=cfg.solver_tol,
             maxiter_factor=cfg.solver_maxit_factor,
         )
         domain = system.space
-        all_ids = mesh.region_ids()
     else:
-        if not cfg.graph_path:
-            raise ConfigError("domain=graph requires graph_path")
-        conn = load_connectome(cfg.graph_path, scale_k=cfg.scale_k)
-        atlas.validate_against(conn.region_ids)
-        seeds = resolve_seed_regions(cfg, atlas, conn.region_ids)
-        C0 = graphfk.seed_vector(conn, seeds, cfg.seed_value)
+        domain = loaded.solver_domain
         traj = graphfk.solve_fk_graph(
-            conn, C0, cfg.alpha, cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs
+            domain, loaded.C0, cfg.alpha, cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs
         )
-        domain = conn
-        all_ids = sorted(int(r) for r in conn.region_ids)
 
-    stage_curves = stage_average_curves(traj, atlas, domain)
+    all_ids = loaded.region_ids
+    stage_curves = stage_average_curves(traj, loaded.atlas, domain)
     global_avg = spatial_average(traj, all_ids, domain)
     region_curves = region_average_curves(traj, all_ids, domain)
     return RunResult(
         trajectory=traj,
-        atlas=atlas,
+        atlas=loaded.atlas,
         domain=domain,
         stage_curves=stage_curves,
         global_average=global_avg,
@@ -184,7 +202,12 @@ def write_staging_report(path, times, stage_curves: dict, c_crit: float):
 
 def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
     """Single simulation: trajectory, region-average and staging artifacts."""
-    result = _simulate(cfg)
+    return _run_loaded(cfg, _load(cfg), output_dir)
+
+
+def _run_loaded(cfg: SimulationConfig, loaded: _LoadedDomain, output_dir=None) -> RunResult:
+    """`run` of cfg on a domain already loaded for it."""
+    result = _simulate(cfg, loaded)
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = result.trajectory.times
@@ -240,22 +263,40 @@ def _write_node_csv(path, traj, conn):
             f.write("".join(f"{t_text}{i}{fmt17(c)}\n" for i, c in zip(id_fields, row)))
 
 
-def _sweep_one(cfg_text: str, alpha: float, outdir: str):
-    cfg = parse_config_text(cfg_text)
-    cfg.alpha = alpha
-    cfg.output_dir = outdir
-    result = run(cfg)
+def _sweep_one(loaded: _LoadedDomain, cfg: SimulationConfig, alpha: float, outdir: str):
+    result = _run_loaded(replace(cfg, alpha=alpha, output_dir=outdir), loaded)
     times = result.trajectory.times
     t_half = first_crossing(times, result.global_average, 0.5)
     t_sat = first_crossing(times, result.global_average, SATURATION_LEVEL)
     return alpha, t_half, t_sat
 
 
+def _sweep_batch(cfg_text: str, jobs):
+    """Runs at each (alpha, outdir) of jobs, in order, on one load of the domain.
+
+    Returns the summary rows of the runs that finished and the exception
+    that stopped the batch, or None.
+    """
+    rows = []
+    try:
+        cfg = parse_config_text(cfg_text)
+        cfg.alpha = jobs[0][0]
+        loaded = _load(cfg)
+        for alpha, outdir in jobs:
+            rows.append(_sweep_one(loaded, cfg, alpha, outdir))
+    except Exception as exc:  # the rows before it are still written
+        return rows, exc
+    return rows, None
+
+
 def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
     """One run per alpha; summary CSV with half-crossing and saturation times.
 
-    Individual run failures abort the sweep after writing the rows already
-    completed.  The half-crossing times must decrease strictly with alpha.
+    The alphas are split into contiguous batches, one per worker, and each
+    batch loads and assembles its domain once.  Individual run failures
+    abort the sweep after writing the rows completed before the first
+    failing alpha.  The half-crossing times must decrease strictly with
+    alpha.
     """
     cfg.validate()
     alphas = [float(a) for a in alphas]
@@ -268,25 +309,27 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
     cfg_text = serialize_config(cfg)
     jobs = [(a, str(outdir / f"alpha_{a:g}")) for a in alphas]
 
-    rows = []
-    failure = None
     n_workers = max_workers_allowed(cfg.workers, len(alphas))
     if n_workers > 1:
+        bounds = [len(jobs) * i // n_workers for i in range(n_workers + 1)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_sweep_one, cfg_text, a, d) for a, d in jobs]
+            futures = [
+                pool.submit(_sweep_batch, cfg_text, jobs[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            outcomes = []
             for fut in futures:
                 try:
-                    rows.append(fut.result())
-                except Exception as exc:  # preserve partial results
-                    failure = exc
-                    break
+                    outcomes.append(fut.result())
+                except Exception as exc:  # the pool itself failed
+                    outcomes.append(([], exc))
     else:
-        for a, d in jobs:
-            try:
-                rows.append(_sweep_one(cfg_text, a, d))
-            except Exception as exc:
-                failure = exc
-                break
+        outcomes = [_sweep_batch(cfg_text, jobs)]
+    rows, failure = [], None
+    for batch_rows, failure in outcomes:
+        rows += batch_rows
+        if failure is not None:
+            break
 
     summary = outdir / "sweep_summary.csv"
     with open(summary, "w") as f:

@@ -210,6 +210,25 @@ def test_linear_reaction_scales_mass():
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12
 
 
+def test_with_alpha_shares_operators_until_the_penalty_moves():
+    mesh = perturbed_mesh(3, seed=5)
+    model = DiffusionModel(0.5, 1.0)  # dK = 1.5
+    system = assemble(mesh, model, alpha=0.6, eta0=10.0, degree=2)
+    same = system.with_alpha(1.5)
+    assert (same.alpha, system.alpha) == (1.5, 0.6)
+    assert same.space is system.space
+    assert same.stiffness is system.stiffness
+    assert same.penalties is system.penalties
+    moved = system.with_alpha(3.0)
+    fresh = assemble(mesh, model, alpha=3.0, eta0=10.0, degree=2)
+    assert moved.space is system.space
+    assert np.array_equal(moved.penalties, fresh.penalties)
+    assert not np.array_equal(moved.penalties, system.penalties)
+    assert (moved.stiffness != fresh.stiffness).nnz == 0
+    diff = moved.linear_reaction - 3.0 * moved.mass
+    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+
 def test_nonlinear_reaction_zero_state():
     mesh = generate_structured_mesh(2, 2, 1.0)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=2)

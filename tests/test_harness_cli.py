@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,16 +188,78 @@ def test_sweep_failure_preserves_partial(domains, tmp_path, monkeypatch):
     cfg = graph_config(domains, seed_regions="all", T=40.0, output_dir=str(tmp_path))
     real = harness._sweep_one
 
-    def exploding(cfg_text, alpha, outdir):
+    def exploding(loaded, cfg, alpha, outdir):
         if alpha == 1.0:
             raise RuntimeError("boom")
-        return real(cfg_text, alpha, outdir)
+        return real(loaded, cfg, alpha, outdir)
 
     monkeypatch.setattr(harness, "_sweep_one", exploding)
     with pytest.raises(FkneuroError, match="aborted after 1/3"):
         harness.sweep(cfg, [0.5, 1.0, 2.0])
     lines = open(tmp_path / "sweep_summary.csv").read().strip().splitlines()
     assert len(lines) == 2  # header plus the completed run
+
+
+def counted(monkeypatch, name):
+    """Replace harness.<name> by a wrapper that records each call."""
+    calls = []
+    real = getattr(harness, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+SWEEP_ALPHAS = [1.0, 1.5, 3.0]
+
+
+def mesh_sweep_config(domains, outdir, **kw):
+    return mesh_config(
+        domains, seed_regions="II,III,IV", dump_states=True, output_dir=str(outdir), **kw
+    )
+
+
+def test_mesh_sweep_loads_and_assembles_once(domains, tmp_path, monkeypatch):
+    loads = counted(monkeypatch, "load_mesh")
+    assemblies = counted(monkeypatch, "assemble")
+    harness.sweep(mesh_sweep_config(domains, tmp_path), SWEEP_ALPHAS)
+    assert len(loads) == 1
+    assert len(assemblies) == 1
+    for alpha in SWEEP_ALPHAS:
+        assert (tmp_path / f"alpha_{alpha:g}" / "states.bin").exists()
+
+
+# dK = d_ext + d_axn: 88 keeps every face penalty; 1.5 moves it at alpha = 3
+@pytest.mark.parametrize("model", [{}, {"d_ext": 0.5, "d_axn": 1.0}], ids=["dK88", "dK1.5"])
+def test_mesh_sweep_outputs_match_single_runs(domains, tmp_path, model):
+    harness.sweep(mesh_sweep_config(domains, tmp_path / "sweep", **model), SWEEP_ALPHAS)
+    for alpha in SWEEP_ALPHAS:
+        cfg = mesh_sweep_config(domains, tmp_path / f"run_{alpha:g}", alpha=alpha, **model)
+        result = harness.run(cfg)
+        assert set(result.paths) == {
+            "trajectory", "region_averages", "staging", "activation_order", "states"
+        }
+        swept = tmp_path / "sweep" / f"alpha_{alpha:g}"
+        assert sorted(p.name for p in swept.iterdir()) == sorted(
+            p.name for p in (tmp_path / f"run_{alpha:g}").iterdir()
+        )
+        for path in map(Path, result.paths.values()):
+            assert (swept / path.name).read_bytes() == path.read_bytes(), (alpha, path.name)
+
+
+def test_mesh_sweep_two_workers_write_the_same_bytes(domains, tmp_path):
+    for workers in (1, 2):
+        cfg = mesh_sweep_config(domains, tmp_path / f"w{workers}", workers=workers)
+        harness.sweep(cfg, SWEEP_ALPHAS)
+    one = sorted(p.relative_to(tmp_path / "w1") for p in (tmp_path / "w1").rglob("*"))
+    two = sorted(p.relative_to(tmp_path / "w2") for p in (tmp_path / "w2").rglob("*"))
+    assert one == two
+    for rel in one:
+        if (tmp_path / "w1" / rel).is_file():
+            assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
 
 
 def test_sweep_rejects_bad_alphas(domains, tmp_path):
