@@ -70,7 +70,8 @@ class DGSystem:
         alpha reaches the stiffness only through the face penalty's
         max(dK, alpha).  While that is unchanged the new system shares
         ``space``, ``stiffness`` and ``penalties`` with this one; otherwise
-        it is assembled afresh on the same space.
+        it is assembled afresh on the same space.  That reassembly does not
+        call ``assemble``, so timings that wrap ``assemble`` do not see it.
         """
         dK = self.model.max_eigenvalue()
         if max(dK, alpha) != max(dK, self.alpha):

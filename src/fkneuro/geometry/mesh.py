@@ -92,20 +92,6 @@ class Element:
                 f"got {len(self.vertex_ids)}"
             )
 
-    @property
-    def subtess_measure(self) -> float:
-        return sum(simplex_measure(s) for s in self.sub_tessellation)
-
-    def centroid(self) -> np.ndarray:
-        """Measure-weighted centroid from the sub-tessellation."""
-        total = 0.0
-        acc = np.zeros(self.sub_tessellation.shape[2])
-        for s in self.sub_tessellation:
-            m = simplex_measure(s)
-            acc += m * s.mean(axis=0)
-            total += m
-        return acc / total
-
 
 @dataclass
 class InternalFace:
@@ -248,6 +234,15 @@ def _centroids(d: int, elements) -> np.ndarray:
     return out
 
 
+def _row_dot(a, b):
+    """Dot products of matching rows of a and b, shape (n,).
+
+    A stacked matmul gives the same bits as np.dot (and np.linalg.norm) on
+    each row alone; np.einsum and a sum over the axis do not.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _check_facets(facets, keys, owner, inverse, order, start):
     """Raise MeshTopologyError for the first bad facet row, in element order.
 
@@ -299,9 +294,8 @@ def _build_faces(d, vertices, elements):
         normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
     else:
         normals = np.cross(edges[:, 0], edges[:, 1])
-    # vecdot gives the same bits as the norm of each vector on its own
-    normals /= np.sqrt(np.vecdot(normals, normals))[:, None]
-    inward = np.vecdot(normals, verts.mean(axis=1) - _centroids(d, elements)[left]) < 0
+    normals /= np.sqrt(_row_dot(normals, normals))[:, None]
+    inward = _row_dot(normals, verts.mean(axis=1) - _centroids(d, elements)[left]) < 0
     normals[inward] *= -1.0
 
     internal, boundary = [], []

@@ -8,6 +8,7 @@ randomness.
 
 import logging
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -271,11 +272,18 @@ def _sweep_one(loaded: _LoadedDomain, cfg: SimulationConfig, alpha: float, outdi
     return alpha, t_half, t_sat
 
 
+class _WorkerTraceback(Exception):
+    """Traceback text of an exception raised in a sweep worker process."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
 def _sweep_batch(cfg_text: str, jobs):
     """Runs at each (alpha, outdir) of jobs, in order, on one load of the domain.
 
-    Returns the summary rows of the runs that finished and the exception
-    that stopped the batch, or None.
+    Returns the summary rows of the runs that finished, the exception that
+    stopped the batch and its formatted traceback, or None and None.
     """
     rows = []
     try:
@@ -285,8 +293,8 @@ def _sweep_batch(cfg_text: str, jobs):
         for alpha, outdir in jobs:
             rows.append(_sweep_one(loaded, cfg, alpha, outdir))
     except Exception as exc:  # the rows before it are still written
-        return rows, exc
-    return rows, None
+        return rows, exc, traceback.format_exc()
+    return rows, None, None
 
 
 def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
@@ -322,13 +330,15 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
                 try:
                     outcomes.append(fut.result())
                 except Exception as exc:  # the pool itself failed
-                    outcomes.append(([], exc))
+                    outcomes.append(([], exc, None))
     else:
         outcomes = [_sweep_batch(cfg_text, jobs)]
     rows, failure = [], None
-    for batch_rows, failure in outcomes:
+    for batch_rows, failure, trace in outcomes:
         rows += batch_rows
         if failure is not None:
+            if failure.__traceback__ is None:  # pickled back from a worker
+                failure.__cause__ = _WorkerTraceback(trace)
             break
 
     summary = outdir / "sweep_summary.csv"

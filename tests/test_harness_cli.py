@@ -200,6 +200,16 @@ def test_sweep_failure_preserves_partial(domains, tmp_path, monkeypatch):
     assert len(lines) == 2  # header plus the completed run
 
 
+def test_sweep_worker_failure_keeps_its_traceback(domains, tmp_path, monkeypatch):
+    monkeypatch.delenv("FKNEURO_THREADS", raising=False)
+    missing = str(tmp_path / "missing.csv")
+    cfg = graph_config(domains, graph_path=missing, output_dir=str(tmp_path), workers=2)
+    with pytest.raises(FkneuroError, match="aborted after 0/2") as info:
+        harness.sweep(cfg, [0.5, 1.0])
+    # the worker's exception, and under it the traceback text from its process
+    assert "load_connectome" in str(info.value.__cause__.__cause__)
+
+
 def counted(monkeypatch, name):
     """Replace harness.<name> by a wrapper that records each call."""
     calls = []
