@@ -10,22 +10,27 @@ optional forcing term F exists only for manufactured-solution verification
 and defaults to zero; it is the space's L2 projection (``DGSpace.project``),
 so each step calls the forcing once on all quadrature points.
 
-The step matrix lives in one CSR pattern fixed per run, the union of the
-static part S = I + dt*(A - alpha*I) and the element blocks of M_nl.  Each
-step copies S's entries into it and adds dt*M_nl's blocks in place; no
-sparse matrix is built per step.  S is factored once per run by SuperLU in
-symmetric mode (minimum-degree ordering of A^T + A, diagonal pivots),
-which halves the fill of the default column ordering.  The step matrix
-differs from S only by the O(dt*alpha*c) nonlinear block, so this
-factorization preconditions conjugate gradients (``linsolve.pcg``) to
-relative residual 1e-10 in a handful of iterations.  CG starts from the
-extrapolant 2 C^n - C^{n-1} when the stepper produced C^n itself.  A solve
-that breaks down or stagnates -- e.g. the matrix loses definiteness for
-large dt*alpha -- ends early and falls back to a direct factorization of
-the full step matrix.
-"""
+The step matrix lives in the CSR pattern of A, which holds every element
+block of M_nl.  Each step copies the static part S = I + dt*(A - alpha*I)
+into it and adds dt*M_nl's blocks in place; no sparse matrix is built per
+step.
 
-import logging
+Conjugate gradients (``linsolve.pcg``) solve each step to relative
+residual 1e-10, preconditioned by a sparse LU of P = I + dt*A.  A is
+symmetric positive semi-definite with the constants as its kernel, so P is
+symmetric positive definite with every eigenvalue >= 1, a sound CG
+preconditioner at any dt; S itself is not definite once dt*alpha >= 1.  P
+does not depend on alpha: it is factored once per assembled stiffness and
+dt and kept in the system's ``step_factors``, which the systems
+``DGSystem.with_alpha`` derives share, so one factorization serves every
+alpha of a sweep while max(dK, alpha) is unchanged.  SuperLU factors P in
+symmetric mode (minimum-degree ordering of A^T + A, diagonal pivots),
+which halves the fill of the default column ordering.  CG starts from the
+extrapolant 2 C^n - C^{n-1} when the stepper produced C^n itself.  A solve
+that breaks down or stagnates -- e.g. the step matrix loses definiteness
+for large dt*alpha -- ends early and falls back to a direct factorization
+of the full step matrix.
+"""
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,8 +39,6 @@ import scipy.sparse.linalg as spla
 from ..errors import LinearSolverError
 from ..linsolve import pcg
 from ..trajectory import Trajectory
-
-logger = logging.getLogger(__name__)
 
 
 def solve_linear(
@@ -100,41 +103,34 @@ class MeshStepper:
         self.dt = dt
         self.rtol = rtol
         self.maxiter = maxiter if maxiter is not None else 10 * system.N
-        static = (system.mass + dt * (system.stiffness - system.linear_reaction)).tocsr()
-        self.static_part = static
-        self.precond = None
-        try:
-            self.precond = spla.splu(
-                static.tocsc(),
+        A = system.stiffness
+        factors = system.step_factors
+        if dt not in factors:
+            factors[dt] = spla.splu(
+                (system.mass + dt * A).tocsc(),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             ).solve
-        except RuntimeError:
-            logger.warning(
-                "static step matrix not factorizable; CG falls back to "
-                "diagonal scaling"
-            )
+        self.precond = factors[dt]
 
-        # the step matrix's pattern: S's entries and the element blocks,
-        # located by their keys row * N + col in the sorted union (S alone
-        # lacks the exact zeros its sparse sum dropped)
+        # the step matrix takes A's CSR pattern, which holds every element's
+        # full block (the volume blocks are assembled dense); the blocks are
+        # located by their keys row * N + col among the pattern's sorted keys
         N, nb = system.N, system.space.n_local
         blocks = np.arange(N).reshape(-1, nb)
-        static_keys = np.repeat(np.arange(N), np.diff(static.indptr)) * N + static.indices
-        block_keys = (np.repeat(blocks, nb, axis=1) * N + np.tile(blocks, (1, nb))).ravel()
-        all_keys = np.concatenate([static_keys, block_keys])
-        keys = np.sort(all_keys)
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-        positions = np.searchsorted(keys, all_keys)
-        rows, cols = np.divmod(keys, N)
-        self._lhs = sp.csr_matrix(
-            (np.zeros(len(keys)), cols, np.searchsorted(rows, np.arange(N + 1))),
-            shape=(N, N),
-        )
-        self._static_data = np.zeros(len(keys))
-        self._static_data[positions[: len(static_keys)]] = static.data
-        self._block_positions = positions[len(static_keys) :]
+        rows = np.repeat(blocks, nb, axis=1).ravel()
+        cols = np.tile(blocks, (1, nb)).ravel()
+        keys = np.repeat(np.arange(N), np.diff(A.indptr)) * N + A.indices
+        self._block_positions = np.searchsorted(keys, rows * N + cols)
+        diagonal = self._block_positions[rows == cols]
+        # S = I + dt*(A - alpha*I), rounded as the sparse sum would round it
+        static = A.data.copy()
+        static[diagonal] -= system.alpha
+        static *= dt
+        static[diagonal] += 1.0
+        self.static_part = sp.csr_matrix((static, A.indices, A.indptr), shape=(N, N))
+        self._lhs = sp.csr_matrix((np.zeros(len(static)), A.indices, A.indptr), shape=(N, N))
         self._last = self._previous = None  # the last step's output and input
 
     def step(self, C_n: np.ndarray, forcing=None, t_next: float = 0.0):
@@ -148,7 +144,7 @@ class MeshStepper:
         if C_n.shape != (system.N,):
             raise ValueError(f"state has shape {C_n.shape}, want ({system.N},)")
         lhs = self._lhs
-        np.copyto(lhs.data, self._static_data)
+        np.copyto(lhs.data, self.static_part.data)
         lhs.data[self._block_positions] += self.dt * system.reaction_blocks(C_n).ravel()
         rhs = C_n
         if forcing is not None:

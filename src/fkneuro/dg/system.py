@@ -60,6 +60,10 @@ class DGSystem:
     mass: sp.csr_matrix = field(init=False)
     stiffness: sp.csr_matrix = field(init=False)
     penalties: np.ndarray = field(init=False)  # per internal face
+    # dt -> the preconditioner of I + dt*A (see MeshStepper); shared by the
+    # systems with_alpha derives from this assembly, so one factorization
+    # serves every alpha
+    step_factors: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._assemble()
@@ -69,9 +73,10 @@ class DGSystem:
 
         alpha reaches the stiffness only through the face penalty's
         max(dK, alpha).  While that is unchanged the new system shares
-        ``space``, ``stiffness`` and ``penalties`` with this one; otherwise
-        it is assembled afresh on the same space.  That reassembly does not
-        call ``assemble``, so timings that wrap ``assemble`` do not see it.
+        ``space``, ``stiffness``, ``penalties`` and ``step_factors`` with
+        this one; otherwise it is assembled afresh on the same space, with
+        factors of its own.  That reassembly does not call ``assemble``, so
+        timings that wrap ``assemble`` do not see it.
         """
         dK = self.model.max_eigenvalue()
         if max(dK, alpha) != max(dK, self.alpha):
@@ -140,6 +145,7 @@ class DGSystem:
         self.mass = sp.identity(N, format="csr")
         self.stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
         self.penalties = penalties
+        self.step_factors = {}
 
     def reaction_blocks(self, C: np.ndarray) -> np.ndarray:
         """Diagonal blocks (E, n_local, n_local) of the nonlinear reaction

@@ -1,7 +1,7 @@
 """Preconditioned conjugate gradients, shared by the mesh and graph solvers.
 
 One loop serves both time steppers: the graph passes Jacobi scaling, the
-DG stepper a factorization of its static step matrix.  The loop stops as
+DG stepper a factorization of I + dt*A (see dg.stepper).  The loop stops as
 soon as the recurrence residual reaches the absolute tolerance, and gives
 up early when the iteration breaks down (p . A p <= 0, which an SPD
 operator never produces) or stagnates (the residual does not halve within

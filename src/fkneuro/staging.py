@@ -22,6 +22,8 @@ ACTIVE = "active"
 SATURATION = "saturation"
 PHASE_ORDER = (STATIONARY, LAG, ACTIVE, SATURATION)
 
+TIME_CHUNK = 32  # time rows per product in region_average_curves
+
 
 @dataclass
 class SuvrMapParams:
@@ -176,10 +178,15 @@ def region_average_curves(traj: Trajectory, region_ids, domain) -> dict:
     """Space-average time series of each listed region, keyed by region id.
 
     One product with the domain's ``region_weight_matrix`` reduces every
-    region at once.
+    region at once, TIME_CHUNK time rows at a time: the sparse product
+    copies its transposed dense operand, so a chunk bounds that copy.
     """
-    weights = domain.region_weight_matrix([[rid] for rid in region_ids])
-    return dict(zip(region_ids, weights.T @ traj.states.T))
+    weights_t = domain.region_weight_matrix([[rid] for rid in region_ids]).T
+    states = traj.states
+    curves = np.hstack(
+        [weights_t @ states[i : i + TIME_CHUNK].T for i in range(0, len(states), TIME_CHUNK)]
+    )
+    return dict(zip(region_ids, curves))
 
 
 def stage_average_curves(traj: Trajectory, atlas, domain) -> dict:

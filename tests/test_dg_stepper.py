@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from fkneuro.dg import assemble, solve_fk_mesh, solve_linear
 from fkneuro.dg import stepper as stepper_module
 from fkneuro.dg.stepper import MeshStepper
 from fkneuro.errors import LinearSolverError
-from fkneuro.geometry import DiffusionModel, generate_structured_mesh
+from fkneuro.geometry import DiffusionModel, generate_structured_mesh, slab_labeler
 from test_dg_system import mixed_mesh, square_polygon_mesh
 
 
@@ -156,6 +158,31 @@ def test_forcing_vector_matches_per_element_projection(degree, n, tmp_path):
         assert len(system.space.groups) > 1
 
 
+@pytest.mark.parametrize("which", ["mixed", "3D"])
+def test_step_matrix_is_the_semi_implicit_operator(which, tmp_path, monkeypatch):
+    if which == "mixed":
+        mesh = mixed_mesh(tmp_path)
+    else:
+        mesh = generate_structured_mesh(3, 2, 1.0)
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=2.0, eta0=10.0, degree=2)
+    dt = 0.05
+    stepper = MeshStepper(system, dt)
+    static = system.mass + dt * (system.stiffness - system.linear_reaction)
+    assert np.array_equal(stepper.static_part.toarray(), static.toarray())
+    matrices = []
+    original = stepper_module.solve_linear
+
+    def spy(A, b, **kwargs):
+        matrices.append(A.toarray())
+        return original(A, b, **kwargs)
+
+    monkeypatch.setattr(stepper_module, "solve_linear", spy)
+    C = np.random.default_rng(4).uniform(size=system.N)
+    stepper.step(C)
+    expected = (static + dt * system.nonlinear_reaction(C)).toarray()
+    assert np.abs(matrices[0] - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_cg_starts_from_the_extrapolant_of_its_own_states(monkeypatch):
     mesh = generate_structured_mesh(2, 2, 1.0)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
@@ -175,6 +202,21 @@ def test_cg_starts_from_the_extrapolant_of_its_own_states(monkeypatch):
     assert np.array_equal(starts[0], C0)
     assert np.array_equal(starts[1], 2.0 * C1 - C0)
     assert np.array_equal(starts[2], C2)
+
+
+def test_cg_converges_when_dt_alpha_exceeds_one():
+    # dt * alpha = 1.25: I + dt*(A - alpha*I) is indefinite, while the
+    # preconditioner I + dt*A stays positive definite
+    mesh = generate_structured_mesh(2, 4, 100.0, labeler=slab_labeler(5, 100.0))
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=25.0, eta0=10.0, degree=2)
+    stepper = MeshStepper(system, 0.05)
+    C = system.space.project(
+        lambda x: 0.5 + 0.3 * np.sin(2.0 * math.pi * (x[:, 0] + 2.0 * x[:, 1]) / 100.0 + 0.3)
+    )
+    for _ in range(5):
+        C, stats = stepper.step(C)
+        assert stats["fallback"] is False
+        assert stats["iterations"] <= 60
 
 
 def test_nan_detection_reports_step(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from fkneuro import harness
 from fkneuro.cli import main
 from fkneuro.config import SimulationConfig, load_config, serialize_config
+from fkneuro.dg import stepper as stepper_module
 from fkneuro.errors import ConfigError, FkneuroError, RegionVocabularyError
 from fkneuro.geometry import (
     generate_connectome,
@@ -258,6 +259,29 @@ def test_mesh_sweep_outputs_match_single_runs(domains, tmp_path, model):
         )
         for path in map(Path, result.paths.values()):
             assert (swept / path.name).read_bytes() == path.read_bytes(), (alpha, path.name)
+
+
+# alpha reaches the step preconditioner I + dt*A only through the stiffness
+@pytest.mark.parametrize(
+    ("model", "factorizations"),
+    [({}, 1), ({"d_ext": 0.5, "d_axn": 1.0}, 2)],
+    ids=["dK88", "dK1.5"],
+)
+def test_mesh_sweep_factors_once_per_stiffness(
+    domains, tmp_path, monkeypatch, model, factorizations
+):
+    calls = []
+    real = stepper_module.spla.splu
+
+    def counting(*args, **kwargs):
+        # the direct fallback of solve_linear factors with default options
+        if kwargs.get("options") == {"SymmetricMode": True}:
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stepper_module.spla, "splu", counting)
+    harness.sweep(mesh_sweep_config(domains, tmp_path, workers=1, **model), SWEEP_ALPHAS)
+    assert len(calls) == factorizations
 
 
 def test_mesh_sweep_two_workers_write_the_same_bytes(domains, tmp_path):
