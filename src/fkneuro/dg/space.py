@@ -65,10 +65,8 @@ class DGSpace:
         assert self.n_local == math.comb(degree + self.d, self.d)
 
         E = mesh.n_elements
-        bbox_min = np.array([el.bbox_min for el in mesh.elements])
-        bbox_max = np.array([el.bbox_max for el in mesh.elements])
-        self.centers = 0.5 * (bbox_min + bbox_max)
-        hw = 0.5 * (bbox_max - bbox_min)
+        self.centers = 0.5 * (mesh.bbox_min + mesh.bbox_max)
+        hw = 0.5 * (mesh.bbox_max - mesh.bbox_min)
         self.halfwidths = np.where(hw > 0, hw, 1.0)
         self.ortho = np.empty((E, nb, nb))  # monomial -> basis map per element
         self.triple = np.empty((E, nb, nb, nb))
@@ -92,19 +90,16 @@ class DGSpace:
         self.points = np.concatenate([p.reshape(-1, self.d) for _, p, _, _ in self.groups])
 
         self.N = E * nb
-        self.labels = mesh.region_labels()  # (E,) region id per element
-        self.measures = np.array([el.measure for el in mesh.elements])  # (E,)
+        self.labels = mesh.regions  # (E,) region id per element
+        self.measures = mesh.measures  # (E,)
 
     def element_quadrature(self, exactness: int):
-        """Element rules of the given exactness on the sub-tessellations,
-        grouped by simplex count: [(elements, points (E_g, q, d), weights
-        (E_g, q))]."""
-        subtess = [el.sub_tessellation for el in self.mesh.elements]
-        sizes = np.array([len(s) for s in subtess])
+        """Element rules of the given exactness on the mesh's stacked
+        sub-tessellations, grouped by simplex count: [(elements, points
+        (E_g, q, d), weights (E_g, q))]."""
         groups = []
-        for size in np.unique(sizes):
-            elements = np.flatnonzero(sizes == size)
-            pts, wts = simplex_rule(np.stack([subtess[e] for e in elements]), exactness)
+        for elements, simplices, _ in self.mesh.simplex_groups:
+            pts, wts = simplex_rule(simplices, exactness)
             groups.append(
                 (elements, pts.reshape(len(elements), -1, self.d), wts.reshape(len(elements), -1))
             )

@@ -18,14 +18,11 @@ from .connectome import (
     write_connectome,
 )
 from .mesh import (
-    BoundaryFace,
     DiffusionModel,
-    Element,
-    InternalFace,
+    Faces,
     PolytopalMesh,
     generate_structured_mesh,
     load_mesh,
-    polygon_area,
     simplex_measure,
     slab_labeler,
     write_mesh,
@@ -36,12 +33,10 @@ __all__ = [
     "MACROSTAGE_OF_STAGE",
     "SLAB_TABLE",
     "STAGE_ORDER",
-    "BoundaryFace",
     "BraakAtlas",
     "Connectome",
     "DiffusionModel",
-    "Element",
-    "InternalFace",
+    "Faces",
     "PolytopalMesh",
     "StageTable",
     "build_braak_atlas",
@@ -50,7 +45,6 @@ __all__ = [
     "load_connectome",
     "load_mesh",
     "load_region_labels",
-    "polygon_area",
     "simplex_measure",
     "slab_atlas",
     "slab_labeler",

@@ -123,13 +123,13 @@ def _load(cfg: SimulationConfig) -> _LoadedDomain:
         if not cfg.mesh_path:
             raise ConfigError("domain=mesh requires mesh_path")
         mesh = load_mesh(cfg.mesh_path)
-        atlas.validate_against(mesh.region_labels())
+        atlas.validate_against(mesh.regions)
         model = DiffusionModel(d_ext=cfg.d_ext, d_axn=cfg.d_axn)
         model.validate()
         system = assemble(mesh, model, cfg.alpha, cfg.eta0, cfg.ell)
-        seeds = resolve_seed_regions(cfg, atlas, mesh.region_labels())
+        seeds = resolve_seed_regions(cfg, atlas, mesh.regions)
         C0 = system.space.seed_vector(seeds, cfg.seed_value)
-        return _LoadedDomain(atlas, system, C0, mesh.region_ids())
+        return _LoadedDomain(atlas, system, C0, np.unique(mesh.regions).tolist())
     if not cfg.graph_path:
         raise ConfigError("domain=graph requires graph_path")
     conn = load_connectome(cfg.graph_path, scale_k=cfg.scale_k)

@@ -191,12 +191,11 @@ def test_criterion_4_structural_algebra():
 
 def test_criterion_5_penalty_point_check():
     from test_dg_system import equilateral_pair_mesh
-    from fkneuro.dg import face_penalty
+    from fkneuro.dg import face_penalties
 
     mesh = equilateral_pair_mesh()
-    eta = face_penalty(
-        mesh.internal_faces[0], mesh, DiffusionModel(8.0, 80.0),
-        degree=2, eta0=10.0, alpha=0.61,
+    (eta,) = face_penalties(
+        mesh, DiffusionModel(8.0, 80.0), degree=2, eta0=10.0, alpha=0.61
     )
     checks = [(eta == 3520.0, f"eta = {eta!r} (== 3520.0 exactly)")]
     assert report(5, checks)

@@ -55,6 +55,8 @@ print(
     result.trajectory.n_steps, totals["dg.space"][0], totals["dg.assemble"][0],
     len(tracer.values["dg.dofs"]), tracer.values["dg.dofs"][0],
     result.trajectory.states.shape[1],
+    len(tracer.values["mesh.elements"]), tracer.values["mesh.elements"][0],
+    tracer.values["mesh.internal_faces"][0],
 )
 """
 
@@ -89,7 +91,8 @@ def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
     assert proc.returncode == 0, proc.stderr
     numbers = map(float, proc.stdout.split())
     step_spans, solve_spans, static_nnz, steps, *rest = numbers
-    space_spans, assemble_spans, dofs_recorded, dofs, n_states = rest
+    space_spans, assemble_spans, dofs_recorded, dofs, n_states, *counts = rest
+    loads_recorded, elements, internal_faces = counts
     assert steps == 10
     assert step_spans == steps
     assert solve_spans == steps
@@ -100,3 +103,9 @@ def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
     assert assemble_spans == 1
     assert dofs_recorded == 1
     assert dofs == n_states
+    # the per-layer mesh counts keep their meaning: 2 * 5^2 triangles, and
+    # the 85 edges of the 5 x 5 grid with its diagonals minus the 20 on the
+    # boundary
+    assert loads_recorded == 1
+    assert elements == 50
+    assert internal_faces == 65

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import logistic, scalar_euler_semi_implicit
 from fkneuro.dg import assemble, solve_fk_mesh, solve_linear
@@ -10,7 +12,7 @@ from fkneuro.dg import stepper as stepper_module
 from fkneuro.dg.stepper import MeshStepper
 from fkneuro.errors import LinearSolverError
 from fkneuro.geometry import DiffusionModel, generate_structured_mesh, slab_labeler
-from test_dg_system import mixed_mesh, square_polygon_mesh
+from test_dg_system import mixed_mesh, perturbed_mesh, square_polygon_mesh
 
 
 def test_identity_evolution_without_reaction_or_diffusion():
@@ -59,6 +61,35 @@ def test_zero_initial_condition_stays_zero():
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
     traj = solve_fk_mesh(system, np.zeros(system.N), dt=0.05, T=1.0)
     assert np.abs(traj.states).max() == 0.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), degree=st.sampled_from([1, 2]), dt=st.floats(1e-3, 0.2))
+def test_mass_is_conserved_without_reaction(seed, degree, dt):
+    # at alpha = 0 a step solves (I + dt A) C' = C.  b = basis_integrals
+    # holds the coefficients of the constant 1, which spans A's kernel, and A
+    # is symmetric, so b.A = 0: the integral b.C moves only by b.r for the
+    # solve's residual r, |b.r| <= |b| * residual * |C|, plus round-off
+    system = assemble(
+        perturbed_mesh(4, seed % 97), DiffusionModel(8.0, 80.0), alpha=0.0, eta0=10.0,
+        degree=degree,
+    )
+    b = system.space.basis_integrals.ravel()
+    eps = np.finfo(float).eps
+    # round-off: a stiffness entry carries the error of a few dozen rounded
+    # operations (32 eps |A|), and each dot product b.C up to N eps |b|.|C|
+    kernel = 32 * eps * dt * np.linalg.norm(abs(system.stiffness) @ abs(b))
+    stepper = MeshStepper(system, dt)
+    C = np.random.default_rng(seed).normal(size=system.N)
+    for _ in range(3):
+        C_next, stats = stepper.step(C)
+        bound = (
+            np.linalg.norm(b) * stats["residual"] * np.linalg.norm(C)
+            + kernel * np.linalg.norm(C_next)
+            + system.N * eps * (abs(b) @ abs(C) + abs(b) @ abs(C_next))
+        )
+        assert abs(b @ C_next - b @ C) <= bound
+        C = C_next
 
 
 def test_faster_conversion_reaches_half_sooner():

@@ -350,7 +350,7 @@ def test_activation_order_slab_mesh_3d(atlas5):
     from fkneuro.geometry import slab_labeler
 
     mesh = generate_structured_mesh(3, 3, 40.0, labeler=slab_labeler(5, 40.0))
-    assert set(mesh.region_labels()) == {1, 2, 3, 4, 5}
+    assert set(mesh.regions) == {1, 2, 3, 4, 5}
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.70, eta0=10.0, degree=1)
     C0 = system.space.seed_vector(atlas5.stages["II"], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.1, T=10.0)
