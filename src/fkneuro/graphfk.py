@@ -21,6 +21,13 @@ a relative residual of 1e-14, two decades under the 1e-12 gate every step
 must pass.  When some a_j <= 0, or CG does not get there within
 _CG_MAXITER iterations (or breaks down or stagnates first), one sparse LU
 of the system solves the step instead.
+
+A step also takes a (k, M) block of k states, one per alpha, and solves
+its rows as k independent systems that share each CG iteration's
+L @ V; ``solve_fk_graph_alphas`` advances the alphas of a sweep in
+lockstep that way.  Every row has its own scale, gate and fallback, and
+comes out bit-identical to a run at its alpha alone (``solve_fk_graph``,
+which is the lockstep loop at one alpha).
 """
 
 import logging
@@ -31,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolverError
-from .linsolve import pcg
+from .linsolve import pcg, row_dots
 from .trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
@@ -52,76 +59,200 @@ def rhs_semidiscrete(conn, C: np.ndarray, alpha: float) -> np.ndarray:
     return -(conn.laplacian @ C) + alpha * C * (1.0 - C)
 
 
+def _laplacian_rows(L, V):
+    """L applied to every row of V; row i is bit-equal to ``L @ V[i]``."""
+    if len(V) == 1:  # the vector product, without the block product's set-up
+        return (L @ V[0])[None]
+    return (L @ V.T).T
+
+
 def step_cn_extrapolated(
     conn,
     C_n: np.ndarray,
     C_nm1: np.ndarray,
-    alpha: float,
+    alpha,
     dt: float,
     literal_rhs: bool = False,
 ):
     """One Crank-Nicolson step; returns (C_next, stats).
 
+    ``C_n`` and ``C_nm1`` are (M,) states, or (k, M) blocks whose row i is
+    an independent state at conversion rate ``alpha[i]`` (``alpha`` a
+    scalar or of shape (k,)).  Every row has its own reaction, scale,
+    Jacobi scaling, CG recurrence, residual gate and LU fallback, and gets
+    the bits a 1-D call gives it; the rows share one ``L @ V`` per CG
+    iteration.
+
     ``stats`` has the keys of ``dg.stepper.solve_linear``: ``iterations``
     (CG iterations), ``residual`` (true relative residual of C_next) and
-    ``fallback`` (whether the sparse LU solved the step).
+    ``fallback`` (whether the sparse LU solved the step).  A 1-D step
+    raises LinearSolverError when its solve fails.  A block step returns a
+    list of k such dicts instead; a row whose solve failed has NaN in
+    C_next and its LinearSolverError under the extra key ``error``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     C_n = np.asarray(C_n, dtype=float)
     C_nm1 = np.asarray(C_nm1, dtype=float)
     M = conn.n_nodes
-    if C_n.shape != (M,) or C_nm1.shape != (M,):
+    if C_n.ndim not in (1, 2) or C_n.shape[-1] != M or C_nm1.shape != C_n.shape:
         raise ValueError("state vectors do not match the connectome size")
+    single = C_n.ndim == 1
+    C_n, C_nm1 = C_n.reshape(-1, M), C_nm1.reshape(-1, M)
+    k = len(C_n)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim:
+        if alpha.shape != (k,):
+            raise ValueError(f"alpha has shape {alpha.shape}, want () or ({k},)")
+        alpha = alpha[:, None]
 
     L = conn.laplacian
     reaction = alpha * dt * (1.0 - 0.5 * (3.0 * C_n - C_nm1))
     sign = -1.0 if literal_rhs else 1.0
     a = 2.0 - reaction
-    rhs = (2.0 + sign * reaction) * C_n - dt * (L @ C_n)
+    rhs = (2.0 + sign * reaction) * C_n - dt * _laplacian_rows(L, C_n)
     # solve for C_next / scale, with scale the power of two just above
     # max|rhs|: exact, and no squared norm of the scaled rhs underflows
-    scale = math.ldexp(1.0, math.frexp(np.abs(rhs).max())[1])
+    scale = np.array(
+        [[math.ldexp(1.0, math.frexp(m)[1])] for m in np.abs(rhs).max(axis=1).tolist()]
+    )
     rhs = rhs / scale
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = [math.sqrt(v) for v in row_dots(rhs, rhs).tolist()]
 
-    def apply(v):
-        return a * v + dt * (L @ v)
+    def rows_of(ids):
+        """An index of the rows in the sorted list ids: a view if they are all."""
+        return slice(None) if len(ids) == k else ids
 
-    def relative_residual(x):
-        residual = float(np.linalg.norm(rhs - apply(x)))
-        return residual / rhs_norm if rhs_norm > 0 else residual
+    def relative_residuals(X, ids):
+        rows = rows_of(ids)
+        d = rhs[rows] - (a[rows] * X + dt * _laplacian_rows(L, X))
+        residuals = [math.sqrt(v) for v in row_dots(d, d).tolist()]
+        norms = [rhs_norm[i] for i in ids]
+        return [res / norm if norm > 0 else res for res, norm in zip(residuals, norms)]
 
-    C_next, iterations, rel = None, 0, np.inf
+    C_next = np.zeros((k, M))
+    iterations, rel = [0] * k, [math.inf] * k
     # the singular/indefinite test comes first: a zero right-hand side
     # says nothing about whether the system has a unique solution
-    if a.min() > 0:
-        if rhs_norm == 0.0:
-            return np.zeros(M), {"iterations": 0, "residual": 0.0, "fallback": False}
+    definite = (a.min(axis=1) > 0).tolist()
+    cg = []
+    for i in range(k):
+        if definite[i] and rhs_norm[i] == 0.0:
+            rel[i] = 0.0  # C_next = 0 solves it
+        elif definite[i]:
+            cg.append(i)
+    if cg:
         # CG starts from the extrapolant; one far from the solution may
         # overflow, which ends in the LU fallback below
-        inv_diag = 1.0 / (a + dt * conn.degree)
-        tol = _CG_RTOL * rhs_norm
-        x, iterations, residuals = pcg(
-            apply, lambda r: inv_diag * r, rhs, (2.0 * C_n - C_nm1) / scale, tol,
-            _CG_MAXITER,
+        cg_rows = rows_of(cg)
+        a_cg = a[cg_rows]
+        inv_diag = 1.0 / (a_cg + dt * conn.degree)
+        tol = [_CG_RTOL * rhs_norm[i] for i in cg]
+        x0 = (2.0 * C_n[cg_rows] - C_nm1[cg_rows]) / scale[cg_rows]
+        x, cg_iterations, residuals = pcg(
+            lambda V, rows: a_cg[rows] * V + dt * _laplacian_rows(L, V),
+            lambda R, rows: inv_diag[rows] * R,
+            rhs[cg_rows], x0, tol, _CG_MAXITER,
         )
-        if residuals[-1] <= tol:
-            C_next = x
-            rel = relative_residual(C_next)
-    fallback = not rel <= _RESIDUAL_TOL
-    if fallback:
+        for i, its in zip(cg, cg_iterations):
+            iterations[i] = its
+        converged = [j for j, res in enumerate(residuals) if res[-1] <= tol[j]]
+        done = [cg[j] for j in converged]
+        if done:
+            x = x if len(done) == len(cg) else x[converged]
+            C_next[rows_of(done)] = x
+            for i, res in zip(done, relative_residuals(x, done)):
+                rel[i] = res
+    fallback = [not res <= _RESIDUAL_TOL for res in rel]
+    errors = [None] * k
+    for i in range(k):
+        if not fallback[i]:
+            continue
         try:
-            C_next = spla.splu((sp.diags(a) + dt * L).tocsc()).solve(rhs)
+            C_next[i] = spla.splu((sp.diags(a[i]) + dt * L).tocsc()).solve(rhs[i])
         except RuntimeError as exc:
-            raise LinearSolverError(f"singular Crank-Nicolson system: {exc}")
-        rel = relative_residual(C_next)
-    if rel > _RESIDUAL_TOL:
-        raise LinearSolverError(
-            f"Crank-Nicolson solve residual {rel:.3e} above {_RESIDUAL_TOL:.0e}",
-            residual_history=[rel],
+            errors[i] = LinearSolverError(f"singular Crank-Nicolson system: {exc}")
+            continue
+        (rel[i],) = relative_residuals(C_next[i : i + 1], [i])
+        if rel[i] > _RESIDUAL_TOL:
+            errors[i] = LinearSolverError(
+                f"Crank-Nicolson solve residual {rel[i]:.3e} above {_RESIDUAL_TOL:.0e}",
+                residual_history=[rel[i]],
+            )
+    C_next = scale * C_next
+    stats = []
+    for i in range(k):
+        stats.append({"iterations": iterations[i], "residual": rel[i], "fallback": fallback[i]})
+        if errors[i] is not None:
+            C_next[i] = np.nan
+            stats[i]["error"] = errors[i]
+    if single:
+        if errors[0] is not None:
+            raise errors[0]
+        return C_next[0], stats[0]
+    return C_next, stats
+
+
+def solve_fk_graph_alphas(
+    conn,
+    C0: np.ndarray,
+    alphas,
+    dt: float,
+    T: float,
+    literal_rhs: bool = False,
+):
+    """Run the graph time loop from C0 up to final time T at every alpha at once.
+
+    The k alphas are the k rows of one state block, advanced in lockstep:
+    one call of the module attribute ``step_cn_extrapolated`` per time
+    step, whose rows each get the bits a run at their alpha alone gives
+    them (see ``solve_fk_graph`` for the scheme).
+
+    Returns (trajectories, failure).  A row fails when its step does (the
+    residual gate or a singular LU) or its state turns non-finite; it
+    leaves the loop together with every row after it, and the rows before
+    it run on to T.  ``trajectories`` holds one Trajectory per alpha up to
+    the first that failed, each with its states a view of one
+    (k, n_steps + 1, M) block; ``failure`` is that alpha's exception, the
+    one ``solve_fk_graph`` at that alpha raises, or None.
+    """
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ValueError(f"final time {T} shorter than one step {dt}")
+    alphas = np.asarray(alphas, dtype=float)
+    k = len(alphas)
+    C0 = np.asarray(C0, dtype=float)
+    states = np.empty((k, n_steps + 1, conn.n_nodes))
+    states[:, 0] = C0
+    stats = [[] for _ in range(k)]
+    failure = None
+    live = k  # the rows still stepping are 0 .. live - 1
+    prev = states[:, 0].copy()
+    curr = prev.copy()
+    for n in range(n_steps):
+        nxt, step_stats = step_cn_extrapolated(
+            conn, curr, prev, alphas[:live], dt, literal_rhs=literal_rhs
         )
-    return scale * C_next, {"iterations": iterations, "residual": rel, "fallback": fallback}
+        finite = np.isfinite(nxt).all(axis=1).tolist()
+        for i in range(live):
+            error = step_stats[i].get("error")
+            if error is None and not finite[i]:
+                error = FloatingPointError(
+                    f"non-finite state after step {n + 1} (t={(n + 1) * dt:g})"
+                )
+            if error is not None:
+                failure, live = error, i
+                break
+            stats[i].append(step_stats[i])
+        if not live:
+            break
+        states[:live, n + 1] = nxt[:live]
+        prev, curr = curr[:live], nxt[:live]
+    times = dt * np.arange(n_steps + 1)
+    trajectories = [
+        Trajectory(times=times, states=states[i], solver_stats=stats[i]) for i in range(live)
+    ]
+    return trajectories, failure
 
 
 def solve_fk_graph(
@@ -139,7 +270,8 @@ def solve_fk_graph(
     positive definite (2 - alpha*dt*g > 0 on every node), iterated to a
     relative residual of 1e-14, with one sparse LU as the fallback; each
     step must pass the 1e-12 residual gate.  ``solver_stats`` holds one
-    {"iterations", "residual", "fallback"} entry per step.
+    {"iterations", "residual", "fallback"} entry per step.  This is
+    ``solve_fk_graph_alphas`` at the single alpha, raising its failure.
 
     The scheme needs two back states; the loop self-starts with
     C^{-1} := C^0, degrading only the first step to first-order
@@ -149,28 +281,12 @@ def solve_fk_graph(
     dt=0.05) that term peaks at about 26% of the maximum of the scheme's
     own leading error.
     """
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ValueError(f"final time {T} shorter than one step {dt}")
-    C0 = np.asarray(C0, dtype=float)
-    states = np.empty((n_steps + 1, conn.n_nodes))
-    states[0] = C0
-    stats = []
-    prev = C0.copy()
-    curr = C0.copy()
-    for n in range(n_steps):
-        nxt, step_stats = step_cn_extrapolated(
-            conn, curr, prev, alpha, dt, literal_rhs=literal_rhs
-        )
-        if not np.isfinite(nxt).all():
-            raise FloatingPointError(
-                f"non-finite state after step {n + 1} (t={(n + 1) * dt:g})"
-            )
-        states[n + 1] = nxt
-        stats.append(step_stats)
-        prev, curr = curr, nxt
-    times = dt * np.arange(n_steps + 1)
-    return Trajectory(times=times, states=states, solver_stats=stats)
+    trajectories, failure = solve_fk_graph_alphas(
+        conn, C0, [alpha], dt, T, literal_rhs=literal_rhs
+    )
+    if failure is not None:
+        raise failure
+    return trajectories[0]
 
 
 def seed_vector(conn, region_ids, value: float) -> np.ndarray:

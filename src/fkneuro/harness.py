@@ -139,8 +139,12 @@ def _load(cfg: SimulationConfig) -> _LoadedDomain:
     return _LoadedDomain(atlas, conn, C0, sorted(int(r) for r in conn.region_ids))
 
 
-def _simulate(cfg: SimulationConfig, loaded: _LoadedDomain) -> RunResult:
-    """The run of cfg, at cfg.alpha, on a domain loaded for cfg."""
+def _simulate(cfg: SimulationConfig, loaded: _LoadedDomain, trajectory=None) -> RunResult:
+    """The run of cfg, at cfg.alpha, on a domain loaded for cfg.
+
+    A graph run may bring its ``trajectory``, solved already in lockstep
+    with the other alphas of a sweep batch.
+    """
     if cfg.domain == "mesh":
         system = loaded.solver_domain.with_alpha(cfg.alpha)
         traj = solve_fk_mesh(
@@ -154,9 +158,11 @@ def _simulate(cfg: SimulationConfig, loaded: _LoadedDomain) -> RunResult:
         domain = system.space
     else:
         domain = loaded.solver_domain
-        traj = graphfk.solve_fk_graph(
-            domain, loaded.C0, cfg.alpha, cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs
-        )
+        traj = trajectory
+        if traj is None:
+            traj = graphfk.solve_fk_graph(
+                domain, loaded.C0, cfg.alpha, cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs
+            )
 
     all_ids = loaded.region_ids
     stage_curves = stage_average_curves(traj, loaded.atlas, domain)
@@ -206,9 +212,11 @@ def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
     return _run_loaded(cfg, _load(cfg), output_dir)
 
 
-def _run_loaded(cfg: SimulationConfig, loaded: _LoadedDomain, output_dir=None) -> RunResult:
-    """`run` of cfg on a domain already loaded for it."""
-    result = _simulate(cfg, loaded)
+def _run_loaded(
+    cfg: SimulationConfig, loaded: _LoadedDomain, output_dir=None, trajectory=None
+) -> RunResult:
+    """`run` of cfg on a domain already loaded for it (see _simulate)."""
+    result = _simulate(cfg, loaded, trajectory)
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = result.trajectory.times
@@ -256,16 +264,19 @@ def _run_loaded(cfg: SimulationConfig, loaded: _LoadedDomain, output_dir=None) -
 
 def _write_node_csv(path, traj, conn):
     """Long-format node-level output: t,node_id,c, one write per time step."""
-    id_fields = [f",{int(rid)}," for rid in conn.region_ids]
+    # t's text joins the pieces, and one %-template formats the step's values
+    pieces = [""] + [f",{int(rid)},%.17g\n" for rid in conn.region_ids]
     with open(path, "w") as f:
         f.write("t,node_id,c\n")
-        for t, row in zip(traj.times, traj.states):
-            t_text = fmt17(t)
-            f.write("".join(f"{t_text}{i}{fmt17(c)}\n" for i, c in zip(id_fields, row)))
+        for t, row in zip(traj.times.tolist(), traj.states):
+            f.write(fmt17(t).join(pieces) % tuple(row.tolist()))
 
 
-def _sweep_one(loaded: _LoadedDomain, cfg: SimulationConfig, alpha: float, outdir: str):
-    result = _run_loaded(replace(cfg, alpha=alpha, output_dir=outdir), loaded)
+def _sweep_one(
+    loaded: _LoadedDomain, cfg: SimulationConfig, alpha: float, outdir: str, trajectory=None
+):
+    cfg = replace(cfg, alpha=alpha, output_dir=outdir)
+    result = _run_loaded(cfg, loaded, trajectory=trajectory)
     times = result.trajectory.times
     t_half = first_crossing(times, result.global_average, 0.5)
     t_sat = first_crossing(times, result.global_average, SATURATION_LEVEL)
@@ -282,16 +293,29 @@ class _WorkerTraceback(Exception):
 def _sweep_batch(cfg_text: str, jobs):
     """Runs at each (alpha, outdir) of jobs, in order, on one load of the domain.
 
-    Returns the summary rows of the runs that finished, the exception that
-    stopped the batch and its formatted traceback, or None and None.
+    A graph batch solves all its alphas in lockstep first, then reduces and
+    writes them one by one; a mesh batch runs one alpha at a time.  Returns
+    the summary rows of the runs that finished, the exception that stopped
+    the batch and its formatted traceback, or None and None.
     """
     rows = []
     try:
         cfg = parse_config_text(cfg_text)
         cfg.alpha = jobs[0][0]
         loaded = _load(cfg)
-        for alpha, outdir in jobs:
-            rows.append(_sweep_one(loaded, cfg, alpha, outdir))
+        if cfg.domain == "graph":
+            # the alphas before the first that fails run to T, as they
+            # would one after another
+            trajectories, failure = graphfk.solve_fk_graph_alphas(
+                loaded.solver_domain, loaded.C0, [alpha for alpha, _ in jobs],
+                cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs,
+            )
+        else:
+            trajectories, failure = [None] * len(jobs), None
+        for (alpha, outdir), trajectory in zip(jobs, trajectories):
+            rows.append(_sweep_one(loaded, cfg, alpha, outdir, trajectory))
+        if failure is not None:
+            raise failure
     except Exception as exc:  # the rows before it are still written
         return rows, exc, traceback.format_exc()
     return rows, None, None
@@ -301,9 +325,13 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
     """One run per alpha; summary CSV with half-crossing and saturation times.
 
     The alphas are split into contiguous batches, one per worker, and each
-    batch loads and assembles its domain once.  Individual run failures
-    abort the sweep after writing the rows completed before the first
-    failing alpha.  The half-crossing times must decrease strictly with
+    batch loads and assembles its domain once.  A graph batch advances its
+    alphas in lockstep, as the rows of one time loop (see
+    graphfk.solve_fk_graph_alphas); each per-alpha output is still
+    byte-identical to that of a single run.  Individual run failures abort
+    the sweep after writing the rows completed before the first failing
+    alpha, with that alpha's error, as a sweep running its alphas one after
+    another would.  The half-crossing times must decrease strictly with
     alpha.
     """
     cfg.validate()

@@ -53,6 +53,7 @@ def write_series_csv(path, times, columns: dict):
     ``columns`` maps column name -> 1D array aligned with ``times``.
     """
     names = list(columns)
+    table = [np.asarray(times, dtype=float)]
     warnings = []
     for name in names:
         vals = np.asarray(columns[name], dtype=float)
@@ -64,13 +65,13 @@ def write_series_csv(path, times, columns: dict):
                 f"# warning: value out of range [-0.05, 1.05] at "
                 f"t={fmt17(times[idx])} column={name}: {fmt17(vals[idx])}"
             )
-    lines = ["t," + ",".join(names)]
-    lines.extend(warnings)
-    for i, t in enumerate(times):
-        row = [fmt17(t)] + [fmt17(columns[name][i]) for name in names]
-        lines.append(",".join(row))
+        table.append(vals)
+    # one %-template per row gives the text of fmt17 on every value
+    row_text = ",".join(["%.17g"] * len(table)) + "\n"
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(["t," + ",".join(names)] + warnings) + "\n")
+        for row in np.column_stack(table):
+            f.write(row_text % tuple(row.tolist()))
     if warnings:
         logger.warning("%s: %d out-of-range values flagged", path, len(warnings))
 

@@ -251,6 +251,66 @@ def test_step_matches_dense_direct_solve():
     assert indefinite_seen == {False, True}
 
 
+@st.composite
+def cn_blocks(draw):
+    """A graph, dt and up to five (C_n, C_nm1, alpha) rows of one block step."""
+    conn, C_n, C_nm1, alpha, dt = draw(cn_steps())
+    M = conn.n_nodes
+    state = st.lists(st.floats(-0.1, 1.1), min_size=M, max_size=M).map(np.array)
+    rows = [(C_n, C_nm1, alpha)]
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append((draw(state), draw(state), draw(st.floats(0.0, 45.0))))
+    return conn, rows, dt
+
+
+def test_block_step_rows_equal_single_steps():
+    # each row keeps its own scale, CG recurrence, gate and LU fallback, so
+    # it gets the bits and stats of a 1-D step, and a row whose 1-D step
+    # raises carries that error, whatever the other rows do
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cn_blocks())
+    def check(case):
+        conn, rows, dt = case
+        C_n, C_nm1, alphas = (np.array(column) for column in zip(*rows))
+        block, stats = graphfk.step_cn_extrapolated(conn, C_n, C_nm1, alphas, dt)
+        assert block.shape == C_n.shape and len(stats) == len(rows)
+        for i, (c, c_prev, alpha) in enumerate(rows):
+            try:
+                single, single_stats = graphfk.step_cn_extrapolated(conn, c, c_prev, alpha, dt)
+            except LinearSolverError as exc:
+                seen.add("error")
+                assert str(stats[i]["error"]) == str(exc)
+                assert np.isnan(block[i]).all()
+                continue
+            seen.add("fallback" if single_stats["fallback"] else "cg")
+            assert block[i].tobytes() == single.tobytes()
+            assert stats[i] == single_stats
+
+    check()
+    assert {"cg", "fallback"} <= seen
+
+
+def test_block_step_keeps_a_singular_rows_error_to_itself():
+    conn = edgeless_graph(1)
+    C = np.array([[0.0], [0.1]])
+    # alpha*dt*(1 - c*) == 2 makes the first row's system exactly singular
+    block, stats = graphfk.step_cn_extrapolated(conn, C, C, [40.0, 0.61], 0.05)
+    assert isinstance(stats[0]["error"], LinearSolverError)
+    assert "singular" in str(stats[0]["error"])
+    assert np.isnan(block[0]).all()
+    single, single_stats = graphfk.step_cn_extrapolated(conn, C[1], C[1], 0.61, 0.05)
+    assert block[1].tobytes() == single.tobytes()
+    assert stats[1] == single_stats
+
+
+def test_block_step_checks_alpha_shape(triangle_graph):
+    C = np.full((2, 3), 0.2)
+    with pytest.raises(ValueError, match="alpha"):
+        graphfk.step_cn_extrapolated(triangle_graph, C, C, [0.5, 0.6, 0.7], 0.05)
+
+
 def test_singular_system_raises():
     conn = edgeless_graph(1)
     # alpha*dt*(1 - c*) == 2 makes the scalar system exactly singular

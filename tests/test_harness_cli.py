@@ -1,10 +1,11 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fkneuro import harness
+from fkneuro import graphfk, harness
 from fkneuro.cli import main
 from fkneuro.config import SimulationConfig, load_config, serialize_config
 from fkneuro.dg import stepper as stepper_module
@@ -189,10 +190,11 @@ def test_sweep_failure_preserves_partial(domains, tmp_path, monkeypatch):
     cfg = graph_config(domains, seed_regions="all", T=40.0, output_dir=str(tmp_path))
     real = harness._sweep_one
 
-    def exploding(loaded, cfg, alpha, outdir):
+    # a graph batch passes each alpha its trajectory, solved in lockstep
+    def exploding(loaded, cfg, alpha, outdir, *trajectory):
         if alpha == 1.0:
             raise RuntimeError("boom")
-        return real(loaded, cfg, alpha, outdir)
+        return real(loaded, cfg, alpha, outdir, *trajectory)
 
     monkeypatch.setattr(harness, "_sweep_one", exploding)
     with pytest.raises(FkneuroError, match="aborted after 1/3"):
@@ -294,6 +296,76 @@ def test_mesh_sweep_two_workers_write_the_same_bytes(domains, tmp_path):
     for rel in one:
         if (tmp_path / "w1" / rel).is_file():
             assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
+
+
+def graph_sweep_config(domains, outdir, **kw):
+    # a one-region seed, so that diffusion and CG act on every step
+    return graph_config(
+        domains, seed_regions="II", dump_states=True, output_dir=str(outdir), **kw
+    )
+
+
+def test_graph_sweep_outputs_match_single_runs(domains, tmp_path):
+    harness.sweep(graph_sweep_config(domains, tmp_path / "sweep"), SWEEP_ALPHAS)
+    for alpha in SWEEP_ALPHAS:
+        result = harness.run(graph_sweep_config(domains, tmp_path / f"run_{alpha:g}", alpha=alpha))
+        assert set(result.paths) == {
+            "trajectory", "region_averages", "staging", "activation_order", "states", "nodes"
+        }
+        swept = tmp_path / "sweep" / f"alpha_{alpha:g}"
+        assert sorted(p.name for p in swept.iterdir()) == sorted(
+            p.name for p in (tmp_path / f"run_{alpha:g}").iterdir()
+        )
+        for path in map(Path, result.paths.values()):
+            assert (swept / path.name).read_bytes() == path.read_bytes(), (alpha, path.name)
+
+
+def test_graph_sweep_two_workers_write_the_same_bytes(domains, tmp_path, monkeypatch):
+    monkeypatch.delenv("FKNEURO_THREADS", raising=False)
+    for workers in (1, 2):
+        cfg = graph_sweep_config(domains, tmp_path / f"w{workers}", workers=workers)
+        harness.sweep(cfg, SWEEP_ALPHAS)
+    one = sorted(p.relative_to(tmp_path / "w1") for p in (tmp_path / "w1").rglob("*"))
+    two = sorted(p.relative_to(tmp_path / "w2") for p in (tmp_path / "w2").rglob("*"))
+    assert one == two
+    for rel in one:
+        if (tmp_path / "w1" / rel).is_file():
+            assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
+
+
+def test_graph_sweep_solver_failure_keeps_earlier_alphas(domains, tmp_path, monkeypatch):
+    # the middle alpha's state turns NaN at step 3: it and the alpha after
+    # it leave the lockstep loop, the first runs on to T
+    real = graphfk.step_cn_extrapolated
+    calls = []
+
+    def poisoned(conn, C_n, C_nm1, alpha, dt, literal_rhs=False):
+        C_next, stats = real(conn, C_n, C_nm1, alpha, dt, literal_rhs=literal_rhs)
+        calls.append(len(C_next))
+        if len(calls) == 3:
+            C_next[1] = np.nan
+        return C_next, stats
+
+    monkeypatch.setattr(graphfk, "step_cn_extrapolated", poisoned)
+    cfg = graph_sweep_config(domains, tmp_path / "sweep", workers=1)
+    message = "aborted after 1/3 runs: non-finite state after step 3 (t=0.15)"
+    with pytest.raises(FkneuroError, match=re.escape(message)):
+        harness.sweep(cfg, SWEEP_ALPHAS)
+    assert calls[:3] == [3, 3, 3] and set(calls[3:]) == {1}
+    monkeypatch.undo()
+
+    lines = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith(f"{fmt17(SWEEP_ALPHAS[0])},")
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+        f"alpha_{SWEEP_ALPHAS[0]:g}", "sweep_summary.csv"
+    ]
+    result = harness.run(graph_sweep_config(domains, tmp_path / "run", alpha=SWEEP_ALPHAS[0]))
+    swept = tmp_path / "sweep" / f"alpha_{SWEEP_ALPHAS[0]:g}"
+    assert sorted(p.name for p in swept.iterdir()) == sorted(
+        Path(p).name for p in result.paths.values()
+    )
+    for path in map(Path, result.paths.values()):
+        assert (swept / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_sweep_rejects_bad_alphas(domains, tmp_path):

@@ -15,15 +15,16 @@ MAXITER = 1000
 
 
 @st.composite
-def symmetric_systems(draw, kind):
+def symmetric_systems(draw, kind, n=None):
     """(A, b): a random symmetric matrix with eigenvalues spread over up to
-    eight decades, and a normal right-hand side.
+    eight decades, and a normal right-hand side; n x n if n is given.
 
     kind "spd": all eigenvalues positive; "indefinite": some negative;
     "singular": SPD on a subset of the unknowns, and the other rows and
     columns exactly zero, so b is not in the range of A.
     """
-    n = draw(st.integers(1 if kind == "spd" else 2, 12))
+    if n is None:
+        n = draw(st.integers(1 if kind == "spd" else 2, 12))
     k = 0 if kind == "spd" else draw(st.integers(1, n - 1))
     decades = draw(st.floats(0.0, 8.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -40,9 +41,13 @@ def symmetric_systems(draw, kind):
     return A, rng.normal(size=n)
 
 
-def jacobi(A):
+def inverse_diagonal(A):
     d = np.diag(A)
-    inv_diag = np.where(d != 0, 1.0 / np.where(d == 0, 1.0, d), 1.0)
+    return np.where(d != 0, 1.0 / np.where(d == 0, 1.0, d), 1.0)
+
+
+def jacobi(A):
+    inv_diag = inverse_diagonal(A)
     return lambda r: inv_diag * r
 
 
@@ -95,3 +100,56 @@ def test_pcg_stops_at_breakdown_before_stepping():
     assert iterations == 0
     assert residuals == [pytest.approx(np.sqrt(2.0))]
     assert not x.any()
+
+
+@st.composite
+def stacked_systems(draw):
+    """Systems of one size and mixed kinds, to be solved as the rows of a block."""
+    n = draw(st.integers(2, 12))
+    kinds = st.sampled_from(["spd", "indefinite", "singular"])
+    kind_list = draw(st.lists(kinds, min_size=1, max_size=6))
+    return [draw(symmetric_systems(kind, n)) for kind in kind_list]
+
+
+def stop_reason(residuals, iterations, tol, maxiter):
+    """Why a 1-D pcg call ended: tolerance, cap, stall or breakdown."""
+    if residuals[-1] <= tol:
+        return "tolerance"
+    if iterations == maxiter:
+        return "cap"
+    mark, mark_at = residuals[0], 0
+    for i, res in enumerate(residuals):
+        if res <= 0.5 * mark:
+            mark, mark_at = res, i
+    return "stall" if iterations - mark_at >= _STALL else "breakdown"
+
+
+def test_pcg_rows_equal_their_single_solves():
+    # each row of a block keeps its own recurrence and stopping tests, so
+    # every row's iterate, iteration count and residual history are the
+    # bits of its own 1-D solve, whatever the other rows do
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stacked_systems(), st.sampled_from([3, 8, MAXITER]))
+    def check(systems, maxiter):
+        As = [A for A, _ in systems]
+        B = np.array([b for _, b in systems])
+        inv_diags = np.array([inverse_diagonal(A) for A in As])
+        tols = RTOL * np.linalg.norm(B, axis=1)
+
+        def apply(V, rows):
+            return np.array([As[i] @ v for i, v in zip(np.arange(len(As))[rows], V)])
+
+        X, iterations, residuals = pcg(
+            apply, lambda R, rows: inv_diags[rows] * R, B, np.zeros_like(B), tols, maxiter
+        )
+        for i, (A, b) in enumerate(systems):
+            x1, it1, res1 = pcg(A.dot, jacobi(A), b, np.zeros(len(b)), tols[i], maxiter)
+            assert X[i].tobytes() == x1.tobytes()
+            assert iterations[i] == it1
+            assert np.array(residuals[i]).tobytes() == np.array(res1).tobytes()
+            seen.add(stop_reason(res1, it1, tols[i], maxiter))
+
+    check()
+    assert seen == {"tolerance", "cap", "stall", "breakdown"}
