@@ -3,7 +3,8 @@
 The basis is orthonormal per element, so the mass matrix is the identity
 and is not assembled; the linear reaction is alpha * I.  The state-dependent
 reaction block of element e is alpha * sum_k T_e[:, :, k] c_k, a contraction
-of the space's triple products with the element's coefficients.
+of the space's triple products with the element's coefficients, taken for
+all elements as one batched matrix-vector product.
 
 The stiffness matrix combines elementwise diffusion volume terms with
 symmetric interior-penalty face terms over internal faces only: the domain
@@ -58,6 +59,7 @@ class DGSystem:
     # systems with_alpha derives from this assembly, so one factorization
     # serves every alpha
     step_factors: dict = field(init=False, repr=False)
+    _triple_rows: np.ndarray = field(init=False, repr=False)  # space.triple as (E, nb^2, nb)
 
     def __post_init__(self):
         self._assemble()
@@ -136,6 +138,7 @@ class DGSystem:
         self.stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
         self.penalties = penalties
         self.step_factors = {}
+        self._triple_rows = space.triple.reshape(mesh.n_elements, nb * nb, nb)
 
     def reaction_blocks(self, C: np.ndarray) -> np.ndarray:
         """Diagonal blocks (E, n_local, n_local) of the nonlinear reaction
@@ -144,8 +147,8 @@ class DGSystem:
         C = np.asarray(C, dtype=float)
         if C.shape != (space.N,):
             raise ValueError(f"coefficient vector has shape {C.shape}, want ({space.N},)")
-        blocks = C.reshape(space.mesh.n_elements, space.n_local)
-        return self.alpha * np.einsum("eijk,ek->eij", space.triple, blocks)
+        E, nb = space.mesh.n_elements, space.n_local
+        return self.alpha * np.matmul(self._triple_rows, C.reshape(E, nb, 1)).reshape(E, nb, nb)
 
     def nonlinear_reaction(self, C: np.ndarray) -> sp.csr_matrix:
         """State-dependent reaction matrix: entries alpha * (c_h phi_j, phi_i).

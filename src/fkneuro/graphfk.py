@@ -66,6 +66,12 @@ def _laplacian_rows(L, V):
     return (L @ V.T).T
 
 
+def _residual_norms(L, dt, a, rhs, X):
+    """The norms of the rows of rhs - (a X + dt L X), each row's bits its own."""
+    d = rhs - (a * X + dt * _laplacian_rows(L, X))
+    return [math.sqrt(v) for v in row_dots(d, d).tolist()]
+
+
 def step_cn_extrapolated(
     conn,
     C_n: np.ndarray,
@@ -98,7 +104,8 @@ def step_cn_extrapolated(
     if C_n.ndim not in (1, 2) or C_n.shape[-1] != M or C_nm1.shape != C_n.shape:
         raise ValueError("state vectors do not match the connectome size")
     single = C_n.ndim == 1
-    C_n, C_nm1 = C_n.reshape(-1, M), C_nm1.reshape(-1, M)
+    if single:
+        C_n, C_nm1 = C_n[None], C_nm1[None]
     k = len(C_n)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim:
@@ -108,9 +115,9 @@ def step_cn_extrapolated(
 
     L = conn.laplacian
     reaction = alpha * dt * (1.0 - 0.5 * (3.0 * C_n - C_nm1))
-    sign = -1.0 if literal_rhs else 1.0
     a = 2.0 - reaction
-    rhs = (2.0 + sign * reaction) * C_n - dt * _laplacian_rows(L, C_n)
+    # the literal right-hand side's factor 2 - reaction is a itself
+    rhs = (a if literal_rhs else 2.0 + reaction) * C_n - dt * _laplacian_rows(L, C_n)
     # solve for C_next / scale, with scale the power of two just above
     # max|rhs|: exact, and no squared norm of the scaled rhs underflows
     scale = np.array(
@@ -119,50 +126,49 @@ def step_cn_extrapolated(
     rhs = rhs / scale
     rhs_norm = [math.sqrt(v) for v in row_dots(rhs, rhs).tolist()]
 
-    def rows_of(ids):
-        """An index of the rows in the sorted list ids: a view if they are all."""
-        return slice(None) if len(ids) == k else ids
-
-    def relative_residuals(X, ids):
-        rows = rows_of(ids)
-        d = rhs[rows] - (a[rows] * X + dt * _laplacian_rows(L, X))
-        residuals = [math.sqrt(v) for v in row_dots(d, d).tolist()]
-        norms = [rhs_norm[i] for i in ids]
-        return [res / norm if norm > 0 else res for res, norm in zip(residuals, norms)]
-
-    C_next = np.zeros((k, M))
-    iterations, rel = [0] * k, [math.inf] * k
     # the singular/indefinite test comes first: a zero right-hand side
-    # says nothing about whether the system has a unique solution
-    definite = (a.min(axis=1) > 0).tolist()
-    cg = []
-    for i in range(k):
-        if definite[i] and rhs_norm[i] == 0.0:
-            rel[i] = 0.0  # C_next = 0 solves it
-        elif definite[i]:
-            cg.append(i)
+    # says nothing about whether the system has a unique solution; a
+    # definite row with one is solved by C_next = 0
+    definite = [m > 0 for m in a.min(axis=1).tolist()]
+    rel = [0.0 if d and norm == 0.0 else math.inf for d, norm in zip(definite, rhs_norm)]
+    cg = [i for i in range(k) if definite[i] and rhs_norm[i] != 0.0]
+    iterations = [0] * k
+    C_next = np.zeros((k, M))
     if cg:
         # CG starts from the extrapolant; one far from the solution may
         # overflow, which ends in the LU fallback below
-        cg_rows = rows_of(cg)
-        a_cg = a[cg_rows]
+        rows = cg if len(cg) < k else slice(None)
+        a_cg = a[rows]
         inv_diag = 1.0 / (a_cg + dt * conn.degree)
         tol = [_CG_RTOL * rhs_norm[i] for i in cg]
-        x0 = (2.0 * C_n[cg_rows] - C_nm1[cg_rows]) / scale[cg_rows]
+        x0 = (2.0 * C_n[rows] - C_nm1[rows]) / scale[rows]
         x, cg_iterations, residuals = pcg(
             lambda V, rows: a_cg[rows] * V + dt * _laplacian_rows(L, V),
             lambda R, rows: inv_diag[rows] * R,
-            rhs[cg_rows], x0, tol, _CG_MAXITER,
+            rhs[rows], x0, tol, _CG_MAXITER,
         )
         for i, its in zip(cg, cg_iterations):
             iterations[i] = its
         converged = [j for j, res in enumerate(residuals) if res[-1] <= tol[j]]
         done = [cg[j] for j in converged]
+        if len(done) < len(cg):
+            x, residuals = x[converged], [residuals[j] for j in converged]
         if done:
-            x = x if len(done) == len(cg) else x[converged]
-            C_next[rows_of(done)] = x
-            for i, res in zip(done, relative_residuals(x, done)):
-                rel[i] = res
+            C_next[done if len(done) < k else slice(None)] = x
+            # a row that took no iteration needs no check of its own: pcg's
+            # first residual is rhs - (a x0 + dt L x0), the check's expression
+            moved = []
+            for j, (i, res) in enumerate(zip(done, residuals)):
+                if len(res) == 1:
+                    rel[i] = res[0] / rhs_norm[i]
+                else:
+                    moved.append(j)
+            if moved:
+                ids = [done[j] for j in moved]
+                rows = ids if len(ids) < k else slice(None)
+                X = x if len(moved) == len(done) else x[moved]
+                for i, res in zip(ids, _residual_norms(L, dt, a[rows], rhs[rows], X)):
+                    rel[i] = res / rhs_norm[i]
     fallback = [not res <= _RESIDUAL_TOL for res in rel]
     errors = [None] * k
     for i in range(k):
@@ -173,19 +179,22 @@ def step_cn_extrapolated(
         except RuntimeError as exc:
             errors[i] = LinearSolverError(f"singular Crank-Nicolson system: {exc}")
             continue
-        (rel[i],) = relative_residuals(C_next[i : i + 1], [i])
+        (res,) = _residual_norms(L, dt, a[i : i + 1], rhs[i : i + 1], C_next[i : i + 1])
+        rel[i] = res / rhs_norm[i] if rhs_norm[i] > 0 else res
         if rel[i] > _RESIDUAL_TOL:
             errors[i] = LinearSolverError(
                 f"Crank-Nicolson solve residual {rel[i]:.3e} above {_RESIDUAL_TOL:.0e}",
                 residual_history=[rel[i]],
             )
-    C_next = scale * C_next
-    stats = []
-    for i in range(k):
-        stats.append({"iterations": iterations[i], "residual": rel[i], "fallback": fallback[i]})
-        if errors[i] is not None:
+    C_next *= scale
+    stats = [
+        {"iterations": its, "residual": res, "fallback": fb}
+        for its, res, fb in zip(iterations, rel, fallback)
+    ]
+    for i, error in enumerate(errors):
+        if error is not None:
             C_next[i] = np.nan
-            stats[i]["error"] = errors[i]
+            stats[i]["error"] = error
     if single:
         if errors[0] is not None:
             raise errors[0]

@@ -29,10 +29,11 @@ def row_dots(A, B):
     """The dot products of the rows of A and B, each bit-equal to ``A[i] @ B[i]``.
 
     A batched matmul of 1 x N by N x 1 rows goes through the vector dot of a
-    1-D ``@``; the rows must be contiguous for it to give the same bits.
+    1-D ``@``, as ``ndarray.dot`` does; the rows must be contiguous for it to
+    give the same bits.
     """
-    if len(A) == 1:  # the 1-D dot itself, without the batch's set-up
-        return np.array([np.ascontiguousarray(A[0]) @ np.ascontiguousarray(B[0])])
+    if len(A) == 1:  # the 1-D dot itself, without the set-up of a batch or of ``@``
+        return np.array([np.ascontiguousarray(A[0]).dot(np.ascontiguousarray(B[0]))])
     A = np.ascontiguousarray(A)
     B = np.ascontiguousarray(B)
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
@@ -78,7 +79,9 @@ def pcg(apply, precond, b, x0, tol, maxiter):
         # the iteration it was halved at
         x, ids, tol, mark, mark_at = X, list(range(len(X))), list(tol), res, [0] * len(res)
         running = [maxiter > 0 and not v <= t for v, t in zip(res, tol)]
-        if not all(running):
+        if not any(running):
+            ids = []
+        elif not all(running):
             (x, r), (ids, tol, mark, mark_at) = _keep(running, (x, r), (ids, tol, mark, mark_at))
             rows = np.array(ids, dtype=int)
         p = rz = None

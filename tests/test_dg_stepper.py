@@ -226,13 +226,33 @@ def test_cg_starts_from_the_extrapolant_of_its_own_states(monkeypatch):
         return original(A, b, x0=x0, **kwargs)
 
     monkeypatch.setattr(stepper_module, "solve_linear", spy)
-    C0 = system.space.seed_vector([1], 0.1)
-    C1, _ = stepper.step(C0)
-    C2, _ = stepper.step(C1)
-    stepper.step(C2.copy())  # equal values, but not the array the stepper returned
-    assert np.array_equal(starts[0], C0)
-    assert np.array_equal(starts[1], 2.0 * C1 - C0)
-    assert np.array_equal(starts[2], C2)
+    # a non-uniform state, so that the chained states differ
+    C = [system.space.project(lambda x: 0.1 + 0.05 * np.sin(3.0 * x[:, 0] + x[:, 1]))]
+    for _ in range(6):
+        C.append(stepper.step(C[-1])[0])
+    stepper.step(C[-1].copy())  # equal values, but not the array the stepper returned
+    # the polynomial extrapolants through the last 1..5 states
+    assert np.array_equal(starts[0], C[0])
+    assert np.array_equal(starts[1], 2.0 * C[1] - C[0])
+    assert np.array_equal(starts[2], 3 * C[2] - 3 * C[1] + C[0])
+    assert np.array_equal(starts[3], 4 * C[3] - 6 * C[2] + 4 * C[1] - C[0])
+    assert np.array_equal(starts[4], 5 * C[4] - 10 * C[3] + 10 * C[2] - 5 * C[1] + C[0])
+    # the sixth uses the last five states only
+    assert np.array_equal(starts[5], 5 * C[5] - 10 * C[4] + 10 * C[3] - 5 * C[2] + C[1])
+    assert np.array_equal(starts[6], C[6])
+
+
+def test_extrapolated_start_keeps_cg_iterations_low():
+    # tau-like front on a 2D slab mesh: after the first few steps the
+    # five-point start leaves CG about two iterations per step (the
+    # two-point extrapolant took 3.1)
+    mesh = generate_structured_mesh(2, 8, 100.0, labeler=slab_labeler(5, 100.0))
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=2)
+    traj = solve_fk_mesh(system, system.space.seed_vector([2], 0.1), dt=0.05, T=3.0)
+    iterations = [stats["iterations"] for stats in traj.solver_stats]
+    assert len(iterations) == 60
+    assert np.mean(iterations[4:]) <= 2.5
+    assert not any(stats["fallback"] for stats in traj.solver_stats)
 
 
 def test_cg_converges_when_dt_alpha_exceeds_one():
@@ -272,6 +292,20 @@ def test_solve_linear_singular_raises_with_history():
     with pytest.raises(LinearSolverError) as err:
         solve_linear(A, np.array([1.0, 1.0, 1.0]), rtol=1e-10)
     assert len(err.value.residual_history) >= 1
+
+
+def test_direct_fallback_refines_to_the_tolerance():
+    # at dt = 1 the second step's CG does not meet the gate, and the plain
+    # LU solve lands at 1.2e-10; one refinement step takes it under 1e-10
+    system = assemble(
+        perturbed_mesh(4, 0), DiffusionModel(8.0, 80.0), alpha=0.0, eta0=10.0, degree=2
+    )
+    stepper = MeshStepper(system, 1.0)
+    C = np.random.default_rng(0).normal(size=system.N)
+    for _ in range(2):
+        C, stats = stepper.step(C)
+        assert stats["residual"] <= 1e-10
+    assert stats["fallback"] is True
 
 
 def test_solve_linear_indefinite_falls_back_correctly():

@@ -47,6 +47,26 @@ def test_rhs_dimension_mismatch(triangle_graph):
         graphfk.rhs_semidiscrete(triangle_graph, np.zeros(4), 0.7)
 
 
+def test_step_residuals_are_true_residuals():
+    # a step's "residual" is |rhs - (a C' + dt L C')| / |rhs| of its own
+    # system, also on the steps CG leaves at its start (0 iterations), where
+    # it comes from CG's first residual instead of a check of its own
+    conn = generate_connectome(5, topology="chain")
+    L = conn.laplacian
+    alpha, dt = 3.0, 0.05
+    traj = graphfk.solve_fk_graph(conn, np.array([0.1, 0, 0, 0, 0]), alpha, dt, T=40.0)
+    iterations = [stats["iterations"] for stats in traj.solver_stats]
+    assert 0 in iterations and max(iterations) > 0
+    for n, stats in enumerate(traj.solver_stats):
+        C_n, C_next = traj.states[n], traj.states[n + 1]
+        C_nm1 = traj.states[max(n - 1, 0)]
+        reaction = alpha * dt * (1.0 - 0.5 * (3.0 * C_n - C_nm1))
+        rhs = (2.0 + reaction) * C_n - dt * (L @ C_n)
+        d = rhs - ((2.0 - reaction) * C_next + dt * (L @ C_next))
+        true = np.linalg.norm(d) / np.linalg.norm(rhs)
+        assert stats["residual"] == pytest.approx(true, rel=1e-9, abs=0.0), n
+
+
 def test_single_node_update_matches_brute_force():
     conn = edgeless_graph(1)
     c1, stats = graphfk.step_cn_extrapolated(

@@ -263,6 +263,27 @@ def test_mesh_sweep_outputs_match_single_runs(domains, tmp_path, model):
             assert (swept / path.name).read_bytes() == path.read_bytes(), (alpha, path.name)
 
 
+def test_mesh_run_warns_once_when_steps_fall_back(domains, tmp_path, caplog):
+    # dK = 1.5 at alpha = 3: dt * alpha = 0.15 outweighs the weak diffusion
+    # on part of the steps, whose CG stalls before the direct fallback
+    cfg = mesh_sweep_config(domains, tmp_path / "a3", alpha=3.0, d_ext=0.5, d_axn=1.0)
+    with caplog.at_level("WARNING", logger="fkneuro"):
+        result = harness.run(cfg)
+    fallbacks = sum(st["fallback"] for st in result.trajectory.solver_stats)
+    assert fallbacks > 0
+    records = [r for r in caplog.records if "fell back" in r.getMessage()]
+    assert [r.getMessage() for r in records] == [
+        f"{fallbacks} of 80 steps fell back to the direct solve (alpha=3, dt=0.05)"
+    ]
+    assert records[0].levelname == "WARNING"
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="fkneuro"):
+        result = harness.run(mesh_sweep_config(domains, tmp_path / "a1", alpha=1.0))
+    assert not any(st["fallback"] for st in result.trajectory.solver_stats)
+    assert not [r for r in caplog.records if "fell back" in r.getMessage()]
+
+
 # alpha reaches the step preconditioner I + dt*A only through the stiffness
 @pytest.mark.parametrize(
     ("model", "factorizations"),
