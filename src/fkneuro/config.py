@@ -6,6 +6,7 @@ line, `#` comments, unknown keys rejected.  Serialization is canonical
 idempotent.
 """
 
+import math
 import typing
 from dataclasses import dataclass, fields
 
@@ -47,6 +48,12 @@ class SimulationConfig:
     dump_states: bool = False
 
     def validate(self):
+        for name, (kind, _) in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.scale_k is not None and not self.scale_k > 0:
+            raise ConfigError(f"scale_k must be > 0, got {self.scale_k}")
         if self.domain not in ("mesh", "graph"):
             raise ConfigError(f"domain must be mesh or graph, got {self.domain!r}")
         if self.atlas_table not in ("anatomical", "slabs"):
@@ -169,8 +176,3 @@ def _format_value(key: str, value) -> str:
 def serialize_config(cfg: SimulationConfig) -> str:
     lines = [f"{name} = {_format_value(name, getattr(cfg, name))}" for name in FIELD_TYPES]
     return "\n".join(lines) + "\n"
-
-
-def write_config(cfg: SimulationConfig, path):
-    with open(path, "w") as f:
-        f.write(serialize_config(cfg))

@@ -13,6 +13,7 @@ from .atlas import (
 )
 from .connectome import (
     Connectome,
+    Edges,
     generate_connectome,
     load_connectome,
     write_connectome,
@@ -36,6 +37,7 @@ __all__ = [
     "BraakAtlas",
     "Connectome",
     "DiffusionModel",
+    "Edges",
     "Faces",
     "PolytopalMesh",
     "StageTable",

@@ -4,9 +4,11 @@ Nodes are brain regions (with coordinates and volumes), edges are axonal
 tract bundles.  Edge weights are k * n_ij / l_ij where n_ij is the tract
 count and l_ij the mean tract length; the graph Laplacian L = K - A is the
 discrete diffusion operator.
+
+A connectome holds its edges as columns (`Edges`); its checks, weights,
+degrees and Laplacian are each one array pass over them.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +17,30 @@ import scipy.sparse as sp
 from ..errors import GraphConnectivityError, GraphFormatError
 from .atlas import region_weight_matrix
 
-logger = logging.getLogger(__name__)
+
+@dataclass
+class Edges:
+    """Edges as columns: ``nodes`` (E, 2) node indices, tract ``counts``
+    n_ij (E,) and mean tract ``lengths`` l_ij (E,)."""
+
+    nodes: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        self.nodes = np.asarray(self.nodes, dtype=int).reshape(-1, 2)
+        self.counts = np.asarray(self.counts, dtype=float)
+        self.lengths = np.asarray(self.lengths, dtype=float)
+        if not len(self.nodes) == len(self.counts) == len(self.lengths):
+            raise GraphFormatError("edge columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+def _positive(x):
+    """Mask of the entries that are finite and > 0."""
+    return np.isfinite(x) & (x > 0)
 
 
 @dataclass
@@ -29,7 +54,7 @@ class Connectome:
     region_ids: np.ndarray
     coords: np.ndarray  # (M, 3) mm
     volumes: np.ndarray  # (M,) mm^3
-    edges: list[tuple[int, int, float, float]]  # (i_idx, j_idx, n_ij, l_ij)
+    edges: Edges
     scale_k: float = 1.0
     weights: np.ndarray = field(init=False)
     degree: np.ndarray = field(init=False)  # (M,) weighted degree, diagonal of L
@@ -40,55 +65,54 @@ class Connectome:
         self.coords = np.asarray(self.coords, dtype=float)
         self.volumes = np.asarray(self.volumes, dtype=float)
         M = len(self.region_ids)
-        if len(set(self.region_ids.tolist())) != M:
+        if len(np.unique(self.region_ids)) != M:
             raise GraphFormatError("duplicate region ids among nodes")
-        if (self.volumes <= 0).any():
-            bad = self.region_ids[self.volumes <= 0].tolist()
-            raise GraphFormatError(f"non-positive node volumes for regions {bad}")
-        seen = set()
-        w = []
-        for i, j, n_ij, l_ij in self.edges:
-            if i == j:
-                raise GraphFormatError(
-                    f"self-edge on region {self.region_ids[i]}"
-                )
-            if not 0 <= i < M or not 0 <= j < M:
-                raise GraphFormatError(f"edge ({i}, {j}) references unknown node")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise GraphFormatError(
-                    f"duplicate edge between regions "
-                    f"{self.region_ids[i]} and {self.region_ids[j]}"
-                )
-            seen.add(key)
-            if l_ij <= 0:
-                raise GraphFormatError(
-                    f"edge ({self.region_ids[i]}, {self.region_ids[j]}): "
-                    f"mean tract length {l_ij} must be > 0"
-                )
-            if n_ij <= 0:
-                raise GraphFormatError(
-                    f"edge ({self.region_ids[i]}, {self.region_ids[j]}): "
-                    f"tract count {n_ij} must be > 0"
-                )
-            w.append(self.scale_k * n_ij / l_ij)
-        self.weights = np.array(w, dtype=float)
-        self.degree, self.laplacian = self._assemble_laplacian()
+        if not _positive(self.volumes).all():
+            bad = self.region_ids[~_positive(self.volumes)].tolist()
+            raise GraphFormatError(f"node volumes must be finite and > 0 for regions {bad}")
+        if not _positive(self.scale_k):
+            raise GraphFormatError(f"k must be finite and > 0, got {self.scale_k}")
+        self._check_edges()
+        self.weights = self.scale_k * self.edges.counts / self.edges.lengths
+        # ends i, j of every edge in turn, each with the edge's weight (an int
+        # count when E = 0); L's triplets: (i, j, -w), (j, i, -w), then the diagonal
+        ends, end_weights = self.edges.nodes.ravel(), np.repeat(self.weights, 2)
+        self.degree = np.bincount(ends, end_weights, M).astype(float, copy=False)
+        diag = np.arange(M)
+        rows = np.concatenate([ends, diag])
+        cols = np.concatenate([self.edges.nodes[:, ::-1].ravel(), diag])
+        vals = np.concatenate([-end_weights, self.degree])
+        self.laplacian = sp.csr_matrix((vals, (rows, cols)), shape=(M, M))
 
-    def _assemble_laplacian(self) -> tuple[np.ndarray, sp.csr_matrix]:
-        M = self.n_nodes
-        rows, cols, vals = [], [], []
-        degree = np.zeros(M)
-        for (i, j, _, _), w in zip(self.edges, self.weights):
-            rows += [i, j]
-            cols += [j, i]
-            vals += [-w, -w]
-            degree[i] += w
-            degree[j] += w
-        rows += list(range(M))
-        cols += list(range(M))
-        vals += degree.tolist()
-        return degree, sp.csr_matrix((vals, (rows, cols)), shape=(M, M))
+    def _check_edges(self):
+        """Raise GraphFormatError for the first bad edge, checked for, in
+        this order: a self-edge, an unknown node, an earlier edge between
+        the same nodes, a length and a count not finite and > 0."""
+        nodes = self.edges.nodes
+        known = ((nodes >= 0) & (nodes < self.n_nodes)).all(axis=1)
+        self_edge = known & (nodes[:, 0] == nodes[:, 1])
+        keys = np.sort(nodes, axis=1)  # an undirected edge's key
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        repeat = first[inverse.ravel()] != np.arange(len(nodes))
+        bad_length = ~_positive(self.edges.lengths)
+        bad_count = ~_positive(self.edges.counts)
+        bad = np.flatnonzero(~known | self_edge | repeat | bad_length | bad_count)
+        if not bad.size:
+            return
+        e = bad[0]
+        i, j = nodes[e].tolist()
+        if self_edge[e]:
+            raise GraphFormatError(f"self-edge on region {self.region_ids[i]}")
+        if not known[e]:
+            raise GraphFormatError(f"edge ({i}, {j}) references unknown node")
+        ri, rj = self.region_ids[[i, j]].tolist()
+        if repeat[e]:
+            raise GraphFormatError(f"duplicate edge between regions {ri} and {rj}")
+        if bad_length[e]:
+            what = f"mean tract length {self.edges.lengths[e]}"
+        else:
+            what = f"tract count {self.edges.counts[e]}"
+        raise GraphFormatError(f"edge ({ri}, {rj}): {what} must be finite and > 0")
 
     @property
     def n_nodes(self) -> int:
@@ -102,31 +126,17 @@ class Connectome:
     def region_weight_matrix(self, groups) -> sp.csc_matrix:
         """Weights W, shape (M, G), with states @ W the mean over each of
         the disjoint groups of region ids."""
-        return region_weight_matrix(
-            self.region_ids, self.volumes, self.volumes[:, None], groups, "graph"
-        )
+        volumes = self.volumes
+        return region_weight_matrix(self.region_ids, volumes, volumes[:, None], groups, "graph")
 
     def components(self) -> list[set[int]]:
-        """Connected components as sets of region ids."""
-        adj: dict[int, list[int]] = {i: [] for i in range(self.n_nodes)}
-        for i, j, _, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        unseen = set(range(self.n_nodes))
-        comps = []
-        while unseen:
-            stack = [min(unseen)]
-            unseen.discard(stack[0])
-            comp = set()
-            while stack:
-                u = stack.pop()
-                comp.add(int(self.region_ids[u]))
-                for v in adj[u]:
-                    if v in unseen:
-                        unseen.discard(v)
-                        stack.append(v)
-            comps.append(comp)
-        return comps
+        """Connected components as sets of region ids, in the order of their
+        lowest node.  (csgraph is imported here: mesh runs never need it.)"""
+        from scipy.sparse.csgraph import connected_components
+
+        _, labels = connected_components(self.laplacian, directed=False)
+        lowest = np.sort(np.unique(labels, return_index=True)[1])
+        return [set(self.region_ids[labels == labels[n]].tolist()) for n in lowest]
 
     def validate(self, require_connected: bool = True):
         if require_connected:
@@ -146,25 +156,22 @@ class Connectome:
 _MAGIC = "# FKGRAPH 1"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _rows(template: str, *columns) -> str:
+    """The rows of the columns, each formatted by ``template``, joined."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for c, column in enumerate(columns):
+        flat[c :: len(columns)] = column.tolist()
+    return (template * len(columns[0])) % tuple(flat)
 
 
 def write_connectome(conn: Connectome, path):
-    lines = [f"{_MAGIC}, k={_fmt(conn.scale_k)}"]
-    lines.append("node,region_id,x,y,z,volume")
-    for rid, xyz, vol in zip(conn.region_ids, conn.coords, conn.volumes):
-        lines.append(
-            f"node,{int(rid)},{_fmt(xyz[0])},{_fmt(xyz[1])},{_fmt(xyz[2])},{_fmt(vol)}"
-        )
-    lines.append("edge,i,j,n_ij,l_ij")
-    for i, j, n_ij, l_ij in conn.edges:
-        lines.append(
-            f"edge,{int(conn.region_ids[i])},{int(conn.region_ids[j])},"
-            f"{_fmt(n_ij)},{_fmt(l_ij)}"
-        )
+    ends = conn.region_ids[conn.edges.nodes]
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("%s, k=%.17g\nnode,region_id,x,y,z,volume\n" % (_MAGIC, conn.scale_k))
+        nodes = (conn.region_ids, *conn.coords.T, conn.volumes)
+        f.write(_rows("node,%d,%.17g,%.17g,%.17g,%.17g\n", *nodes))
+        f.write("edge,i,j,n_ij,l_ij\n")
+        f.write(_rows("edge,%d,%d,%.17g,%.17g\n", *ends.T, conn.edges.counts, conn.edges.lengths))
 
 
 def load_connectome(path, scale_k: float | None = None) -> Connectome:
@@ -188,8 +195,7 @@ def load_connectome(path, scale_k: float | None = None) -> Connectome:
             raise GraphFormatError(f"bad k value in header: {header!r}")
     k = scale_k if scale_k is not None else k_file
 
-    node_rows = []
-    edge_rows = []
+    node_rows, ends, tracts = [], [], []
     for lineno, line in enumerate(raw[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -218,32 +224,27 @@ def load_connectome(path, scale_k: float | None = None) -> Connectome:
                 n_ij, l_ij = float(parts[3]), float(parts[4])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad edge field")
-            edge_rows.append((i, j, n_ij, l_ij))
+            ends.append((i, j))
+            tracts.append((n_ij, l_ij))
         else:
-            raise GraphFormatError(
-                f"line {lineno}: unknown row kind {kind!r} (want node/edge)"
-            )
+            raise GraphFormatError(f"line {lineno}: unknown row kind {kind!r} (want node/edge)")
 
     if not node_rows:
         raise GraphFormatError("no node rows found")
-    region_ids = [r for r, _, _ in node_rows]
-    index = {rid: i for i, rid in enumerate(region_ids)}
-    if len(index) != len(region_ids):
+    region_ids, coords, volumes = zip(*node_rows)
+    # region id -> node index, by one sorted search
+    ids, index = np.unique(region_ids, return_index=True)
+    if len(ids) < len(region_ids):
         raise GraphFormatError("duplicate region ids among nodes")
-    edges = []
-    for i, j, n_ij, l_ij in edge_rows:
-        if i not in index or j not in index:
-            missing = [r for r in (i, j) if r not in index]
-            raise GraphFormatError(f"edge ({i}, {j}) references unknown regions {missing}")
-        edges.append((index[i], index[j], n_ij, l_ij))
-
-    conn = Connectome(
-        region_ids=np.array(region_ids),
-        coords=np.array([xyz for _, xyz, _ in node_rows]),
-        volumes=np.array([v for _, _, v in node_rows]),
-        edges=edges,
-        scale_k=k,
-    )
+    ends = np.array(ends, dtype=int).reshape(-1, 2)
+    pos = np.searchsorted(ids, ends).clip(max=len(ids) - 1)
+    found = ids[pos] == ends
+    if not found.all():
+        e = np.flatnonzero(~found.all(axis=1))[0]
+        (i, j), missing = ends[e].tolist(), ends[e][~found[e]].tolist()
+        raise GraphFormatError(f"edge ({i}, {j}) references unknown regions {missing}")
+    counts, lengths = np.array(tracts, dtype=float).reshape(-1, 2).T
+    conn = Connectome(region_ids, coords, volumes, Edges(index[pos], counts, lengths), k)
     conn.validate(require_connected=True)
     return conn
 
@@ -269,28 +270,26 @@ def generate_connectome(
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    ids = np.arange(1, n_nodes + 1)
+    nodes = np.arange(n_nodes)
     coords = np.zeros((n_nodes, 3))
-    coords[:, 0] = np.arange(n_nodes, dtype=float) * tract_length
-    volumes = np.full(n_nodes, float(volume))
-    pairs: list[tuple[int, int]] = []
-    if topology == "chain":
-        pairs = [(i, i + 1) for i in range(n_nodes - 1)]
+    coords[:, 0] = nodes * tract_length
+    if topology == "chain" or (topology == "ring" and n_nodes <= 2):
+        pairs = np.stack([nodes[:-1], nodes[1:]], axis=1)
     elif topology == "ring":
-        pairs = [(i, (i + 1) % n_nodes) for i in range(n_nodes)] if n_nodes > 2 else [
-            (i, i + 1) for i in range(n_nodes - 1)
-        ]
+        pairs = np.stack([nodes, np.roll(nodes, -1)], axis=1)
     elif topology == "complete":
-        pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
+        pairs = np.stack(np.triu_indices(n_nodes, 1), axis=1)
     else:
         raise ValueError(f"unknown topology {topology!r}")
     if extra_edges:
-        index = {int(r): i for i, r in enumerate(ids)}
-        for ri, rj in extra_edges:
-            pairs.append((index[int(ri)], index[int(rj)]))
-    edges = [(i, j, float(tract_count), float(tract_length)) for i, j in pairs]
-    conn = Connectome(
-        region_ids=ids, coords=coords, volumes=volumes, edges=edges, scale_k=scale_k
-    )
+        extra = np.asarray(extra_edges, dtype=int).reshape(-1, 2)
+        unknown = extra[(extra < 1) | (extra > n_nodes)]
+        if unknown.size:
+            raise ValueError(f"shortcut references unknown region {unknown[0]}")
+        pairs = np.concatenate([pairs, extra - 1])  # region id r is node r - 1
+    counts = np.full(len(pairs), float(tract_count))
+    lengths = np.full(len(pairs), float(tract_length))
+    volumes = np.full(n_nodes, float(volume))
+    conn = Connectome(nodes + 1, coords, volumes, Edges(pairs, counts, lengths), scale_k)
     conn.validate(require_connected=n_nodes > 1)
     return conn

@@ -262,15 +262,6 @@ def _centroids(d: int, n_elements: int, simplex_groups) -> np.ndarray:
     return out
 
 
-def _row_dot(a, b):
-    """Dot products of matching rows of a and b, shape (n,).
-
-    A stacked matmul gives the same bits as np.dot (and np.linalg.norm) on
-    each row alone; np.einsum and a sum over the axis do not.
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _check_facets(facets, keys, owner, inverse, order, start):
     """Raise MeshTopologyError for the first bad facet row, in element order.
 
@@ -324,9 +315,9 @@ def _build_faces(vertices, ids, sizes, simplex_groups):
         normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
     else:
         normals = np.cross(edges[:, 0], edges[:, 1])
-    normals /= np.sqrt(_row_dot(normals, normals))[:, None]
+    normals /= np.sqrt(row_dots(normals, normals))[:, None]
     centroids = _centroids(d, len(sizes), simplex_groups)
-    inward = _row_dot(normals, verts.mean(axis=1) - centroids[left]) < 0
+    inward = row_dots(normals, verts.mean(axis=1) - centroids[left]) < 0
     normals[inward] *= -1.0
 
     internal = counts == 2

@@ -4,6 +4,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from fkneuro.geometry import (
     Connectome,
+    Edges,
     generate_connectome,
     generate_structured_mesh,
     slab_atlas,
@@ -114,7 +115,7 @@ def triangle_graph():
         region_ids=np.array([1, 2, 3]),
         coords=np.zeros((3, 3)),
         volumes=np.ones(3),
-        edges=[(0, 1, 5.0, 5.0), (1, 2, 5.0, 5.0), (0, 2, 5.0, 5.0)],
+        edges=Edges([[0, 1], [1, 2], [0, 2]], [5.0, 5.0, 5.0], [5.0, 5.0, 5.0]),
         scale_k=1.0,
     )
 
@@ -124,6 +125,6 @@ def edgeless_graph(n):
         region_ids=np.arange(1, n + 1),
         coords=np.zeros((n, 3)),
         volumes=np.ones(n),
-        edges=[],
+        edges=Edges([], [], []),
         scale_k=1.0,
     )

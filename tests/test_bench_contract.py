@@ -30,7 +30,11 @@ cfg = SimulationConfig(
     seed_regions="II", T=0.5, output_dir=tmp + "/out",
 )
 result = fkneuro.run(cfg)
-print(tracer.totals()["graph.step"][0], result.trajectory.n_steps)
+print(
+    tracer.totals()["graph.step"][0], result.trajectory.n_steps,
+    len(tracer.values["graph.nodes"]), tracer.values["graph.nodes"][0],
+    tracer.values["graph.edges"][0],
+)
 """
 
 MESH_RUN = """
@@ -81,9 +85,14 @@ def test_bench_tracer_installs():
 def test_bench_tracer_records_every_graph_step(tmp_path):
     proc = run_with_bench(GRAPH_RUN, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    spans, steps = map(int, proc.stdout.split())
+    spans, steps, loads_recorded, nodes, edges = map(float, proc.stdout.split())
     assert steps == 10
     assert spans == steps
+    # the per-layer graph counts keep their meaning: one load of the
+    # 5-node ring, which has 5 edges
+    assert loads_recorded == 1
+    assert nodes == 5
+    assert edges == 5
 
 
 def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from fkneuro.cli import _config_from_args, build_parser
 from fkneuro.config import (
+    FIELD_TYPES,
     SimulationConfig,
     load_config,
     parse_config_text,
@@ -87,6 +88,26 @@ def test_validation_errors(line, match):
     cfg = parse_config_text(line + "\n")
     with pytest.raises(ConfigError, match=match):
         cfg.validate()
+
+
+FLOAT_FIELDS = [name for name, (kind, _) in FIELD_TYPES.items() if kind is float]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_float_rejected(name, value):
+    cfg = SimulationConfig()
+    setattr(cfg, name, value)
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_scale_k_must_be_positive(value):
+    with pytest.raises(ConfigError, match="scale_k must be > 0"):
+        SimulationConfig(scale_k=value).validate()
+    SimulationConfig(scale_k=None).validate()
+    SimulationConfig(scale_k=0.5).validate()
 
 
 def test_optional_fields_roundtrip():

@@ -8,7 +8,7 @@ from conftest import edgeless_graph, logistic, scalar_cn_extrapolated
 from fkneuro import graphfk
 from fkneuro.dg.stepper import solve_linear
 from fkneuro.errors import LinearSolverError
-from fkneuro.geometry import Connectome, generate_connectome
+from fkneuro.geometry import Connectome, Edges, generate_connectome
 from fkneuro.trajectory import first_crossing
 
 
@@ -142,12 +142,14 @@ def test_temporal_order_two():
 def test_permutation_equivariance():
     rng = np.random.default_rng(9)
     n = 6
-    edges = [(i, i + 1, 10.0, 5.0) for i in range(n - 1)] + [(0, 3, 4.0, 2.0)]
+    nodes = [(i, i + 1) for i in range(n - 1)] + [(0, 3)]
+    counts = [10.0] * (n - 1) + [4.0]
+    lengths = [5.0] * (n - 1) + [2.0]
     conn = Connectome(
         region_ids=np.arange(1, n + 1),
         coords=np.zeros((n, 3)),
         volumes=np.ones(n),
-        edges=edges,
+        edges=Edges(nodes, counts, lengths),
     )
     perm = rng.permutation(n)
     inv = np.argsort(perm)
@@ -155,7 +157,7 @@ def test_permutation_equivariance():
         region_ids=conn.region_ids[perm],
         coords=conn.coords[perm],
         volumes=conn.volumes[perm],
-        edges=[(int(inv[i]), int(inv[j]), nij, lij) for i, j, nij, lij in edges],
+        edges=Edges(inv[conn.edges.nodes], counts, lengths),
     )
     C0 = rng.uniform(0.0, 0.3, n)
     t1 = graphfk.solve_fk_graph(conn, C0, alpha=0.7, dt=0.05, T=2.0)
@@ -224,10 +226,11 @@ def cn_steps(draw):
     pairs = {(min(p), max(p)) for p in pairs}
     n_ij = st.floats(0.1, 50.0)
     l_ij = st.floats(1.0, 20.0)
-    edges = [(i, j, draw(n_ij), draw(l_ij)) for i, j in sorted(pairs)]
+    pairs = sorted(pairs)
+    rows = [(draw(n_ij), draw(l_ij)) for _ in pairs]
     conn = Connectome(
         region_ids=np.arange(1, M + 1), coords=np.zeros((M, 3)), volumes=np.ones(M),
-        edges=edges,
+        edges=Edges(pairs, *zip(*rows)),
     )
     state = st.lists(st.floats(-0.1, 1.1), min_size=M, max_size=M).map(np.array)
     alpha = draw(st.floats(0.0, 45.0))

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,23 @@ def test_run_mesh_artifacts(domains, tmp_path):
         assert f"{stage}," in staging and macro in staging
     order = open(result.paths["activation_order"]).read()
     assert "# order:" in order
+
+
+def test_mesh_run_leaves_csgraph_unimported(domains, tmp_path):
+    # only a connectome's connectivity check needs scipy.sparse.csgraph
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(mesh_config(domains, T=0.5, output_dir=str(tmp_path))))
+    code = (
+        "import sys, fkneuro; from fkneuro.config import load_config; "
+        "fkneuro.run(load_config(sys.argv[1])); print('scipy.sparse.csgraph' in sys.modules)"
+    )
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(cfg_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_run_graph_artifacts_and_states(domains, tmp_path):

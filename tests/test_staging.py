@@ -11,6 +11,7 @@ from fkneuro.dg import DGSpace, assemble, solve_fk_mesh
 from fkneuro.geometry import (
     Connectome,
     DiffusionModel,
+    Edges,
     generate_connectome,
     generate_structured_mesh,
     slab_labeler,
@@ -55,7 +56,7 @@ def test_average_two_equal_volume_nodes():
         region_ids=np.array([1, 2]),
         coords=np.zeros((2, 3)),
         volumes=np.array([3.0, 3.0]),
-        edges=[(0, 1, 5.0, 5.0)],
+        edges=Edges([[0, 1]], [5.0], [5.0]),
     )
     traj = make_traj([0.0], [[0.0, 1.0]])
     assert spatial_average(traj, [1, 2], conn)[0] == pytest.approx(0.5, abs=1e-15)
@@ -66,7 +67,7 @@ def test_average_volume_weighted():
         region_ids=np.array([1, 2]),
         coords=np.zeros((2, 3)),
         volumes=np.array([1.0, 3.0]),
-        edges=[(0, 1, 5.0, 5.0)],
+        edges=Edges([[0, 1]], [5.0], [5.0]),
     )
     traj = make_traj([0.0], [[0.0, 1.0]])
     assert spatial_average(traj, [1, 2], conn)[0] == pytest.approx(0.75, abs=1e-15)
@@ -88,7 +89,7 @@ def weight_domains():
         region_ids=np.arange(1, 6),
         coords=np.zeros((5, 3)),
         volumes=np.array([1.0, 2.0, 3.0, 0.5, 4.0]),
-        edges=[(i, (i + 1) % 5, 5.0, 5.0) for i in range(5)],
+        edges=Edges([(i, (i + 1) % 5) for i in range(5)], [5.0] * 5, [5.0] * 5),
     )
     return {"mesh": DGSpace(mesh, 2), "graph": ring}
 
