@@ -67,6 +67,10 @@ class Connectome:
         M = len(self.region_ids)
         if len(np.unique(self.region_ids)) != M:
             raise GraphFormatError("duplicate region ids among nodes")
+        finite = np.isfinite(self.coords).all(axis=1)
+        if not finite.all():
+            bad = self.region_ids[~finite].tolist()
+            raise GraphFormatError(f"node coordinates must be finite for regions {bad}")
         if not _positive(self.volumes).all():
             bad = self.region_ids[~_positive(self.volumes)].tolist()
             raise GraphFormatError(f"node volumes must be finite and > 0 for regions {bad}")

@@ -23,14 +23,13 @@ _CG_MAXITER iterations (or breaks down or stagnates first), one sparse LU
 of the system solves the step instead.
 
 A step also takes a (k, M) block of k states, one per alpha, and solves
-its rows as k independent systems that share each CG iteration's
-L @ V; ``solve_fk_graph_alphas`` advances the alphas of a sweep in
-lockstep that way.  Every row has its own scale, gate and fallback, and
-comes out bit-identical to a run at its alpha alone (``solve_fk_graph``,
-which is the lockstep loop at one alpha).
+its rows as k independent systems that share each CG iteration's L @ V
+(a row that stops stays in the block, frozen); ``solve_fk_graph_alphas``
+advances the alphas of a sweep in lockstep that way.  Every row has its own
+scale, gate and fallback, and comes out bit-identical to a run at its
+alpha alone (``solve_fk_graph``, which is the lockstep loop at one alpha).
 """
 
-import logging
 import math
 
 import numpy as np
@@ -40,8 +39,6 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolverError
 from .linsolve import pcg, row_dots
 from .trajectory import Trajectory
-
-logger = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-12  # gate on the true relative residual of every step
 # CG stops under the gate so that the states do not drift away from a
@@ -86,8 +83,9 @@ def step_cn_extrapolated(
     an independent state at conversion rate ``alpha[i]`` (``alpha`` a
     scalar or of shape (k,)).  Every row has its own reaction, scale,
     Jacobi scaling, CG recurrence, residual gate and LU fallback, and gets
-    the bits a 1-D call gives it; the rows share one ``L @ V`` per CG
-    iteration.
+    the bits a 1-D call gives it.  The definite rows with a nonzero
+    right-hand side share one block CG, one ``L @ V`` per iteration, in
+    which a row that stops stays, frozen.
 
     ``stats`` has the keys of ``dg.stepper.solve_linear``: ``iterations``
     (CG iterations), ``residual`` (true relative residual of C_next) and
@@ -130,74 +128,58 @@ def step_cn_extrapolated(
     # says nothing about whether the system has a unique solution; a
     # definite row with one is solved by C_next = 0
     definite = [m > 0 for m in a.min(axis=1).tolist()]
-    rel = [0.0 if d and norm == 0.0 else math.inf for d, norm in zip(definite, rhs_norm)]
+    stats = [
+        {"iterations": 0, "residual": 0.0 if d and norm == 0.0 else math.inf, "fallback": False}
+        for d, norm in zip(definite, rhs_norm)
+    ]
     cg = [i for i in range(k) if definite[i] and rhs_norm[i] != 0.0]
-    iterations = [0] * k
+    # CG starts from the extrapolant; one far from the solution may
+    # overflow, which ends in the LU fallback below
+    a_cg, rhs_cg = a.take(cg, 0), rhs.take(cg, 0)
+    inv_diag = 1.0 / (a_cg + dt * conn.degree)
+    tol = [_CG_RTOL * rhs_norm[i] for i in cg]
+    x, iterations, residuals = pcg(
+        lambda V: a_cg * V + dt * _laplacian_rows(L, V),
+        lambda R: inv_diag * R,
+        rhs_cg, ((2.0 * C_n - C_nm1) / scale).take(cg, 0), tol, _CG_MAXITER,
+    )
+    converged = [res[-1] <= t for res, t in zip(residuals, tol)]
+    for j, ok in enumerate(converged):
+        if not ok:  # the LU below solves the row; zero keeps the gate finite
+            x[j] = 0.0
+    # the gate, one pass over the rows; a row CG left at its start has it
+    # already: pcg's first residual is rhs - (a x0 + dt L x0)
+    gate = [res[0] for res in residuals]
+    if any(iterations):
+        gate = _residual_norms(L, dt, a_cg, rhs_cg, x)
+    for i, its, ok, res in zip(cg, iterations, converged, gate):
+        stats[i]["iterations"] = its
+        if ok:
+            stats[i]["residual"] = res / rhs_norm[i]
     C_next = np.zeros((k, M))
-    if cg:
-        # CG starts from the extrapolant; one far from the solution may
-        # overflow, which ends in the LU fallback below
-        rows = cg if len(cg) < k else slice(None)
-        a_cg = a[rows]
-        inv_diag = 1.0 / (a_cg + dt * conn.degree)
-        tol = [_CG_RTOL * rhs_norm[i] for i in cg]
-        x0 = (2.0 * C_n[rows] - C_nm1[rows]) / scale[rows]
-        x, cg_iterations, residuals = pcg(
-            lambda V, rows: a_cg[rows] * V + dt * _laplacian_rows(L, V),
-            lambda R, rows: inv_diag[rows] * R,
-            rhs[rows], x0, tol, _CG_MAXITER,
-        )
-        for i, its in zip(cg, cg_iterations):
-            iterations[i] = its
-        converged = [j for j, res in enumerate(residuals) if res[-1] <= tol[j]]
-        done = [cg[j] for j in converged]
-        if len(done) < len(cg):
-            x, residuals = x[converged], [residuals[j] for j in converged]
-        if done:
-            C_next[done if len(done) < k else slice(None)] = x
-            # a row that took no iteration needs no check of its own: pcg's
-            # first residual is rhs - (a x0 + dt L x0), the check's expression
-            moved = []
-            for j, (i, res) in enumerate(zip(done, residuals)):
-                if len(res) == 1:
-                    rel[i] = res[0] / rhs_norm[i]
-                else:
-                    moved.append(j)
-            if moved:
-                ids = [done[j] for j in moved]
-                rows = ids if len(ids) < k else slice(None)
-                X = x if len(moved) == len(done) else x[moved]
-                for i, res in zip(ids, _residual_norms(L, dt, a[rows], rhs[rows], X)):
-                    rel[i] = res / rhs_norm[i]
-    fallback = [not res <= _RESIDUAL_TOL for res in rel]
-    errors = [None] * k
-    for i in range(k):
-        if not fallback[i]:
+    C_next[cg] = x
+    for i, row in enumerate(stats):
+        if row["residual"] <= _RESIDUAL_TOL:
             continue
+        row["fallback"] = True
         try:
             C_next[i] = spla.splu((sp.diags(a[i]) + dt * L).tocsc()).solve(rhs[i])
         except RuntimeError as exc:
-            errors[i] = LinearSolverError(f"singular Crank-Nicolson system: {exc}")
-            continue
-        (res,) = _residual_norms(L, dt, a[i : i + 1], rhs[i : i + 1], C_next[i : i + 1])
-        rel[i] = res / rhs_norm[i] if rhs_norm[i] > 0 else res
-        if rel[i] > _RESIDUAL_TOL:
-            errors[i] = LinearSolverError(
-                f"Crank-Nicolson solve residual {rel[i]:.3e} above {_RESIDUAL_TOL:.0e}",
-                residual_history=[rel[i]],
-            )
-    C_next *= scale
-    stats = [
-        {"iterations": its, "residual": res, "fallback": fb}
-        for its, res, fb in zip(iterations, rel, fallback)
-    ]
-    for i, error in enumerate(errors):
-        if error is not None:
+            row["error"] = LinearSolverError(f"singular Crank-Nicolson system: {exc}")
+        else:
+            (res,) = _residual_norms(L, dt, a[i : i + 1], rhs[i : i + 1], C_next[i : i + 1])
+            row["residual"] = res = res / rhs_norm[i] if rhs_norm[i] > 0 else res
+            if res > _RESIDUAL_TOL:
+                row["error"] = LinearSolverError(
+                    f"Crank-Nicolson solve residual {res:.3e} above {_RESIDUAL_TOL:.0e}",
+                    residual_history=[res],
+                )
+        if "error" in row:
             C_next[i] = np.nan
-            stats[i]["error"] = error
+    C_next *= scale
     if single:
-        if errors[0] is not None:
-            raise errors[0]
+        if "error" in stats[0]:
+            raise stats[0]["error"]
         return C_next[0], stats[0]
     return C_next, stats
 

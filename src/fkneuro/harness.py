@@ -332,7 +332,8 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
     the sweep after writing the rows completed before the first failing
     alpha, with that alpha's error, as a sweep running its alphas one after
     another would.  The half-crossing times must decrease strictly with
-    alpha.
+    alpha.  Each alpha writes to ``alpha_{alpha:g}``, so two alphas that
+    agree to 6 significant digits are rejected before any run.
     """
     cfg.validate()
     alphas = [float(a) for a in alphas]
@@ -340,10 +341,18 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
         raise ConfigError("empty alpha list")
     if any(a <= 0 for a in alphas):
         raise ConfigError("alpha values must be positive")
+    dirs = {}  # output directory name -> alpha; %g keeps 6 significant digits
+    for a in alphas:
+        name = f"alpha_{a:g}"
+        if name in dirs:
+            raise ConfigError(
+                f"alphas {dirs[name]!r} and {a!r} would share the output directory {name}"
+            )
+        dirs[name] = a
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg_text = serialize_config(cfg)
-    jobs = [(a, str(outdir / f"alpha_{a:g}")) for a in alphas]
+    jobs = [(a, str(outdir / name)) for name, a in dirs.items()]
 
     n_workers = max_workers_allowed(cfg.workers, len(alphas))
     if n_workers > 1:

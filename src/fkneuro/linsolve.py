@@ -14,8 +14,8 @@ tolerance, and gives up early when its iteration breaks down (p . A p <= 0,
 which an SPD operator never produces) or stagnates (the residual does not
 halve within _STALL iterations), so a solve that cannot converge costs a
 bounded number of operator applications before the caller's direct
-fallback.  A stopped row leaves the working set: the later iterations
-apply the operator to the rows still running only.
+fallback.  A stopped row stays in the block, frozen at its stop: the block
+products run over it, unread, until the last row stops.
 """
 
 import math
@@ -44,11 +44,11 @@ def pcg(apply, precond, b, x0, tol, maxiter):
 
     With a 1-D ``b``, ``apply(v)`` returns A v and ``precond(r)`` returns
     M^{-1} r; both should be symmetric positive definite.  With a (k, N)
-    block ``b`` (and ``x0``), row i is the system A_i x_i = b_i, and ``tol``
-    holds one tolerance per row.  ``apply(V, rows)`` and ``precond(R,
-    rows)`` then get the running rows only: ``rows`` indexes them among the
-    k, as ``slice(None)`` until some row stops and as an integer array
-    after, and the callbacks return A_i or M_i^{-1} applied to each row.
+    block ``b`` (and ``x0``), row i is the system A_i x_i = b_i, ``tol``
+    holds one tolerance per row, and ``apply(V)`` and ``precond(R)`` get
+    the whole block and return A_i or M_i^{-1} applied to each row.  A
+    stopped row's entries hold unread, possibly non-finite values, so a
+    callback must keep each row's result to that row.
 
     At most ``maxiter`` iterations are taken.  Returns (x, iterations,
     residuals), with ``residuals`` the norms of the recurrence residual at
@@ -60,73 +60,49 @@ def pcg(apply, precond, b, x0, tol, maxiter):
     """
     if np.ndim(b) == 1:
         x, iterations, residuals = pcg(
-            lambda V, rows: apply(V[0])[None],
-            lambda R, rows: precond(R[0])[None],
+            lambda V: apply(V[0])[None],
+            lambda R: precond(R[0])[None],
             np.asarray(b)[None], np.asarray(x0)[None], [tol], maxiter,
         )
         return x[0], iterations[0], residuals[0]
 
-    X = np.array(x0, dtype=float)  # the returned iterates, filled as rows stop
+    X = np.array(x0, dtype=float)  # the returned iterates, each row set when it stops
+    residuals = [[] for _ in X]
+    # each row's residual last halved, and the iteration it was halved at
+    mark, mark_at = [math.inf] * len(X), [0] * len(X)
+    running = [True] * len(X)
     # a start far from the solution, or an indefinite operator, may
     # overflow; that shows as a non-finite residual or a failed p . A p > 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows = slice(None)
-        r = b - apply(X, rows)
-        res = [math.sqrt(v) for v in row_dots(r, r).tolist()]
-        residuals = [[v] for v in res]
-        # the working set: the running rows' iterate and residual, and (in
-        # lists) their ids, tolerances and the residual last halved, with
-        # the iteration it was halved at
-        x, ids, tol, mark, mark_at = X, list(range(len(X))), list(tol), res, [0] * len(res)
-        running = [maxiter > 0 and not v <= t for v, t in zip(res, tol)]
-        if not any(running):
-            ids = []
-        elif not all(running):
-            (x, r), (ids, tol, mark, mark_at) = _keep(running, (x, r), (ids, tol, mark, mark_at))
-            rows = np.array(ids, dtype=int)
-        p = rz = None
-        it = 0
-        # M^{-1} r is computed only when an iteration follows, so a solve
-        # converging in k iterations applies the preconditioner k times
-        while ids:
-            z = precond(r, rows)
+        x, r, p, it = X, b - apply(X), None, 0
+        while True:
+            for i, v in enumerate(row_dots(r, r).tolist()):
+                if running[i]:
+                    v = math.sqrt(v)
+                    residuals[i].append(v)
+                    if v <= 0.5 * mark[i]:
+                        mark[i], mark_at[i] = v, it
+                    if v <= tol[i] or it - mark_at[i] >= _STALL or it >= maxiter:
+                        running[i] = False
+                        X[i] = x[i]
+            # M^{-1} r is computed only when an iteration follows, so a solve
+            # converging in k iterations applies the preconditioner k times
+            if not any(running):
+                break
+            z = precond(r)
             rz_next = row_dots(r, z)
             p = z if p is None else z + (rz_next / rz)[:, None] * p
             rz = rz_next
-            q = apply(p, rows)
+            q = apply(p)
             pq = row_dots(p, q)
-            stepping = [v > 0 for v in pq.tolist()]
-            if not all(stepping):  # breakdown: these rows stop unstepped
-                X[rows] = x
-                (x, r, p, q, rz, pq), (ids, tol, mark, mark_at) = _keep(
-                    stepping, (x, r, p, q, rz, pq), (ids, tol, mark, mark_at)
-                )
-                rows = np.array(ids, dtype=int)
-                if not ids:
-                    break
+            for i, v in enumerate(pq.tolist()):
+                if running[i] and not v > 0:  # breakdown: the row stops unstepped
+                    running[i] = False
+                    X[i] = x[i]
+            if not any(running):
+                break
             it += 1
             step = (rz / pq)[:, None]
             x = x + step * p
             r = r - step * q
-            res = [math.sqrt(v) for v in row_dots(r, r).tolist()]
-            running = []
-            for j, v in enumerate(res):
-                residuals[ids[j]].append(v)
-                if v <= 0.5 * mark[j]:
-                    mark[j], mark_at[j] = v, it
-                running.append(not v <= tol[j] and it - mark_at[j] < _STALL and it < maxiter)
-            if not all(running):
-                X[rows] = x
-                if not any(running):
-                    break
-                (x, r, p, rz), (ids, tol, mark, mark_at) = _keep(
-                    running, (x, r, p, rz), (ids, tol, mark, mark_at)
-                )
-                rows = np.array(ids, dtype=int)
     return X, [len(h) - 1 for h in residuals], residuals
-
-
-def _keep(keep, arrays, lists):
-    """The rows of the arrays, and the entries of the lists, where keep is true."""
-    index = [j for j, kept in enumerate(keep) if kept]
-    return [a[index] for a in arrays], [[v[j] for j in index] for v in lists]

@@ -7,6 +7,7 @@ which macrostage boundaries and the stage ordering are reconstructed.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,7 +341,10 @@ class ClinicalRow:
 
 
 def load_clinical_csv(path) -> list:
-    """Read `protein,braak_stage,region,mean_suvr,sd_suvr` rows."""
+    """Read `protein,braak_stage,region,mean_suvr,sd_suvr` rows.
+
+    The mean must be finite, and the sd finite and >= 0.
+    """
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -364,6 +368,10 @@ def load_clinical_csv(path) -> list:
                 mean, sd = float(parts[3]), float(parts[4])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad SUVR value")
+            if not math.isfinite(mean):
+                raise ValueError(f"{path}:{lineno}: mean SUVR {parts[3]} must be finite")
+            if not (math.isfinite(sd) and sd >= 0):
+                raise ValueError(f"{path}:{lineno}: SUVR sd {parts[4]} must be finite and >= 0")
             rows.append(
                 ClinicalRow(
                     protein=protein,

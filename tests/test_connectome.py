@@ -145,6 +145,14 @@ def test_bad_volume_names_the_region(volume):
         two_nodes(Edges([(0, 1)], [1.0], [1.0]), volumes=(1.0, volume))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_names_the_region(value):
+    coords = np.zeros((2, 3))
+    coords[1, 2] = value
+    with pytest.raises(GraphFormatError, match=r"coordinates must be finite for regions \[9\]$"):
+        Connectome(np.array([7, 9]), coords, np.ones(2), Edges([(0, 1)], [1.0], [1.0]))
+
+
 @pytest.mark.parametrize("k", [0.0, -2.0, np.nan, np.inf])
 def test_bad_k_rejected(k):
     with pytest.raises(GraphFormatError, match="k must be finite and > 0"):
@@ -163,6 +171,8 @@ def test_edge_columns_must_agree():
         ("node,2,1,0,0,1", "edge,1,2,inf,10", r"edge \(1, 2\): tract count inf"),
         ("node,2,1,0,0,1", "edge,1,2,10,inf", r"edge \(1, 2\): mean tract length inf"),
         ("node,2,1,0,0,nan", "edge,1,2,10,10", r"for regions \[2\]"),
+        ("node,2,nan,0,0,1", "edge,1,2,10,10", r"coordinates .* for regions \[2\]"),
+        ("node,2,1,inf,0,1", "edge,1,2,10,10", r"coordinates .* for regions \[2\]"),
     ],
 )
 def test_loader_rejects_non_finite_inputs(tmp_path, node2, edge, message):

@@ -417,6 +417,23 @@ def test_sweep_rejects_bad_alphas(domains, tmp_path):
         harness.sweep(cfg, [0.5, -0.1])
 
 
+def test_sweep_rejects_alphas_sharing_a_directory(domains, tmp_path, monkeypatch):
+    # alpha_{a:g} keeps 6 significant digits: the second alpha would
+    # overwrite the first one's files, or, repeated, fail the t_half order
+    jobs = []
+    monkeypatch.setattr(
+        harness, "_sweep_batch", lambda cfg_text, batch: jobs.extend(batch) or ([], None, None)
+    )
+    cfg = graph_config(domains, output_dir=str(tmp_path / "sweep"), workers=1)
+    for alphas in ([1.0, 1.0000001], [0.5, 1.0, 1.0]):
+        with pytest.raises(ConfigError, match=rf"alphas 1\.0 and {alphas[-1]!r} .* alpha_1$"):
+            harness.sweep(cfg, alphas)
+    assert not jobs and not (tmp_path / "sweep").exists()
+    # distinct names keep their form
+    harness.sweep(cfg, [0.5, 1.000001])
+    assert [(a, Path(d).name) for a, d in jobs] == [(0.5, "alpha_0.5"), (1.000001, "alpha_1")]
+
+
 def test_compare_identical_dynamics(domains, tmp_path):
     cfg_mesh = mesh_config(
         domains, seed_regions="all", seed_value=0.1, dt=0.025, T=8.0, alpha=0.61

@@ -127,7 +127,10 @@ def stop_reason(residuals, iterations, tol, maxiter):
 def test_pcg_rows_equal_their_single_solves():
     # each row of a block keeps its own recurrence and stopping tests, so
     # every row's iterate, iteration count and residual history are the
-    # bits of its own 1-D solve, whatever the other rows do
+    # bits of its own 1-D solve, whatever the other rows do; a stopped row
+    # stays in the block, so every callback gets all k rows, and the block
+    # takes one product per iteration of its slowest row (plus the first
+    # residual's, and one more when the last rows break down unstepped)
     seen = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -137,13 +140,19 @@ def test_pcg_rows_equal_their_single_solves():
         B = np.array([b for _, b in systems])
         inv_diags = np.array([inverse_diagonal(A) for A in As])
         tols = RTOL * np.linalg.norm(B, axis=1)
+        shapes = {"apply": [], "precond": []}
 
-        def apply(V, rows):
-            return np.array([As[i] @ v for i, v in zip(np.arange(len(As))[rows], V)])
+        def apply(V):
+            shapes["apply"].append(V.shape)
+            return np.array([A @ v for A, v in zip(As, V)])
 
-        X, iterations, residuals = pcg(
-            apply, lambda R, rows: inv_diags[rows] * R, B, np.zeros_like(B), tols, maxiter
-        )
+        def precond(R):
+            shapes["precond"].append(R.shape)
+            return inv_diags * R
+
+        X, iterations, residuals = pcg(apply, precond, B, np.zeros_like(B), tols, maxiter)
+        assert set(shapes["apply"]) | set(shapes["precond"]) <= {B.shape}
+        assert 1 <= len(shapes["apply"]) <= 2 + max(iterations)
         for i, (A, b) in enumerate(systems):
             x1, it1, res1 = pcg(A.dot, jacobi(A), b, np.zeros(len(b)), tols[i], maxiter)
             assert X[i].tobytes() == x1.tobytes()

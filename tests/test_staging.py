@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -445,3 +446,21 @@ def test_clinical_mapping_pipeline(tmp_path):
     assert phases == [LAG, LAG, LAG, LAG, ACTIVE, ACTIVE, ACTIVE]
     # lag rows are scaled by gamma
     assert tau[0][2] == pytest.approx(0.25 * (0.80 - 0.75) / 1.45, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("abeta,III,x,nan,0.1", "mean SUVR nan must be finite"),
+        ("tau,IV,y,-inf,0.1", "mean SUVR -inf must be finite"),
+        ("abeta,IV,y,1.2,inf", "SUVR sd inf must be finite and >= 0"),
+        ("tau,II,x,1.2,nan", "SUVR sd nan must be finite and >= 0"),
+        ("abeta,IV,y,1.2,-1", "SUVR sd -1 must be finite and >= 0"),
+    ],
+)
+def test_clinical_loader_rejects_bad_suvr(tmp_path, row, message):
+    # the bad row is the third line, after the header and a good row
+    path = tmp_path / "clinical.csv"
+    path.write_text(f"protein,braak_stage,region,mean_suvr,sd_suvr\nabeta,0,x,1.3,0\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+        load_clinical_csv(path)
