@@ -47,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from ..errors import LinearSolverError
 from ..linsolve import pcg
-from ..trajectory import Trajectory
+from ..trajectory import OVERSHOOT_HIGH, OVERSHOOT_LOW, Trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -206,6 +206,12 @@ class MeshStepper:
         return self.system.space.project(lambda p: forcing(p, t))
 
 
+def _element_mean_range(C, weights):
+    """Lowest and highest element mean of the DG state C; weights (E, nb)."""
+    means = np.einsum("ei,ei->e", C.reshape(weights.shape), weights)
+    return means.min(), means.max()
+
+
 def solve_fk_mesh(
     system,
     C0: np.ndarray,
@@ -217,7 +223,10 @@ def solve_fk_mesh(
 ) -> Trajectory:
     """Run the semi-implicit time loop from C0 up to final time T.
 
-    Logs one warning per run when any step fell back to the direct solve.
+    Logs one warning per run when any step fell back to the direct solve,
+    and one when an element mean of any state, initial one included, lies
+    outside [OVERSHOOT_LOW, OVERSHOOT_HIGH].  The states are kept as
+    computed either way.
     """
     n_steps = int(round(T / dt))
     if n_steps < 1:
@@ -225,10 +234,13 @@ def solve_fk_mesh(
     stepper = MeshStepper(
         system, dt, rtol=rtol, maxiter=int(maxiter_factor * system.N)
     )
+    # element mean: the basis integrals times the coefficients, over the measure
+    mean_weights = system.space.basis_integrals / system.space.measures[:, None]
     states = np.empty((n_steps + 1, system.N))
     states[0] = C0
     stats = []
     C = np.asarray(C0, dtype=float)
+    mean_ranges = [_element_mean_range(C, mean_weights)]
     for n in range(n_steps):
         C, st = stepper.step(C, forcing=forcing, t_next=(n + 1) * dt)
         if not np.isfinite(C).all():
@@ -237,11 +249,21 @@ def solve_fk_mesh(
             )
         states[n + 1] = C
         stats.append(st)
+        mean_ranges.append(_element_mean_range(C, mean_weights))
     fallbacks = sum(st["fallback"] for st in stats)
     if fallbacks:
         logger.warning(
             "%d of %d steps fell back to the direct solve (alpha=%g, dt=%g)",
             fallbacks, n_steps, system.alpha, dt,
+        )
+    lows, highs = np.array(mean_ranges).T
+    outside = np.count_nonzero((lows < OVERSHOOT_LOW) | (highs > OVERSHOOT_HIGH))
+    if outside:
+        logger.warning(
+            "%d of %d states have element means outside [%g, %g]: "
+            "from %.6g to %.6g (alpha=%g, dt=%g)",
+            outside, n_steps + 1, OVERSHOOT_LOW, OVERSHOOT_HIGH, lows.min(), highs.max(),
+            system.alpha, dt,
         )
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times=times, states=states, solver_stats=stats)

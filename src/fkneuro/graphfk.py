@@ -117,9 +117,13 @@ def step_cn_extrapolated(
     # the literal right-hand side's factor 2 - reaction is a itself
     rhs = (a if literal_rhs else 2.0 + reaction) * C_n - dt * _laplacian_rows(L, C_n)
     # solve for C_next / scale, with scale the power of two just above
-    # max|rhs|: exact, and no squared norm of the scaled rhs underflows
+    # max|rhs|: exact, and no squared norm of the scaled rhs underflows;
+    # above 2**1023 (no float) it is 2**1023, which leaves |rhs| < 2
     scale = np.array(
-        [[math.ldexp(1.0, math.frexp(m)[1])] for m in np.abs(rhs).max(axis=1).tolist()]
+        [
+            [math.ldexp(1.0, min(math.frexp(m)[1], 1023))]
+            for m in np.abs(rhs).max(axis=1).tolist()
+        ]
     )
     rhs = rhs / scale
     rhs_norm = [math.sqrt(v) for v in row_dots(rhs, rhs).tolist()]

@@ -36,7 +36,14 @@ from .staging import (
     spatial_average,
     stage_average_curves,
 )
-from .trajectory import Trajectory, first_crossing, fmt17, write_series_csv, write_state_dump
+from .trajectory import (
+    Trajectory,
+    first_crossing,
+    fmt17,
+    write_labelled17,
+    write_series_csv,
+    write_state_dump,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -263,13 +270,10 @@ def _run_loaded(
 
 
 def _write_node_csv(path, traj, conn):
-    """Long-format node-level output: t,node_id,c, one write per time step."""
-    # t's text joins the pieces, and one %-template formats the step's values
-    pieces = [""] + [f",{int(rid)},%.17g\n" for rid in conn.region_ids]
-    with open(path, "w") as f:
-        f.write("t,node_id,c\n")
-        for t, row in zip(traj.times.tolist(), traj.states):
-            f.write(fmt17(t).join(pieces) % tuple(row.tolist()))
+    """Long-format node-level output: t,node_id,c, one line per step and node."""
+    with open(path, "wb") as f:
+        f.write(b"t,node_id,c\n")
+        write_labelled17(f, traj.times, traj.states, [int(rid) for rid in conn.region_ids])
 
 
 def _sweep_one(

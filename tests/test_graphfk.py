@@ -328,6 +328,19 @@ def test_block_step_keeps_a_singular_rows_error_to_itself():
     assert stats[1] == single_stats
 
 
+def test_block_step_scales_a_row_above_2_1023():
+    # max|rhs| of the first row is 1e308, whose power of two above is not a
+    # float; the scale stops at 2**1023 and the other row is untouched
+    conn = edgeless_graph(2)
+    C = np.array([[0.5e308, 0.1], [0.1, 0.1]])
+    block, stats = graphfk.step_cn_extrapolated(conn, C, C, [0.0, 0.61], 0.05)
+    assert "error" not in stats[0]
+    assert block[0, 0] == 0.5e308
+    single, single_stats = graphfk.step_cn_extrapolated(conn, C[1], C[1], 0.61, 0.05)
+    assert block[1].tobytes() == single.tobytes()
+    assert stats[1] == single_stats
+
+
 def test_block_step_checks_alpha_shape(triangle_graph):
     C = np.full((2, 3), 0.2)
     with pytest.raises(ValueError, match="alpha"):

@@ -296,12 +296,32 @@ def test_mesh_run_warns_once_when_steps_fall_back(domains, tmp_path, caplog):
         f"{fallbacks} of 80 steps fell back to the direct solve (alpha=3, dt=0.05)"
     ]
     assert records[0].levelname == "WARNING"
+    # the run also leaves the physical range: one record for all its states
+    means = element_means(result)
+    outside = np.count_nonzero(((means < -0.05) | (means > 1.05)).any(axis=1))
+    assert outside > 0 and means.min() < -0.05
+    records = [r for r in caplog.records if "element means" in r.getMessage()]
+    assert [r.getMessage() for r in records] == [
+        f"{outside} of 81 states have element means outside [-0.05, 1.05]: "
+        f"from {means.min():.6g} to {means.max():.6g} (alpha=3, dt=0.05)"
+    ]
+    assert records[0].levelname == "WARNING"
 
     caplog.clear()
     with caplog.at_level("WARNING", logger="fkneuro"):
         result = harness.run(mesh_sweep_config(domains, tmp_path / "a1", alpha=1.0))
     assert not any(st["fallback"] for st in result.trajectory.solver_stats)
+    means = element_means(result)
+    assert -0.05 <= means.min() and means.max() <= 1.05
     assert not [r for r in caplog.records if "fell back" in r.getMessage()]
+    assert not [r for r in caplog.records if "element means" in r.getMessage()]
+
+
+def element_means(result):
+    """(states, elements) means of a mesh run's DG states, by one array pass."""
+    space = result.domain
+    states = result.trajectory.states.reshape(-1, *space.basis_integrals.shape)
+    return (states * space.basis_integrals).sum(axis=2) / space.measures
 
 
 # alpha reaches the step preconditioner I + dt*A only through the stiffness

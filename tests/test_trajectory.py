@@ -1,12 +1,26 @@
+import io
+from decimal import Decimal
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fkneuro import graphfk, trajectory
+from fkneuro.geometry import generate_connectome
 from fkneuro.trajectory import (
     Trajectory,
     first_crossing,
     fmt17,
     read_series_csv,
     read_state_dump,
+    write_labelled17,
+    write_rows17,
     write_series_csv,
     write_state_dump,
 )
@@ -72,6 +86,18 @@ def test_state_dump_roundtrip(tmp_path):
     assert np.array_equal(back, states)
 
 
+def test_state_dump_is_header_and_payload_bytes(tmp_path):
+    # the dump writes the states' buffer as it is; a transposed (Fortran
+    # ordered) array is written in row-major order all the same
+    rng = np.random.default_rng(1)
+    for states in (rng.normal(size=(4, 6)), rng.normal(size=(6, 4)).T):
+        path = tmp_path / "states.bin"
+        write_state_dump(path, Trajectory(times=0.5 * np.arange(4), states=states))
+        expected = b"FKSTATE 1 6 3\n" + np.ascontiguousarray(states, dtype="<f8").tobytes()
+        assert path.read_bytes() == expected
+        assert np.array_equal(read_state_dump(path), states)
+
+
 def test_first_crossing_interpolates_linearly():
     times = np.array([0.0, 1.0, 2.0])
     vals = np.array([0.0, 0.4, 0.8])
@@ -85,3 +111,149 @@ def test_first_crossing_interpolates_linearly():
 def test_fmt17_reproduces_double():
     for x in (1 / 3, 0.1, 2.02745 / 1.97255, 1e-300):
         assert float(fmt17(x)) == x
+
+
+def rows17(table) -> bytes:
+    out = io.BytesIO()
+    write_rows17(out, table)
+    return out.getvalue()
+
+
+def percent_rows(table) -> bytes:
+    """write_rows17's text, one '%.17g' % value at a time."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist()).encode()
+
+
+def labelled17(times, states, labels) -> bytes:
+    out = io.BytesIO()
+    write_labelled17(out, times, states, labels)
+    return out.getvalue()
+
+
+def percent_labelled(times, states, labels) -> bytes:
+    return "".join(
+        "%.17g,%s,%.17g\n" % (t, label, v)
+        for t, row in zip(times.tolist(), states.tolist())
+        for label, v in zip(labels, row)
+    ).encode()
+
+
+def float_families():
+    """Values whose text is easy to get wrong, and random bit patterns."""
+    rng = np.random.default_rng(20)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    halves = [k / 2 for k in range(-2000, 2000)] + [2.0**-k for k in range(1075)]
+    ints = [2.0**k + d for k in range(61) for d in (-1.0, 0.0, 1.0)]
+    families = [
+        rng.integers(0, 2**64, 30000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-260, 0, 5000),  # concentrations
+        rng.uniform(0, 1, 5000),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.array(ints + halves), rng.integers(0, 2**60, 3000).astype(float),
+        0.05 * np.arange(20000),
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17, 1e-5, 1e-4]),
+    ]
+    values = np.concatenate(families)
+    return np.concatenate([values, -values])
+
+
+def test_rows17_is_percent_17g_on_float_families():
+    values = float_families()
+    values = values[: len(values) // 7 * 7].reshape(-1, 7)  # every separator position
+    assert rows17(values) == percent_rows(values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    table=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        elements=st.floats(width=64, allow_nan=True, allow_infinity=True),
+    ),
+    chunk=st.integers(1, 12),
+)
+def test_rows17_is_percent_17g_in_any_chunking(table, chunk):
+    # small chunks put chunk ends anywhere, also after values that go
+    # through Python (zero, subnormal, inf, nan)
+    default = trajectory.CHUNK
+    trajectory.CHUNK = chunk
+    try:
+        assert rows17(table) == percent_rows(table)
+    finally:
+        trajectory.CHUNK = default
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    states=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 4)),
+        elements=st.floats(width=64, allow_nan=True, allow_infinity=True),
+    ),
+    dt=st.sampled_from([0.05, 0.1, 0.25, 1.0 / 3.0, 1e-3]),
+    labels=st.lists(st.integers(0, 10**12), min_size=4, max_size=4, unique=True),
+    chunk=st.integers(1, 12),
+)
+def test_labelled17_is_percent_17g_in_any_chunking(states, dt, labels, chunk):
+    times = dt * np.arange(len(states))
+    labels = labels[: states.shape[1]]
+    default = trajectory.CHUNK
+    trajectory.CHUNK = chunk
+    try:
+        assert labelled17(times, states, labels) == percent_labelled(times, states, labels)
+    finally:
+        trajectory.CHUNK = default
+
+
+def is_tie(x: float) -> bool:
+    digits = Decimal(x).normalize().as_tuple().digits  # exact decimal digits of x
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def test_ties_go_through_python(monkeypatch):
+    # j / 2**k with exactly 18 significant digits, the last a 5: its
+    # 17-digit rounding is a tie, which Python breaks
+    candidates = [j * 2.0**-k for k in range(20, 60) for j in range(1, 400, 2)]
+    ties = [x for x in candidates if is_tie(x)]
+    assert len(ties) > 100
+    calls = []
+    digits = trajectory._python_digits
+    monkeypatch.setattr(trajectory, "_python_digits", lambda v: calls.append(v) or digits(v))
+    table = np.array(ties).reshape(-1, 1)
+    assert rows17(table) == percent_rows(table)
+    assert calls == ties
+
+
+def test_concentration_table_takes_no_python_path(monkeypatch):
+    # 801 x 85: t, the 83 node curves of a ring+shortcut graph run from one
+    # seeded node, and their mean; nodes far from the seed stay below 1e-4,
+    # in exponential notation, for years
+    conn = generate_connectome(83, "ring", extra_edges=[(1, 42), (10, 60), (20, 75)])
+    C0 = np.zeros(83)
+    C0[0] = 0.1
+    traj = graphfk.solve_fk_graph(conn, C0, alpha=0.61, dt=0.05, T=40.0)
+    table = np.column_stack([traj.times, traj.states, traj.states.mean(axis=1)])
+    assert table.shape == (801, 85)
+    calls = []
+    digits = trajectory._python_digits
+    monkeypatch.setattr(trajectory, "_python_digits", lambda v: calls.append(v) or digits(v))
+    text = rows17(table)
+    node_text = labelled17(traj.times, traj.states, conn.region_ids.tolist())
+    assert calls == []
+    assert text == percent_rows(table)
+    assert node_text == percent_labelled(traj.times, traj.states, conn.region_ids.tolist())
+    assert np.count_nonzero((table > 0) & (table < 1e-4)) > 1000
+
+
+def test_formatter_tables_are_built_on_first_use():
+    code = (
+        "import numpy as np, io, fkneuro\n"
+        "from fkneuro import trajectory as t\n"
+        "print(t._tables.cache_info().currsize)\n"
+        "t.write_rows17(io.BytesIO(), np.ones((1, 1)))\n"
+        "print(t._tables.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(trajectory.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["0", "1"], out.stderr
