@@ -14,6 +14,13 @@ from .errors import ConfigError
 from .staging import SuvrMapParams
 from .trajectory import fmt17
 
+# dt*alpha must stay below the bound of its domain.  On a uniform state c
+# the mesh step is c / (1 - dt*alpha*(1 - c)), which keeps every c in
+# [0, 1] inside [0, 1] only while dt*alpha < 1; the graph's Crank-Nicolson
+# diagonal 2 - dt*alpha*(1 - c) stays positive at c = 0 only while
+# dt*alpha < 2.
+DT_ALPHA_BOUNDS = {"mesh": 1.0, "graph": 2.0}
+
 
 @dataclass
 class SimulationConfig:
@@ -66,6 +73,7 @@ class SimulationConfig:
             raise ConfigError(f"T must be >= dt, got T={self.T}, dt={self.dt}")
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        self.check_step_size(self.alpha)
         if not 0.0 < self.seed_value <= 1.0:
             raise ConfigError(f"seed_value must be in (0,1], got {self.seed_value}")
         if self.ell < 1:
@@ -92,6 +100,15 @@ class SimulationConfig:
         except ValueError as exc:
             raise ConfigError(str(exc))
         return self
+
+    def check_step_size(self, alpha: float):
+        """Reject a run at ``alpha`` whose dt*alpha reaches its domain's bound."""
+        bound = DT_ALPHA_BOUNDS[self.domain]
+        if not self.dt * alpha < bound:
+            raise ConfigError(
+                f"dt*alpha must be < {bound:g} on a {self.domain} run, got "
+                f"dt={self.dt:g}, alpha={alpha:g} (dt*alpha={self.dt * alpha:g})"
+            )
 
     def suvr_abeta(self) -> SuvrMapParams:
         return SuvrMapParams(

@@ -13,14 +13,18 @@ reaction and damps growth.  That variant stays available behind
 
 Each step solves (diag(a) + dt*L) C^{n+1} = b with a = 2 - alpha*dt*g.
 The matrix changes only on its diagonal, so no matrix is built: the
-operator is applied as a*v + dt*(L @ v) inside Jacobi-preconditioned CG
+operator is applied as a*v + dt*(L @ v) inside preconditioned CG
 (``linsolve.pcg``, the loop the DG stepper uses too), started from the
-extrapolant 2 C^n - C^{n-1}.  While every a_j > 0 the system is symmetric
-positive definite (diag(a) > 0, dt*L >= 0) and CG applies; it iterates to
-a relative residual of 1e-14, two decades under the 1e-12 gate every step
-must pass.  When some a_j <= 0, or CG does not get there within
-_CG_MAXITER iterations (or breaks down or stagnates first), one sparse LU
-of the system solves the step instead.
+extrapolant 2 C^n - C^{n-1}.  The preconditioner is Jacobi scaling with
+the constant vector deflated, which the system maps to a since L 1 = 0
+(``constant_mode_preconditioner``): CG removes a constant error in one
+iteration, so a step from a uniform state takes one.  While every
+a_j > 0 the system is symmetric positive definite (diag(a) > 0,
+dt*L >= 0) and CG applies; it iterates to a relative residual of 1e-14,
+two decades under the 1e-12 gate every step must pass.  When some
+a_j <= 0, or CG does not get there within _CG_MAXITER iterations (or
+breaks down or stagnates first), one sparse LU of the system solves the
+step instead.
 
 A step also takes a (k, M) block of k states, one per alpha, and solves
 its rows as k independent systems that share each CG iteration's L @ V
@@ -28,8 +32,10 @@ its rows as k independent systems that share each CG iteration's L @ V
 advances the alphas of a sweep in lockstep that way.  Every row has its own
 scale, gate and fallback, and comes out bit-identical to a run at its
 alpha alone (``solve_fk_graph``, which is the lockstep loop at one alpha).
+A run logs one warning per alpha whose steps fell back to the LU.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -39,6 +45,8 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolverError
 from .linsolve import pcg, row_dots
 from .trajectory import Trajectory
+
+logger = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-12  # gate on the true relative residual of every step
 # CG stops under the gate so that the states do not drift away from a
@@ -69,6 +77,55 @@ def _residual_norms(L, dt, a, rhs, X):
     return [math.sqrt(v) for v in row_dots(d, d).tolist()]
 
 
+def constant_mode_preconditioner(a, d):
+    """The balancing preconditioner of diag(a) + dt*L, with the constants as its coarse space.
+
+    ``a`` and ``d`` are (k, M) blocks, one row per system: the
+    Crank-Nicolson diagonal a > 0 and the system's diagonal
+    d = a + dt * degree.  Since L 1 = 0, the system maps the constant
+    vector 1 to a, so its coarse problem is the scalar sum(a), and
+
+        M^{-1} = P^T D^{-1} P + 1 1^T / sum(a),  P = I - a 1^T / sum(a),
+
+    with D = diag(d) (Mandel 1993; Tang, Nabben, Vuik & Erlangga 2009).
+    M^{-1} is symmetric positive definite whenever every a > 0, and maps
+    a*c to c*1, so CG removes a constant error, the mode Jacobi scaling
+    alone resolves worst, in one iteration.  Written out with w = a/d, it
+    is D^{-1} plus a rank-two term in the span of 1 and w,
+
+        M^{-1} r = r/d + [(1 + a.w/sum(a) - w) sum(r) - w.r] / sum(a),
+
+    so an application is r/d plus two matrix-vector products: one with
+    the rows 1 and w, and one with the rows (1 + a.w/sum(a) - w)/sum(a)
+    and -1/sum(a).  Returns the callback R -> M_i^{-1} R_i, row by row.
+    A block applies both products as batched ``matmul``s and a one-row
+    block as 2-D ``dot``s; both call the same BLAS matrix-vector product
+    per row, so each row of a block gets the bits of a one-row block.
+    """
+    k, M = a.shape
+    inv_d = 1.0 / d
+    basis = np.empty((k, 2, M))  # the rows 1 and w
+    basis[:, 0] = 1.0
+    w = np.multiply(a, inv_d, out=basis[:, 1])
+    sum_a, aw = np.matmul(basis, a[:, :, None]).transpose(1, 0, 2)  # each (k, 1)
+    coefficients = np.empty((k, 2, M))
+    np.subtract(1.0 + aw / sum_a, w, out=coefficients[:, 0])
+    coefficients[:, 0] /= sum_a
+    coefficients[:, 1] = -1.0 / sum_a
+
+    def apply(R):
+        R = np.ascontiguousarray(R)
+        if len(R) == 1:  # the 2-D products, without the batch's set-up
+            Z = basis[0].dot(R[0]).dot(coefficients[0])[None]
+        else:  # sum(r) and w.r of each row, then their combination of its coefficients
+            sums = np.matmul(basis, R[:, :, None]).transpose(0, 2, 1)
+            Z = np.matmul(sums, coefficients)[:, 0]
+        Z += inv_d * R
+        return Z
+
+    return apply
+
+
 def step_cn_extrapolated(
     conn,
     C_n: np.ndarray,
@@ -82,7 +139,7 @@ def step_cn_extrapolated(
     ``C_n`` and ``C_nm1`` are (M,) states, or (k, M) blocks whose row i is
     an independent state at conversion rate ``alpha[i]`` (``alpha`` a
     scalar or of shape (k,)).  Every row has its own reaction, scale,
-    Jacobi scaling, CG recurrence, residual gate and LU fallback, and gets
+    preconditioner, CG recurrence, residual gate and LU fallback, and gets
     the bits a 1-D call gives it.  The definite rows with a nonzero
     right-hand side share one block CG, one ``L @ V`` per iteration, in
     which a row that stops stays, frozen.
@@ -140,11 +197,10 @@ def step_cn_extrapolated(
     # CG starts from the extrapolant; one far from the solution may
     # overflow, which ends in the LU fallback below
     a_cg, rhs_cg = a.take(cg, 0), rhs.take(cg, 0)
-    inv_diag = 1.0 / (a_cg + dt * conn.degree)
     tol = [_CG_RTOL * rhs_norm[i] for i in cg]
     x, iterations, residuals = pcg(
         lambda V: a_cg * V + dt * _laplacian_rows(L, V),
-        lambda R: inv_diag * R,
+        constant_mode_preconditioner(a_cg, a_cg + dt * conn.degree),
         rhs_cg, ((2.0 * C_n - C_nm1) / scale).take(cg, 0), tol, _CG_MAXITER,
     )
     converged = [res[-1] <= t for res, t in zip(residuals, tol)]
@@ -209,7 +265,9 @@ def solve_fk_graph_alphas(
     it run on to T.  ``trajectories`` holds one Trajectory per alpha up to
     the first that failed, each with its states a view of one
     (k, n_steps + 1, M) block; ``failure`` is that alpha's exception, the
-    one ``solve_fk_graph`` at that alpha raises, or None.
+    one ``solve_fk_graph`` at that alpha raises, or None.  Each alpha in
+    ``trajectories`` whose steps fell back to the sparse LU logs one
+    warning with their count, the alpha and dt.
     """
     n_steps = int(round(T / dt))
     if n_steps < 1:
@@ -243,6 +301,13 @@ def solve_fk_graph_alphas(
             break
         states[:live, n + 1] = nxt[:live]
         prev, curr = curr[:live], nxt[:live]
+    for alpha, row in zip(alphas[:live].tolist(), stats):
+        fallbacks = sum(st["fallback"] for st in row)
+        if fallbacks:
+            logger.warning(
+                "%d of %d steps fell back to the sparse LU (alpha=%g, dt=%g)",
+                fallbacks, n_steps, alpha, dt,
+            )
     times = dt * np.arange(n_steps + 1)
     trajectories = [
         Trajectory(times=times, states=states[i], solver_stats=stats[i]) for i in range(live)
@@ -261,11 +326,13 @@ def solve_fk_graph(
     """Run the graph time loop from C0 up to final time T.
 
     Every step goes through the module attribute ``step_cn_extrapolated``:
-    Jacobi-preconditioned CG on the Crank-Nicolson system while it is
-    positive definite (2 - alpha*dt*g > 0 on every node), iterated to a
-    relative residual of 1e-14, with one sparse LU as the fallback; each
-    step must pass the 1e-12 residual gate.  ``solver_stats`` holds one
-    {"iterations", "residual", "fallback"} entry per step.  This is
+    CG on the Crank-Nicolson system while it is positive definite
+    (2 - alpha*dt*g > 0 on every node), preconditioned by Jacobi scaling
+    with the constant mode deflated (``constant_mode_preconditioner``) and
+    iterated to a relative residual of 1e-14, with one sparse LU as the
+    fallback; each step must pass the 1e-12 residual gate.  ``solver_stats`` holds one
+    {"iterations", "residual", "fallback"} entry per step, and a run whose
+    steps fell back to the LU logs one warning.  This is
     ``solve_fk_graph_alphas`` at the single alpha, raising its failure.
 
     The scheme needs two back states; the loop self-starts with

@@ -337,7 +337,9 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
     alpha, with that alpha's error, as a sweep running its alphas one after
     another would.  The half-crossing times must decrease strictly with
     alpha.  Each alpha writes to ``alpha_{alpha:g}``, so two alphas that
-    agree to 6 significant digits are rejected before any run.
+    agree to 6 significant digits are rejected before any run, as is an
+    alpha with dt*alpha at or above its domain's bound (see
+    SimulationConfig.check_step_size).
     """
     cfg.validate()
     alphas = [float(a) for a in alphas]
@@ -345,6 +347,8 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
         raise ConfigError("empty alpha list")
     if any(a <= 0 for a in alphas):
         raise ConfigError("alpha values must be positive")
+    for a in alphas:
+        cfg.check_step_size(a)
     dirs = {}  # output directory name -> alpha; %g keeps 6 significant digits
     for a in alphas:
         name = f"alpha_{a:g}"

@@ -1,6 +1,7 @@
 """Preconditioned conjugate gradients, shared by the mesh and graph solvers.
 
-One loop serves both time steppers: the graph passes Jacobi scaling, the
+One loop serves both time steppers: the graph passes Jacobi scaling with
+the constant mode deflated (see graphfk.constant_mode_preconditioner), the
 DG stepper a factorization of I + dt*A (see dg.stepper).  It solves k
 independent systems at once, one per row of a (k, N) block; a 1-D right-
 hand side is the k = 1 case.  Rows share the operator applications, so a

@@ -1,3 +1,4 @@
+import math
 import typing
 from dataclasses import fields
 
@@ -100,6 +101,24 @@ def test_non_finite_float_rejected(name, value):
     setattr(cfg, name, value)
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("domain,bound", [("mesh", 1.0), ("graph", 2.0)])
+def test_dt_alpha_bound_by_domain(domain, bound):
+    # dt = 0.25 makes dt*alpha exact: alpha = 4*bound lies on the bound,
+    # the float just below it is the largest alpha that passes
+    on_bound = 4.0 * bound
+    message = (
+        rf"dt\*alpha must be < {bound:g} on a {domain} run, "
+        rf"got dt=0\.25, alpha={on_bound:g} \(dt\*alpha={bound:g}\)"
+    )
+    with pytest.raises(ConfigError, match=message):
+        SimulationConfig(domain=domain, dt=0.25, alpha=on_bound).validate()
+    with pytest.raises(ConfigError, match=f"on a {domain} run"):
+        SimulationConfig(domain=domain, dt=0.25, alpha=2.0 * on_bound).validate()
+    SimulationConfig(domain=domain, dt=0.25, alpha=math.nextafter(on_bound, 0.0)).validate()
+    # the published step with the largest published conversion rate
+    SimulationConfig(domain=domain, dt=0.05, alpha=8.54).validate()
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])

@@ -36,6 +36,21 @@ def test_single_element_constant_mode_update():
     assert oracle == pytest.approx(0.10282, abs=5e-6)
 
 
+@pytest.mark.parametrize("dt_alpha", [0.5, 0.99])
+def test_uniform_step_is_the_scalar_update_up_to_the_dt_alpha_bound(dt_alpha):
+    # c+ = c / (1 - dt*alpha*(1 - c)) on every element, also just under
+    # the dt*alpha < 1 that the configuration enforces
+    mesh = generate_structured_mesh(2, 4, 100.0, labeler=slab_labeler(5, 100.0))
+    dt, c = 0.05, 0.1
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=dt_alpha / dt, eta0=10.0, degree=2)
+    C0 = system.space.seed_vector(np.unique(mesh.regions), c)
+    C1, _ = MeshStepper(system, dt).step(C0)
+    ratio = 1.0 / (1.0 - dt_alpha * (1.0 - c))
+    assert np.abs(C1 - ratio * C0).max() <= 1e-12 * np.abs(C1).max()
+    mean = system.space.region_weights(np.unique(mesh.regions)) @ C1
+    assert mean == pytest.approx(c * ratio, abs=1e-12)
+
+
 def test_uniform_state_tracks_scalar_recursion_exactly():
     # diffusion must contribute nothing on spatially uniform states
     mesh = generate_structured_mesh(2, 3, 1.0)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -360,3 +362,124 @@ def test_dt_validation():
     conn = edgeless_graph(1)
     with pytest.raises(ValueError, match="dt"):
         graphfk.step_cn_extrapolated(conn, np.array([0.1]), np.array([0.1]), 0.7, 0.0)
+
+
+@st.composite
+def preconditioner_cases(draw):
+    """A connected graph (ring plus chords, M 1-30), dt and k rows of a > 0."""
+    M = draw(st.integers(1, 30))
+    pairs = {(i, (i + 1) % M) for i in range(M if M > 2 else M - 1)}
+    chords = draw(
+        st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)), max_size=2 * M)
+    )
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in pairs | set(chords) if i != j})
+    counts = [draw(st.floats(0.1, 50.0)) for _ in pairs]
+    lengths = [draw(st.floats(1.0, 20.0)) for _ in pairs]
+    conn = Connectome(
+        region_ids=np.arange(1, M + 1), coords=np.zeros((M, 3)), volumes=np.ones(M),
+        edges=Edges(pairs, counts, lengths), scale_k=draw(st.floats(0.01, 100.0)),
+    )
+    k = draw(st.integers(1, 4))
+    a = draw(
+        st.lists(st.floats(1e-3, 2.0), min_size=k * M, max_size=k * M).map(
+            lambda v: np.reshape(v, (k, M))
+        )
+    )
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    return conn, a, dt, draw(st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3))
+
+
+def test_constant_mode_preconditioner_properties():
+    # the callback's dense matrix is P^T D^-1 P + 1 1^T / sum(a): symmetric
+    # positive definite; it maps a*c to c*1; and a block row gets the bits
+    # of a one-row block
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(preconditioner_cases(), st.randoms(use_true_random=False))
+    def check(case, random):
+        conn, a, dt, c = case
+        M = conn.n_nodes
+        d = a + dt * conn.degree
+        precond = graphfk.constant_mode_preconditioner(a, d)
+        R = np.array([[random.uniform(-1.0, 1.0) for _ in range(M)] for _ in a])
+        Z = precond(R)
+        for i in range(len(a)):
+            one = graphfk.constant_mode_preconditioner(a[i : i + 1], d[i : i + 1])
+            assert one(R[i : i + 1]).tobytes() == Z[i : i + 1].tobytes()
+        a0, d0 = np.tile(a[0], (M, 1)), np.tile(d[0], (M, 1))
+        dense = graphfk.constant_mode_preconditioner(a0, d0)(np.eye(M))
+        P = np.eye(M) - np.outer(a[0], np.ones(M)) / a[0].sum()
+        expected = P.T @ np.diag(1.0 / d[0]) @ P + np.ones((M, M)) / a[0].sum()
+        scale = np.abs(expected).max()
+        assert np.abs(dense - expected).max() <= 1e-13 * scale
+        assert np.abs(dense - dense.T).max() <= 1e-14 * scale
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+        z = graphfk.constant_mode_preconditioner(a[:1], d[:1])(a[:1] * c)
+        assert np.linalg.norm(z - c) <= 1e-15 * np.linalg.norm(np.full(M, c))
+
+    check()
+
+
+def test_uniform_state_takes_one_cg_iteration_per_row():
+    # a uniform state leaves a uniform residual, which the coarse term
+    # solves exactly; Jacobi scaling on this mixed-degree graph took 8-9
+    conn = generate_connectome(12, "chain", extra_edges=[(1, 5), (1, 9), (3, 12), (5, 9)])
+    assert len(set(conn.degree.tolist())) > 2
+    C_n, C_nm1 = np.full((3, 12), 0.3), np.full((3, 12), 0.28)
+    nxt, stats = graphfk.step_cn_extrapolated(conn, C_n, C_nm1, [0.61, 2.18, 8.54], 0.05)
+    assert [row["iterations"] for row in stats] == [1, 1, 1]
+    assert not any(row["fallback"] for row in stats)
+    assert np.abs(nxt - nxt[:, :1]).max() <= 1e-14
+
+
+def test_hub_graph_at_scale_k_100_does_not_fall_back():
+    # a star of 83 nodes with random tract weights, k = 100: the hub's
+    # degree is about 200 times a leaf's.  Scaling by diag(a) alone falls
+    # back on every step; Jacobi scaling takes 3.9 iterations per step
+    rng = np.random.default_rng(4)
+    M = 83
+    pairs = [(0, j) for j in range(1, M)]
+    conn = Connectome(
+        region_ids=np.arange(1, M + 1), coords=np.zeros((M, 3)), volumes=np.ones(M),
+        edges=Edges(pairs, rng.uniform(1.0, 50.0, M - 1), rng.uniform(1.0, 20.0, M - 1)),
+        scale_k=100.0,
+    )
+    traj = graphfk.solve_fk_graph(conn, graphfk.seed_vector(conn, [2], 0.1), 0.61, 0.05, 2.0)
+    assert not any(row["fallback"] for row in traj.solver_stats)
+    assert np.mean([row["iterations"] for row in traj.solver_stats]) <= 3.0
+
+
+def test_one_node_seed_on_a_ring_with_chords_takes_few_iterations():
+    # the 83-node ring plus 3M random chords of the graph sweeps, seeded on
+    # one node: Jacobi scaling alone took 6.8-6.9 iterations per step
+    rng = np.random.default_rng(0)
+    M = 83
+    chords = set()
+    while len(chords) < 3 * M:
+        i, j = sorted(int(x) for x in rng.integers(1, M + 1, size=2))
+        if j - i > 1 and not (i == 1 and j == M):
+            chords.add((i, j))
+    conn = generate_connectome(M, "ring", extra_edges=sorted(chords))
+    traj = graphfk.solve_fk_graph(conn, graphfk.seed_vector(conn, [1], 0.1), 0.61, 0.05, 40.0)
+    assert traj.n_steps == 800
+    assert np.mean([row["iterations"] for row in traj.solver_stats]) < 3.0
+    assert not any(row["fallback"] for row in traj.solver_stats)
+
+
+def test_lu_fallback_logs_one_warning_per_alpha(chain5, caplog):
+    # at alpha = 50, dt = 0.05 the diagonal a = 2 - alpha*dt*g is negative
+    # from the first step, so every step of that row goes to the LU
+    C0 = graphfk.seed_vector(chain5, [1], 0.1)
+    with caplog.at_level(logging.WARNING, logger="fkneuro.graphfk"):
+        trajectories, failure = graphfk.solve_fk_graph_alphas(
+            chain5, C0, [0.61, 50.0], 0.05, 0.1
+        )
+    assert failure is None
+    assert [sum(row["fallback"] for row in t.solver_stats) for t in trajectories] == [0, 2]
+    records = [r for r in caplog.records if r.name == "fkneuro.graphfk"]
+    assert [r.getMessage() for r in records] == [
+        "2 of 2 steps fell back to the sparse LU (alpha=50, dt=0.05)"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fkneuro.graphfk"):
+        graphfk.solve_fk_graph(chain5, C0, 0.61, 0.05, 0.1)
+    assert not caplog.records

@@ -437,6 +437,28 @@ def test_sweep_rejects_bad_alphas(domains, tmp_path):
         harness.sweep(cfg, [0.5, -0.1])
 
 
+@pytest.mark.parametrize("domain,bound", [("mesh", 1.0), ("graph", 2.0)])
+def test_sweep_checks_dt_alpha_of_every_alpha_before_any_run(
+    domains, tmp_path, monkeypatch, domain, bound
+):
+    # the last alpha puts dt*alpha exactly on the bound; the one below it
+    # is the largest alpha that passes
+    jobs = []
+    monkeypatch.setattr(
+        harness, "_sweep_batch", lambda cfg_text, batch: jobs.extend(batch) or ([], None, None)
+    )
+    make = mesh_config if domain == "mesh" else graph_config
+    cfg = make(domains, output_dir=str(tmp_path / "sweep"), dt=0.5, workers=1)
+    on_bound = bound / 0.5
+    message = rf"< {bound:g} on a {domain} run, got dt=0\.5, alpha={on_bound:g} "
+    with pytest.raises(ConfigError, match=message):
+        harness.sweep(cfg, [0.5, on_bound])
+    assert not jobs and not (tmp_path / "sweep").exists()
+    below = math.nextafter(on_bound, 0.0)
+    harness.sweep(cfg, [0.5, below])
+    assert [a for a, _ in jobs] == [0.5, below]
+
+
 def test_sweep_rejects_alphas_sharing_a_directory(domains, tmp_path, monkeypatch):
     # alpha_{a:g} keeps 6 significant digits: the second alpha would
     # overwrite the first one's files, or, repeated, fail the t_half order
