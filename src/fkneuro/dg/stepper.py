@@ -33,9 +33,8 @@ two), while each C^n is the array the stepper itself returned.  The start
 sets the iteration count: at 2D n=24 it takes CG from about 3 iterations
 per step down to about 1.3.  A solve that breaks down or stagnates -- e.g.
 the step matrix loses definiteness for large dt*alpha -- ends early and
-falls back to a direct factorization of the full step matrix, with up to
-three steps of iterative refinement while its residual is above the
-tolerance.
+falls back to a refined sparse LU of the full step matrix, under the
+policy that ``linsolve.solve`` applies to both steppers (see ``linsolve``).
 """
 
 import logging
@@ -45,8 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import LinearSolverError
-from ..linsolve import pcg
+from ..linsolve import solve
 from ..trajectory import OVERSHOOT_HIGH, OVERSHOOT_LOW, Trajectory
 
 logger = logging.getLogger(__name__)
@@ -56,76 +54,25 @@ logger = logging.getLogger(__name__)
 # so the start sets the count: the linear extrapolant lies 1e-4 to 5e-4
 # (relative) from the next state, the 5-point one about 1e-8.
 _ORDER = 4
-_REFINEMENTS = 3  # refinement steps of a direct fallback above the tolerance
 # the weights (-1)^j binom(k + 1, j + 1) of C^{n-j}, j = 0..k, for k + 1 states
 _EXTRAPOLATION = [
     [(-1) ** j * math.comb(k + 1, j + 1) for j in range(k + 1)] for k in range(_ORDER + 1)
 ]
 
 
-def solve_linear(
-    A: sp.csr_matrix, b: np.ndarray, x0=None, rtol=1e-10, maxiter=None, precond=None
-):
+def solve_linear(A: sp.csr_matrix, b: np.ndarray, x0, rtol, maxiter, precond):
     """Solve A x = b to relative residual <= rtol; returns (x, stats).
 
-    Tries preconditioned CG first, from x0 (zero unless given) for at most
-    ``maxiter`` iterations (10 N unless given); ``precond(r)`` applies the
-    preconditioner, pointwise-diagonal scaling unless given.  Then a direct
-    factorization, refined by up to _REFINEMENTS steps x += LU^{-1}(b - A x)
-    while its residual is above the tolerance; the best iterate is kept.
-    Raises LinearSolverError (with the relative residual history of both
-    attempts) if neither reaches the tolerance.
+    The k = 1 call of ``linsolve.solve``: CG from x0 preconditioned by
+    ``precond(r)``, then a refined sparse LU; raises its LinearSolverError.
     """
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros_like(b), {"iterations": 0, "residual": 0.0, "fallback": False}
-    if maxiter is None:
-        maxiter = 10 * A.shape[0]
-    if x0 is None:
-        x0 = np.zeros(A.shape[0])
-    if precond is None:
-        diag = A.diagonal()
-        inv_diag = np.where(diag != 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
-
-        def precond(r):
-            return inv_diag * r
-
-    x, iterations, residuals = pcg(A.dot, precond, b, x0, rtol * b_norm, maxiter)
-    history = [res / b_norm for res in residuals]
-    if history[-1] <= rtol:
-        residual = float(np.linalg.norm(b - A @ x)) / b_norm
-        if residual <= rtol:
-            return x, {"iterations": iterations, "residual": residual, "fallback": False}
-        history.append(residual)
-
-    try:
-        lu = spla.splu(A.tocsc())
-        x = lu.solve(b)
-    except RuntimeError as exc:
-        raise LinearSolverError(
-            f"iterative solve stalled (residual {history[-1]:.3e}) and direct "
-            f"factorization failed: {exc}",
-            residual_history=history,
-        )
-    # iterative refinement with the same factors, while the residual is
-    # above the tolerance: the factorization's round-off can leave it there
-    r = b - A @ x
-    best, residual = x, float(np.linalg.norm(r)) / b_norm
-    history.append(residual)
-    for _ in range(_REFINEMENTS):
-        if residual <= rtol:
-            break
-        x = x + lu.solve(r)
-        r = b - A @ x
-        history.append(float(np.linalg.norm(r)) / b_norm)
-        if history[-1] < residual:
-            best, residual = x, history[-1]
-    if residual > rtol:
-        raise LinearSolverError(
-            f"direct fallback residual {residual:.3e} above tolerance {rtol:.3e}",
-            residual_history=history,
-        )
-    return best, {"iterations": iterations, "residual": residual, "fallback": True}
+    X, (stats,) = solve(
+        lambda rows: (lambda V: A.dot(V[0])[None], lambda R: precond(R[0])[None]),
+        lambda i: A, b[None], x0[None], rtol, rtol, maxiter, [True],
+    )
+    if "error" in stats:
+        raise stats["error"]
+    return X[0], stats
 
 
 class MeshStepper:
@@ -142,7 +89,7 @@ class MeshStepper:
         factors = system.step_factors
         if dt not in factors:
             factors[dt] = spla.splu(
-                (system.mass + dt * A).tocsc(),
+                (sp.identity(system.N, format="csr") + dt * A).tocsc(),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},

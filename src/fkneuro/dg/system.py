@@ -52,7 +52,6 @@ class DGSystem:
     model: object
     alpha: float
     eta0: float
-    mass: sp.csr_matrix = field(init=False)
     stiffness: sp.csr_matrix = field(init=False)
     penalties: np.ndarray = field(init=False)  # per internal face
     # dt -> the preconditioner of I + dt*A (see MeshStepper); shared by the
@@ -80,10 +79,6 @@ class DGSystem:
         other = copy.copy(self)
         other.alpha = alpha
         return other
-
-    @property
-    def linear_reaction(self) -> sp.csr_matrix:
-        return self.alpha * self.mass
 
     @property
     def mesh(self):
@@ -134,7 +129,6 @@ class DGSystem:
         cols = np.concatenate([np.broadcast_to(i[:, None, :], b.shape).ravel() for b, i in blocks])
         vals = np.concatenate([b.ravel() for b, _ in blocks])
         N = space.N
-        self.mass = sp.identity(N, format="csr")
         self.stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
         self.penalties = penalties
         self.step_factors = {}

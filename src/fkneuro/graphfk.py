@@ -12,19 +12,19 @@ reaction and damps growth.  That variant stays available behind
 ``literal_rhs`` for auditability.
 
 Each step solves (diag(a) + dt*L) C^{n+1} = b with a = 2 - alpha*dt*g.
-The matrix changes only on its diagonal, so no matrix is built: the
-operator is applied as a*v + dt*(L @ v) inside preconditioned CG
-(``linsolve.pcg``, the loop the DG stepper uses too), started from the
-extrapolant 2 C^n - C^{n-1}.  The preconditioner is Jacobi scaling with
-the constant vector deflated, which the system maps to a since L 1 = 0
-(``constant_mode_preconditioner``): CG removes a constant error in one
-iteration, so a step from a uniform state takes one.  While every
+The matrix changes only on its diagonal, so CG applies it as
+a*v + dt*(L @ v), started from the extrapolant 2 C^n - C^{n-1}, under the
+solve policy the DG stepper shares (``linsolve.solve``; see ``linsolve``).
+The preconditioner is Jacobi scaling with the constant vector deflated,
+which the system maps to a since L 1 = 0 (``constant_mode_preconditioner``):
+CG removes a constant error in one iteration, so a step from a uniform
+state takes one.  While every
 a_j > 0 the system is symmetric positive definite (diag(a) > 0,
 dt*L >= 0) and CG applies; it iterates to a relative residual of 1e-14,
 two decades under the 1e-12 gate every step must pass.  When some
-a_j <= 0, or CG does not get there within _CG_MAXITER iterations (or
-breaks down or stagnates first), one sparse LU of the system solves the
-step instead.
+a_j <= 0, or CG does not pass the gate within _CG_MAXITER iterations (or
+breaks down or stagnates first), a refined sparse LU of the system solves
+the step instead.
 
 A step also takes a (k, M) block of k states, one per alpha, and solves
 its rows as k independent systems that share each CG iteration's L @ V
@@ -40,10 +40,8 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import LinearSolverError
-from .linsolve import pcg, row_dots
+from .linsolve import solve
 from .trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
@@ -69,12 +67,6 @@ def _laplacian_rows(L, V):
     if len(V) == 1:  # the vector product, without the block product's set-up
         return (L @ V[0])[None]
     return (L @ V.T).T
-
-
-def _residual_norms(L, dt, a, rhs, X):
-    """The norms of the rows of rhs - (a X + dt L X), each row's bits its own."""
-    d = rhs - (a * X + dt * _laplacian_rows(L, X))
-    return [math.sqrt(v) for v in row_dots(d, d).tolist()]
 
 
 def constant_mode_preconditioner(a, d):
@@ -139,17 +131,18 @@ def step_cn_extrapolated(
     ``C_n`` and ``C_nm1`` are (M,) states, or (k, M) blocks whose row i is
     an independent state at conversion rate ``alpha[i]`` (``alpha`` a
     scalar or of shape (k,)).  Every row has its own reaction, scale,
-    preconditioner, CG recurrence, residual gate and LU fallback, and gets
-    the bits a 1-D call gives it.  The definite rows with a nonzero
-    right-hand side share one block CG, one ``L @ V`` per iteration, in
-    which a row that stops stays, frozen.
+    preconditioner, and, through ``linsolve.solve``, CG recurrence, residual
+    gate and LU fallback, and gets the bits a 1-D call gives it.  The
+    definite rows with a nonzero right-hand side share one block CG, one
+    ``L @ V`` per iteration, in which a row that stops stays, frozen.
 
-    ``stats`` has the keys of ``dg.stepper.solve_linear``: ``iterations``
-    (CG iterations), ``residual`` (true relative residual of C_next) and
-    ``fallback`` (whether the sparse LU solved the step).  A 1-D step
-    raises LinearSolverError when its solve fails.  A block step returns a
-    list of k such dicts instead; a row whose solve failed has NaN in
-    C_next and its LinearSolverError under the extra key ``error``.
+    ``stats`` has the keys of ``dg.stepper.solve_linear`` (see
+    ``linsolve``): ``iterations`` (CG iterations), ``residual`` (true
+    relative residual of C_next) and ``fallback`` (whether the sparse LU
+    solved the step).  A 1-D step raises LinearSolverError when its solve
+    fails.  A block step returns a list of k such dicts instead; a row
+    whose solve failed has NaN in C_next and its LinearSolverError under
+    the extra key ``error``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -183,59 +176,19 @@ def step_cn_extrapolated(
         ]
     )
     rhs = rhs / scale
-    rhs_norm = [math.sqrt(v) for v in row_dots(rhs, rhs).tolist()]
 
-    # the singular/indefinite test comes first: a zero right-hand side
-    # says nothing about whether the system has a unique solution; a
-    # definite row with one is solved by C_next = 0
-    definite = [m > 0 for m in a.min(axis=1).tolist()]
-    stats = [
-        {"iterations": 0, "residual": 0.0 if d and norm == 0.0 else math.inf, "fallback": False}
-        for d, norm in zip(definite, rhs_norm)
-    ]
-    cg = [i for i in range(k) if definite[i] and rhs_norm[i] != 0.0]
-    # CG starts from the extrapolant; one far from the solution may
-    # overflow, which ends in the LU fallback below
-    a_cg, rhs_cg = a.take(cg, 0), rhs.take(cg, 0)
-    tol = [_CG_RTOL * rhs_norm[i] for i in cg]
-    x, iterations, residuals = pcg(
-        lambda V: a_cg * V + dt * _laplacian_rows(L, V),
-        constant_mode_preconditioner(a_cg, a_cg + dt * conn.degree),
-        rhs_cg, ((2.0 * C_n - C_nm1) / scale).take(cg, 0), tol, _CG_MAXITER,
+    def operators(rows):
+        a_rows = a if len(rows) == k else a.take(rows, 0)
+        return (
+            lambda V: a_rows * V + dt * _laplacian_rows(L, V),
+            constant_mode_preconditioner(a_rows, a_rows + dt * conn.degree),
+        )
+
+    # the system is definite while every a_j > 0; CG starts from the extrapolant
+    C_next, stats = solve(
+        operators, lambda i: sp.diags(a[i]) + dt * L, rhs, (2.0 * C_n - C_nm1) / scale,
+        _CG_RTOL, _RESIDUAL_TOL, _CG_MAXITER, [m > 0 for m in a.min(axis=1).tolist()],
     )
-    converged = [res[-1] <= t for res, t in zip(residuals, tol)]
-    for j, ok in enumerate(converged):
-        if not ok:  # the LU below solves the row; zero keeps the gate finite
-            x[j] = 0.0
-    # the gate, one pass over the rows; a row CG left at its start has it
-    # already: pcg's first residual is rhs - (a x0 + dt L x0)
-    gate = [res[0] for res in residuals]
-    if any(iterations):
-        gate = _residual_norms(L, dt, a_cg, rhs_cg, x)
-    for i, its, ok, res in zip(cg, iterations, converged, gate):
-        stats[i]["iterations"] = its
-        if ok:
-            stats[i]["residual"] = res / rhs_norm[i]
-    C_next = np.zeros((k, M))
-    C_next[cg] = x
-    for i, row in enumerate(stats):
-        if row["residual"] <= _RESIDUAL_TOL:
-            continue
-        row["fallback"] = True
-        try:
-            C_next[i] = spla.splu((sp.diags(a[i]) + dt * L).tocsc()).solve(rhs[i])
-        except RuntimeError as exc:
-            row["error"] = LinearSolverError(f"singular Crank-Nicolson system: {exc}")
-        else:
-            (res,) = _residual_norms(L, dt, a[i : i + 1], rhs[i : i + 1], C_next[i : i + 1])
-            row["residual"] = res = res / rhs_norm[i] if rhs_norm[i] > 0 else res
-            if res > _RESIDUAL_TOL:
-                row["error"] = LinearSolverError(
-                    f"Crank-Nicolson solve residual {res:.3e} above {_RESIDUAL_TOL:.0e}",
-                    residual_history=[res],
-                )
-        if "error" in row:
-            C_next[i] = np.nan
     C_next *= scale
     if single:
         if "error" in stats[0]:
@@ -329,8 +282,9 @@ def solve_fk_graph(
     CG on the Crank-Nicolson system while it is positive definite
     (2 - alpha*dt*g > 0 on every node), preconditioned by Jacobi scaling
     with the constant mode deflated (``constant_mode_preconditioner``) and
-    iterated to a relative residual of 1e-14, with one sparse LU as the
-    fallback; each step must pass the 1e-12 residual gate.  ``solver_stats`` holds one
+    iterated to a relative residual of 1e-14, with a refined sparse LU as
+    the fallback; each step must pass the 1e-12 residual gate (the policy
+    of ``linsolve.solve``).  ``solver_stats`` holds one
     {"iterations", "residual", "fallback"} entry per step, and a run whose
     steps fell back to the LU logs one warning.  This is
     ``solve_fk_graph_alphas`` at the single alpha, raising its failure.

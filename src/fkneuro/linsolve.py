@@ -14,16 +14,39 @@ A row stops as soon as its recurrence residual reaches its absolute
 tolerance, and gives up early when its iteration breaks down (p . A p <= 0,
 which an SPD operator never produces) or stagnates (the residual does not
 halve within _STALL iterations), so a solve that cannot converge costs a
-bounded number of operator applications before the caller's direct
-fallback.  A stopped row stays in the block, frozen at its stop: the block
-products run over it, unread, until the last row stops.
+bounded number of operator applications before the direct fallback.  A
+stopped row stays in the block, frozen at its stop: the block products run
+over it, unread, until the last row stops.
+
+``solve`` applies one policy to the k systems of a step, and every row
+gets the bits, stats and error of its own k = 1 call:
+
+- a definite row (SPD, as the caller knows) with b = 0 is solved by 0;
+- the other definite rows run ``pcg`` to relative residual ``cg_rtol``,
+  and one block product gives their true residuals |b - A x| / |b| (a
+  row CG left at its start reuses pcg's first residual);
+- a row that CG did not converge or whose true residual is above
+  ``gate``, and every row that is not definite, is solved by a sparse LU
+  instead, refined up to _REFINEMENTS times while its round-off leaves the
+  residual above the gate (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2nd ed., ch. 12); the best iterate is kept;
+- a row whose factorization fails, or whose best residual still misses
+  the gate, gets NaN and a LinearSolverError with its relative residual
+  history (CG's, then the LU's).
+
+Each row's stats are {"iterations", "residual" (relative, of its
+solution), "fallback" (whether the LU solved it)}.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
+
+from .errors import LinearSolverError
 
 _STALL = 50  # iterations in which the residual does not halve that end the solve
+_REFINEMENTS = 3  # refinement steps of a direct fallback above the gate
 
 
 def row_dots(A, B):
@@ -107,3 +130,80 @@ def pcg(apply, precond, b, x0, tol, maxiter):
             x = x + step * p
             r = r - step * q
     return X, [len(h) - 1 for h in residuals], residuals
+
+
+def solve(operators, matrix, B, X0, cg_rtol, gate, maxiter, definite):
+    """Solve A_i x_i = b_i for the rows b_i of the (k, N) block B; returns (X, stats).
+
+    The policy of the module docstring.  ``operators(rows)`` returns pcg's
+    ``(apply, precond)`` for the block of the listed rows, ``matrix(i)``
+    the sparse A_i to factor, and ``definite[i]`` whether A_i is SPD.  CG
+    starts from X0 and stops after ``maxiter`` iterations.  ``stats`` holds
+    k dicts; a failed row's has its LinearSolverError under ``error``.
+    """
+    k = len(B)
+    norms = [math.sqrt(v) for v in row_dots(B, B).tolist()]
+    stats = [
+        {"iterations": 0, "residual": 0.0 if d and norm == 0.0 else math.inf, "fallback": False}
+        for d, norm in zip(definite, norms)
+    ]
+    X = np.zeros(B.shape)
+    cg = [i for i in range(k) if definite[i] and norms[i] != 0.0]
+    histories = {}
+    if cg:
+        B_cg, X0_cg = (B, X0) if len(cg) == k else (B.take(cg, 0), X0.take(cg, 0))
+        apply, precond = operators(cg)
+        tol = [cg_rtol * norms[i] for i in cg]
+        x, iterations, residuals = pcg(apply, precond, B_cg, X0_cg, tol, maxiter)
+        converged = [res[-1] <= t for res, t in zip(residuals, tol)]
+        for j, ok in enumerate(converged):
+            if not ok:  # the LU below solves the row; zero keeps the residual finite
+                x[j] = 0.0
+        true = [res[0] for res in residuals]
+        if any(iterations):
+            d = B_cg - apply(x)
+            true = [math.sqrt(v) for v in row_dots(d, d).tolist()]
+        for i, its, ok, res, history in zip(cg, iterations, converged, true, residuals):
+            stats[i]["iterations"] = its
+            if ok:
+                stats[i]["residual"] = res / norms[i]
+            if not stats[i]["residual"] <= gate:
+                histories[i] = [v / norms[i] for v in history]
+                if ok:
+                    histories[i].append(stats[i]["residual"])
+        X[cg] = x
+    for i, row in enumerate(stats):
+        if row["residual"] <= gate:
+            continue
+        row["fallback"] = True
+        history = histories.get(i, [])
+        X[i], row["residual"], error = _direct(matrix(i), B[i], norms[i] or 1.0, gate, history)
+        if error:
+            row["error"] = LinearSolverError(error, residual_history=history)
+    return X, stats
+
+
+def _direct(A, b, norm, gate, history):
+    """A refined sparse LU solve of A x = b; returns (x, residual, error text or None).
+
+    Every iterate's |b - A x| / norm goes to ``history``; a failed x is NaN.
+    """
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        return np.nan, math.inf, f"direct factorization failed: {exc}"
+    x = lu.solve(b)
+    r = b - A @ x
+    best, residual = x, math.sqrt(r.dot(r)) / norm
+    history.append(residual)
+    for _ in range(_REFINEMENTS):
+        if residual <= gate:
+            break
+        x = x + lu.solve(r)
+        r = b - A @ x
+        history.append(math.sqrt(r.dot(r)) / norm)
+        if history[-1] < residual:
+            best, residual = x, history[-1]
+    if not residual <= gate:
+        return np.nan, residual, f"direct fallback residual {residual:.3e} above gate {gate:.3e}"
+    return best, residual, None

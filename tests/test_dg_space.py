@@ -29,7 +29,7 @@ def test_monomial_exponents_graded():
 
 def test_element_mass_blocks_identity(tmp_path):
     # the DG system takes the mass matrix to be I on the strength of this
-    from test_dg_system import mixed_mesh, perturbed_mesh
+    from test_dg_system import element_gram_blocks, mixed_mesh, perturbed_mesh
 
     meshes = [
         generate_structured_mesh(2, 2, 3.0),
@@ -40,9 +40,8 @@ def test_element_mass_blocks_identity(tmp_path):
     for mesh in meshes:
         for degree, bound in ((1, 1e-12), (2, 1e-12), (3, 1e-10)):
             space = DGSpace(mesh, degree)
-            for _, _, w, phi in space.groups:
-                blocks = np.einsum("eqi,eq,eqj->eij", phi, w, phi)
-                assert np.abs(blocks - np.eye(space.n_local)).max() <= bound
+            blocks = element_gram_blocks(space)
+            assert np.abs(blocks - np.eye(space.n_local)).max() <= bound
 
 
 def test_quadrature_insufficient_rejected():

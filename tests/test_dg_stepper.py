@@ -13,6 +13,7 @@ from fkneuro.dg.stepper import MeshStepper
 from fkneuro.errors import LinearSolverError
 from fkneuro.geometry import DiffusionModel, generate_structured_mesh, slab_labeler
 from test_dg_system import mixed_mesh, perturbed_mesh, square_polygon_mesh
+from test_linsolve import jacobi
 
 
 def test_identity_evolution_without_reaction_or_diffusion():
@@ -213,7 +214,8 @@ def test_step_matrix_is_the_semi_implicit_operator(which, tmp_path, monkeypatch)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=2.0, eta0=10.0, degree=2)
     dt = 0.05
     stepper = MeshStepper(system, dt)
-    static = system.mass + dt * (system.stiffness - system.linear_reaction)
+    eye = sp.identity(system.N, format="csr")
+    static = eye + dt * (system.stiffness - system.alpha * eye)
     assert np.array_equal(stepper.static_part.toarray(), static.toarray())
     matrices = []
     original = stepper_module.solve_linear
@@ -305,7 +307,10 @@ def test_nan_detection_reports_step(monkeypatch):
 def test_solve_linear_singular_raises_with_history():
     A = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
     with pytest.raises(LinearSolverError) as err:
-        solve_linear(A, np.array([1.0, 1.0, 1.0]), rtol=1e-10)
+        solve_linear(
+            A, np.array([1.0, 1.0, 1.0]), x0=np.zeros(3), rtol=1e-10, maxiter=30,
+            precond=jacobi(A.toarray()),
+        )
     assert len(err.value.residual_history) >= 1
 
 
@@ -326,7 +331,9 @@ def test_direct_fallback_refines_to_the_tolerance():
 def test_solve_linear_indefinite_falls_back_correctly():
     A = sp.csr_matrix(np.diag([1.0, -2.0, 3.0]))
     b = np.array([1.0, 2.0, 3.0])
-    x, stats = solve_linear(A, b, rtol=1e-12)
+    x, stats = solve_linear(
+        A, b, x0=np.zeros(3), rtol=1e-12, maxiter=30, precond=jacobi(A.toarray())
+    )
     assert np.allclose(x, [1.0, -1.0, 1.0], atol=1e-12)
     assert stats["residual"] <= 1e-12
 

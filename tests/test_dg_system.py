@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fkneuro.dg import assemble, face_penalties
 from fkneuro.geometry import DiffusionModel, PolytopalMesh, generate_structured_mesh
@@ -17,6 +18,14 @@ def perturbed_mesh(n=4, seed=3):
     mesh = PolytopalMesh(verts, base.cells, base.regions, axons)
     mesh.validate()
     return mesh
+
+
+def element_gram_blocks(space):
+    """The element mass (Gram) matrices (E, nb, nb), by the space's quadrature."""
+    blocks = np.empty((space.mesh.n_elements, space.n_local, space.n_local))
+    for elements, _, w, phi in space.groups:
+        blocks[elements] = np.einsum("eqi,eq,eqj->eij", phi, w, phi)
+    return blocks
 
 
 def square_polygon_mesh():
@@ -100,12 +109,11 @@ def test_face_penalty_reaction_dominates():
 def test_symmetry_and_kernel_random_mesh(seed, degree):
     mesh = perturbed_mesh(4, seed)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=degree)
-    A, M = system.stiffness, system.mass
+    A, M = system.stiffness, element_gram_blocks(system.space)
     scale_a = np.abs(A.data).max()
     asym = A - A.T
     assert (np.abs(asym.data).max() if asym.nnz else 0.0) <= 1e-12 * scale_a
-    masym = M - M.T
-    assert (np.abs(masym.data).max() if masym.nnz else 0.0) <= 1e-12
+    assert np.abs(M - M.transpose(0, 2, 1)).max() <= 1e-12
     ones = system.space.project(lambda p: np.ones(len(p)))
     assert np.abs(A @ ones).max() <= 1e-10 * scale_a
 
@@ -170,7 +178,7 @@ def test_mixed_polygon_triangle_faces(tmp_path):
 
     # the elements carry quadrature rules of different sizes
     assert len(system.space.groups) > 1
-    diff = system.nonlinear_reaction(ones) - system.linear_reaction
+    diff = system.nonlinear_reaction(ones) - system.alpha * sp.identity(system.N)
     assert np.abs(diff.toarray()).max() <= 1e-10
 
 
@@ -197,15 +205,9 @@ def test_linear_states_energy(which, tmp_path):
 def test_mass_quadratic_form_is_domain_measure():
     mesh = generate_structured_mesh(2, 3, 2.0)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=2)
-    c = system.space.project(lambda p: np.ones(len(p)))
-    assert c @ (system.mass @ c) == pytest.approx(mesh.measure, rel=1e-12)
-
-
-def test_linear_reaction_scales_mass():
-    mesh = generate_structured_mesh(2, 2, 1.0)
-    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
-    diff = system.linear_reaction - 0.61 * system.mass
-    assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12
+    c = system.space.project(lambda p: np.ones(len(p))).reshape(mesh.n_elements, -1)
+    quadratic = np.einsum("ei,eij,ej->", c, element_gram_blocks(system.space), c)
+    assert quadratic == pytest.approx(mesh.measure, rel=1e-12)
 
 
 def test_with_alpha_shares_operators_until_the_penalty_moves():
@@ -223,8 +225,7 @@ def test_with_alpha_shares_operators_until_the_penalty_moves():
     assert np.array_equal(moved.penalties, fresh.penalties)
     assert not np.array_equal(moved.penalties, system.penalties)
     assert (moved.stiffness != fresh.stiffness).nnz == 0
-    diff = moved.linear_reaction - 3.0 * moved.mass
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+    assert moved.alpha == 3.0
 
 
 def test_nonlinear_reaction_zero_state():
@@ -238,7 +239,7 @@ def test_nonlinear_reaction_constant_one_matches_linear():
     mesh = perturbed_mesh(3, seed=5)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=2)
     ones = system.space.project(lambda p: np.ones(len(p)))
-    diff = system.nonlinear_reaction(ones) - system.linear_reaction
+    diff = system.nonlinear_reaction(ones) - system.alpha * sp.identity(system.N)
     assert np.abs(diff.toarray()).max() <= 1e-10
 
 
@@ -257,7 +258,7 @@ def test_nonlinear_reaction_linearity_and_half():
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
     ones = system.space.project(lambda p: np.ones(len(p)))
-    half = system.nonlinear_reaction(0.5 * ones) - 0.5 * system.linear_reaction
+    half = system.nonlinear_reaction(0.5 * ones) - 0.5 * system.alpha * sp.identity(system.N)
     assert np.abs(half.toarray()).max() <= 1e-10
 
 

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,7 +208,10 @@ def test_large_graph_matches_dense_direct_solve():
 def test_solver_stats_recorded(chain5):
     C0 = graphfk.seed_vector(chain5, [1], 0.3)
     traj = graphfk.solve_fk_graph(chain5, C0, alpha=0.61, dt=0.05, T=0.5)
-    dg_keys = solve_linear(sp.identity(2, format="csr"), np.ones(2))[1].keys()
+    dg_keys = solve_linear(
+        sp.identity(2, format="csr"), np.ones(2), x0=np.zeros(2), rtol=1e-10, maxiter=20,
+        precond=lambda r: r,
+    )[1].keys()
     assert len(traj.solver_stats) == traj.n_steps
     for entry in traj.solver_stats:
         assert entry.keys() == dg_keys
@@ -315,6 +319,50 @@ def test_block_step_rows_equal_single_steps():
 
     check()
     assert {"cg", "fallback"} <= seen
+
+
+def test_lu_fallback_refines_a_solve_above_the_gate(chain5, monkeypatch):
+    # at alpha = 50 some a <= 0, so the LU solves the step; its first solve
+    # is perturbed by 1e-9 relative, above the 1e-12 gate, and a refinement
+    # step with the same factors takes the residual back under it
+    C0 = graphfk.seed_vector(chain5, [1], 0.1)
+    exact, _ = graphfk.step_cn_extrapolated(chain5, C0, C0, 50.0, 0.05)
+    real = spla.splu
+
+    class PerturbedFirstSolve:
+        def __init__(self, *args, **kwargs):
+            self.lu, self.solves = real(*args, **kwargs), 0
+
+        def solve(self, b):
+            self.solves += 1
+            x = self.lu.solve(b)
+            return x * (1.0 + 1e-9) if self.solves == 1 else x
+
+    monkeypatch.setattr(spla, "splu", PerturbedFirstSolve)
+    C_next, stats = graphfk.step_cn_extrapolated(chain5, C0, C0, 50.0, 0.05)
+    assert stats["fallback"] is True and stats["iterations"] == 0
+    assert stats["residual"] <= 1e-12
+    assert np.abs(C_next - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+def test_hub_and_ring_graph_passes_the_gate_and_matches_the_direct_solve():
+    # a hub joined to a ring of 82 leaves at k = 100: each step takes 47-48
+    # of the 50 CG iterations, and must still pass the 1e-12 gate
+    rng = np.random.default_rng(0)
+    M = 83
+    pairs = [(0, j) for j in range(1, M)] + [(j, j + 1) for j in range(1, M - 1)] + [(1, M - 1)]
+    conn = Connectome(
+        region_ids=np.arange(1, M + 1), coords=np.zeros((M, 3)), volumes=np.ones(M),
+        edges=Edges(pairs, rng.uniform(1.0, 50.0, len(pairs)), rng.uniform(1.0, 20.0, len(pairs))),
+        scale_k=100.0,
+    )
+    C0 = graphfk.seed_vector(conn, [2], 0.1)
+    traj = graphfk.solve_fk_graph(conn, C0, 0.61, 0.05, 2.0)
+    assert traj.n_steps == 40
+    assert all(row["residual"] <= 1e-12 for row in traj.solver_stats)
+    assert min(row["iterations"] for row in traj.solver_stats) >= 40
+    reference = dense_cn_states(conn, C0, 0.61, 0.05, traj.n_steps)
+    assert np.abs(traj.states - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 def test_block_step_keeps_a_singular_rows_error_to_itself():

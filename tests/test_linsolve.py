@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fkneuro.dg.stepper import solve_linear
 from fkneuro.errors import LinearSolverError
-from fkneuro.linsolve import _STALL, pcg
+from fkneuro.linsolve import _STALL, pcg, solve
 
 RTOL = 1e-10
 MAXITER = 1000
@@ -86,7 +86,10 @@ def test_pcg_ends_early_without_a_positive_definite_system(kind):
         if kind == "singular":
             assert not converged
             with pytest.raises(LinearSolverError) as err:
-                solve_linear(sp.csr_matrix(A), b, rtol=RTOL, maxiter=MAXITER)
+                solve_linear(
+                    sp.csr_matrix(A), b, x0=np.zeros(len(b)), rtol=RTOL, maxiter=MAXITER,
+                    precond=jacobi(A),
+                )
             assert len(err.value.residual_history) >= 1
 
     check()
@@ -162,3 +165,71 @@ def test_pcg_rows_equal_their_single_solves():
 
     check()
     assert seen == {"tolerance", "cap", "stall", "breakdown"}
+
+
+GATE = 1e-9
+
+
+def solve_rows(systems, B, X0, definite, maxiter):
+    """``solve`` on the rows of B, row i the system systems[i], Jacobi-preconditioned."""
+
+    def operators(rows):
+        As = [systems[i] for i in rows]
+        inv_diags = np.array([inverse_diagonal(A) for A in As])
+        return lambda V: np.array([A @ v for A, v in zip(As, V)]), lambda R: inv_diags * R
+
+    return solve(
+        operators, lambda i: sp.csr_matrix(systems[i]), B, X0, RTOL, GATE, maxiter, definite
+    )
+
+
+def test_solve_rows_equal_their_single_solves():
+    # every row of a block gets the bits, stats and error of its own k = 1
+    # call, and either meets the gate or carries a LinearSolverError: rows
+    # with b = 0, rows marked not definite (the LU alone), and definite-
+    # marked rows whose CG converges, stalls or breaks down
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        stacked_systems(), st.data(), st.sampled_from([3, MAXITER]),
+        st.randoms(use_true_random=False),
+    )
+    def check(stacked, data, maxiter, random):
+        k = len(stacked)
+        systems = [A for A, _ in stacked]
+        zero = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        definite = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        B = np.array([0.0 * b if z else b for (_, b), z in zip(stacked, zero)])
+        X0 = np.array([[random.gauss(0.0, 1.0) for _ in b] for b in B])
+        if data.draw(st.booleans()):
+            X0[:] = 0.0
+        X, stats = solve_rows(systems, B, X0, definite, maxiter)
+        assert X.shape == B.shape and len(stats) == k
+        for i in range(k):
+            x1, (stats1,) = solve_rows(
+                systems[i : i + 1], B[i : i + 1], X0[i : i + 1], definite[i : i + 1], maxiter
+            )
+            assert X[i].tobytes() == x1[0].tobytes()
+            row, error = dict(stats[i]), stats[i].get("error")
+            row1, error1 = dict(stats1), stats1.get("error")
+            assert str(row.pop("error", "")) == str(row1.pop("error", ""))
+            assert row == row1
+            assert set(row) == {"iterations", "residual", "fallback"}
+            if error is None:
+                assert row["residual"] <= GATE and np.isfinite(X[i]).all()
+                # the true relative residual, |b - A x| by the product that solved the row
+                A, b = systems[i], B[i]
+                r = b - (sp.csr_matrix(A) if row["fallback"] else A) @ X[i]
+                assert row["residual"] == np.linalg.norm(r) / (np.linalg.norm(b) or 1.0)
+                assert row["fallback"] or definite[i]
+                seen.add("fallback" if row["fallback"] else "zero" if zero[i] else "cg")
+            else:
+                assert isinstance(error, LinearSolverError) and row["fallback"]
+                history, history1 = error.residual_history, error1.residual_history
+                assert np.array(history).tobytes() == np.array(history1).tobytes()
+                assert np.isnan(X[i]).all()
+                seen.add("error")
+
+    check()
+    assert seen == {"zero", "cg", "fallback", "error"}
