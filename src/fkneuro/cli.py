@@ -79,6 +79,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stage(args) -> int:
+    if not 0.0 < args.c_crit < 1.0:
+        raise ConfigError(f"c_crit must be in (0,1), got {args.c_crit}")
     times, columns = read_series_csv(args.input)
     stage_curves = {
         name[len("avg_") :]: vals

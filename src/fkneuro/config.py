@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .staging import SuvrMapParams
-from .trajectory import fmt17
+from .trajectory import fmt17, step_count
 
 # dt*alpha must stay below the bound of its domain.  On a uniform state c
 # the mesh step is c / (1 - dt*alpha*(1 - c)), which keeps every c in
@@ -71,6 +71,10 @@ class SimulationConfig:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if not self.T >= self.dt:
             raise ConfigError(f"T must be >= dt, got T={self.T}, dt={self.dt}")
+        try:
+            step_count(self.T, self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
         self.check_step_size(self.alpha)

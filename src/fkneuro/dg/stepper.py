@@ -35,6 +35,8 @@ per step down to about 1.3.  A solve that breaks down or stagnates -- e.g.
 the step matrix loses definiteness for large dt*alpha -- ends early and
 falls back to a refined sparse LU of the full step matrix, under the
 policy that ``linsolve.solve`` applies to both steppers (see ``linsolve``).
+``solve_fk_mesh`` runs the steps in the time loop both solvers share,
+``trajectory.advance``.
 """
 
 import logging
@@ -45,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..linsolve import solve
-from ..trajectory import OVERSHOOT_HIGH, OVERSHOOT_LOW, Trajectory
+from ..trajectory import OVERSHOOT_HIGH, OVERSHOOT_LOW, Trajectory, advance
 
 logger = logging.getLogger(__name__)
 
@@ -153,12 +155,6 @@ class MeshStepper:
         return self.system.space.project(lambda p: forcing(p, t))
 
 
-def _element_mean_range(C, weights):
-    """Lowest and highest element mean of the DG state C; weights (E, nb)."""
-    means = np.einsum("ei,ei->e", C.reshape(weights.shape), weights)
-    return means.min(), means.max()
-
-
 def solve_fk_mesh(
     system,
     C0: np.ndarray,
@@ -170,47 +166,35 @@ def solve_fk_mesh(
 ) -> Trajectory:
     """Run the semi-implicit time loop from C0 up to final time T.
 
-    Logs one warning per run when any step fell back to the direct solve,
-    and one when an element mean of any state, initial one included, lies
-    outside [OVERSHOOT_LOW, OVERSHOOT_HIGH].  The states are kept as
-    computed either way.
+    ``trajectory.advance`` at one row runs ``MeshStepper.step`` on the
+    state the step before returned, so the extrapolation chain runs on;
+    the run raises the loop's failure.  Logs one warning when any step fell
+    back to the sparse LU, and one when an element mean of any state,
+    initial one included, lies outside [OVERSHOOT_LOW, OVERSHOOT_HIGH].
+    The states are kept as computed either way.
     """
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ValueError(f"final time {T} shorter than one step {dt}")
-    stepper = MeshStepper(
-        system, dt, rtol=rtol, maxiter=int(maxiter_factor * system.N)
-    )
+    stepper = MeshStepper(system, dt, rtol=rtol, maxiter=int(maxiter_factor * system.N))
+
+    def step(C_n, C_nm1, alphas, t):
+        C_next, stats = stepper.step(C_n, forcing=forcing, t_next=t)
+        return C_next, [stats]
+
+    trajectories, failure = advance(step, C0, [system.alpha], dt, T, logger)
+    if failure is not None:
+        raise failure
+    traj = trajectories[0]
     # element mean: the basis integrals times the coefficients, over the measure
-    mean_weights = system.space.basis_integrals / system.space.measures[:, None]
-    states = np.empty((n_steps + 1, system.N))
-    states[0] = C0
-    stats = []
-    C = np.asarray(C0, dtype=float)
-    mean_ranges = [_element_mean_range(C, mean_weights)]
-    for n in range(n_steps):
-        C, st = stepper.step(C, forcing=forcing, t_next=(n + 1) * dt)
-        if not np.isfinite(C).all():
-            raise FloatingPointError(
-                f"non-finite state after step {n + 1} (t={(n + 1) * dt:g})"
-            )
-        states[n + 1] = C
-        stats.append(st)
-        mean_ranges.append(_element_mean_range(C, mean_weights))
-    fallbacks = sum(st["fallback"] for st in stats)
-    if fallbacks:
-        logger.warning(
-            "%d of %d steps fell back to the direct solve (alpha=%g, dt=%g)",
-            fallbacks, n_steps, system.alpha, dt,
-        )
-    lows, highs = np.array(mean_ranges).T
+    weights = system.space.basis_integrals / system.space.measures[:, None]
+    lows, highs = np.empty((2, len(traj.states)))
+    for n, C in enumerate(traj.states):
+        means = np.einsum("ei,ei->e", C.reshape(weights.shape), weights)
+        lows[n], highs[n] = means.min(), means.max()
     outside = np.count_nonzero((lows < OVERSHOOT_LOW) | (highs > OVERSHOOT_HIGH))
     if outside:
         logger.warning(
             "%d of %d states have element means outside [%g, %g]: "
             "from %.6g to %.6g (alpha=%g, dt=%g)",
-            outside, n_steps + 1, OVERSHOOT_LOW, OVERSHOOT_HIGH, lows.min(), highs.max(),
+            outside, len(traj.states), OVERSHOOT_LOW, OVERSHOOT_HIGH, lows.min(), highs.max(),
             system.alpha, dt,
         )
-    times = dt * np.arange(n_steps + 1)
-    return Trajectory(times=times, states=states, solver_stats=stats)
+    return traj

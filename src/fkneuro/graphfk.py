@@ -29,10 +29,11 @@ the step instead.
 A step also takes a (k, M) block of k states, one per alpha, and solves
 its rows as k independent systems that share each CG iteration's L @ V
 (a row that stops stays in the block, frozen); ``solve_fk_graph_alphas``
-advances the alphas of a sweep in lockstep that way.  Every row has its own
-scale, gate and fallback, and comes out bit-identical to a run at its
+advances the alphas of a sweep in lockstep that way, through the time
+loop the DG solver shares (``trajectory.advance``: step count, states,
+non-finite check, failure rule and fallback warning).  Every row has its
+own scale, gate and fallback, and comes out bit-identical to a run at its
 alpha alone (``solve_fk_graph``, which is the lockstep loop at one alpha).
-A run logs one warning per alpha whose steps fell back to the LU.
 """
 
 import logging
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linsolve import solve
-from .trajectory import Trajectory
+from .trajectory import Trajectory, advance
 
 logger = logging.getLogger(__name__)
 
@@ -207,65 +208,18 @@ def solve_fk_graph_alphas(
 ):
     """Run the graph time loop from C0 up to final time T at every alpha at once.
 
-    The k alphas are the k rows of one state block, advanced in lockstep:
-    one call of the module attribute ``step_cn_extrapolated`` per time
-    step, whose rows each get the bits a run at their alpha alone gives
-    them (see ``solve_fk_graph`` for the scheme).
-
-    Returns (trajectories, failure).  A row fails when its step does (the
-    residual gate or a singular LU) or its state turns non-finite; it
-    leaves the loop together with every row after it, and the rows before
-    it run on to T.  ``trajectories`` holds one Trajectory per alpha up to
-    the first that failed, each with its states a view of one
-    (k, n_steps + 1, M) block; ``failure`` is that alpha's exception, the
-    one ``solve_fk_graph`` at that alpha raises, or None.  Each alpha in
-    ``trajectories`` whose steps fell back to the sparse LU logs one
-    warning with their count, the alpha and dt.
+    The alphas are the rows of one state block, advanced in lockstep by
+    ``trajectory.advance`` with one call of the module attribute
+    ``step_cn_extrapolated`` per step; each row gets the bits of a run at
+    its alpha alone (``solve_fk_graph``, which raises the failure this
+    returns).  Returns advance's (trajectories, failure).
     """
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ValueError(f"final time {T} shorter than one step {dt}")
-    alphas = np.asarray(alphas, dtype=float)
-    k = len(alphas)
-    C0 = np.asarray(C0, dtype=float)
-    states = np.empty((k, n_steps + 1, conn.n_nodes))
-    states[:, 0] = C0
-    stats = [[] for _ in range(k)]
-    failure = None
-    live = k  # the rows still stepping are 0 .. live - 1
-    prev = states[:, 0].copy()
-    curr = prev.copy()
-    for n in range(n_steps):
-        nxt, step_stats = step_cn_extrapolated(
-            conn, curr, prev, alphas[:live], dt, literal_rhs=literal_rhs
-        )
-        finite = np.isfinite(nxt).all(axis=1).tolist()
-        for i in range(live):
-            error = step_stats[i].get("error")
-            if error is None and not finite[i]:
-                error = FloatingPointError(
-                    f"non-finite state after step {n + 1} (t={(n + 1) * dt:g})"
-                )
-            if error is not None:
-                failure, live = error, i
-                break
-            stats[i].append(step_stats[i])
-        if not live:
-            break
-        states[:live, n + 1] = nxt[:live]
-        prev, curr = curr[:live], nxt[:live]
-    for alpha, row in zip(alphas[:live].tolist(), stats):
-        fallbacks = sum(st["fallback"] for st in row)
-        if fallbacks:
-            logger.warning(
-                "%d of %d steps fell back to the sparse LU (alpha=%g, dt=%g)",
-                fallbacks, n_steps, alpha, dt,
-            )
-    times = dt * np.arange(n_steps + 1)
-    trajectories = [
-        Trajectory(times=times, states=states[i], solver_stats=stats[i]) for i in range(live)
-    ]
-    return trajectories, failure
+    C0 = np.repeat(np.asarray(C0, dtype=float)[None], len(alphas), axis=0)
+
+    def step(C_n, C_nm1, live_alphas, t):
+        return step_cn_extrapolated(conn, C_n, C_nm1, live_alphas, dt, literal_rhs=literal_rhs)
+
+    return advance(step, C0, alphas, dt, T, logger)
 
 
 def solve_fk_graph(
@@ -297,9 +251,7 @@ def solve_fk_graph(
     dt=0.05) that term peaks at about 26% of the maximum of the scheme's
     own leading error.
     """
-    trajectories, failure = solve_fk_graph_alphas(
-        conn, C0, [alpha], dt, T, literal_rhs=literal_rhs
-    )
+    trajectories, failure = solve_fk_graph_alphas(conn, C0, [alpha], dt, T, literal_rhs)
     if failure is not None:
         raise failure
     return trajectories[0]

@@ -118,6 +118,7 @@ class _LoadedDomain:
 
     atlas: object
     solver_domain: object  # DGSystem (mesh; see DGSystem.with_alpha) or Connectome
+    domain: object  # what the states live on: DGSpace (every with_alpha shares it) or Connectome
     C0: np.ndarray
     region_ids: list
 
@@ -136,53 +137,38 @@ def _load(cfg: SimulationConfig) -> _LoadedDomain:
         system = assemble(mesh, model, cfg.alpha, cfg.eta0, cfg.ell)
         seeds = resolve_seed_regions(cfg, atlas, mesh.regions)
         C0 = system.space.seed_vector(seeds, cfg.seed_value)
-        return _LoadedDomain(atlas, system, C0, np.unique(mesh.regions).tolist())
+        return _LoadedDomain(atlas, system, system.space, C0, np.unique(mesh.regions).tolist())
     if not cfg.graph_path:
         raise ConfigError("domain=graph requires graph_path")
     conn = load_connectome(cfg.graph_path, scale_k=cfg.scale_k)
     atlas.validate_against(conn.region_ids)
     seeds = resolve_seed_regions(cfg, atlas, conn.region_ids)
     C0 = graphfk.seed_vector(conn, seeds, cfg.seed_value)
-    return _LoadedDomain(atlas, conn, C0, sorted(int(r) for r in conn.region_ids))
+    return _LoadedDomain(atlas, conn, conn, C0, sorted(int(r) for r in conn.region_ids))
 
 
-def _simulate(cfg: SimulationConfig, loaded: _LoadedDomain, trajectory=None) -> RunResult:
-    """The run of cfg, at cfg.alpha, on a domain loaded for cfg.
+def _trajectories(cfg: SimulationConfig, loaded: _LoadedDomain, alphas):
+    """The trajectory of cfg at each of alphas in turn, on a domain loaded for cfg.
 
-    A graph run may bring its ``trajectory``, solved already in lockstep
-    with the other alphas of a sweep batch.
+    A graph solves all its alphas in lockstep first (see
+    graphfk.solve_fk_graph_alphas); a mesh solves each alpha only when it
+    is asked for the next one, so it holds one trajectory at a time.
+    After the trajectories of the alphas before the first that fails, the
+    generator raises that alpha's error, as runs one after another would.
     """
     if cfg.domain == "mesh":
-        system = loaded.solver_domain.with_alpha(cfg.alpha)
-        traj = solve_fk_mesh(
-            system,
-            loaded.C0,
-            cfg.dt,
-            cfg.T,
-            rtol=cfg.solver_tol,
-            maxiter_factor=cfg.solver_maxit_factor,
-        )
-        domain = system.space
-    else:
-        domain = loaded.solver_domain
-        traj = trajectory
-        if traj is None:
-            traj = graphfk.solve_fk_graph(
-                domain, loaded.C0, cfg.alpha, cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs
+        for alpha in alphas:
+            yield solve_fk_mesh(
+                loaded.solver_domain.with_alpha(alpha), loaded.C0, cfg.dt, cfg.T,
+                rtol=cfg.solver_tol, maxiter_factor=cfg.solver_maxit_factor,
             )
-
-    all_ids = loaded.region_ids
-    stage_curves = stage_average_curves(traj, loaded.atlas, domain)
-    global_avg = spatial_average(traj, all_ids, domain)
-    region_curves = region_average_curves(traj, all_ids, domain)
-    return RunResult(
-        trajectory=traj,
-        atlas=loaded.atlas,
-        domain=domain,
-        stage_curves=stage_curves,
-        global_average=global_avg,
-        region_curves=region_curves,
+        return
+    trajectories, failure = graphfk.solve_fk_graph_alphas(
+        loaded.solver_domain, loaded.C0, alphas, cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs
     )
+    yield from trajectories
+    if failure is not None:
+        raise failure
 
 
 def write_staging_report(path, times, stage_curves: dict, c_crit: float):
@@ -216,14 +202,23 @@ def write_staging_report(path, times, stage_curves: dict, c_crit: float):
 
 def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
     """Single simulation: trajectory, region-average and staging artifacts."""
-    return _run_loaded(cfg, _load(cfg), output_dir)
+    loaded = _load(cfg)
+    return _run_loaded(cfg, loaded, next(_trajectories(cfg, loaded, [cfg.alpha])), output_dir)
 
 
 def _run_loaded(
-    cfg: SimulationConfig, loaded: _LoadedDomain, output_dir=None, trajectory=None
+    cfg: SimulationConfig, loaded: _LoadedDomain, trajectory: Trajectory, output_dir=None
 ) -> RunResult:
-    """`run` of cfg on a domain already loaded for it (see _simulate)."""
-    result = _simulate(cfg, loaded, trajectory)
+    """`run` of cfg, whose trajectory is given, on a domain already loaded for it."""
+    domain, all_ids = loaded.domain, loaded.region_ids
+    result = RunResult(
+        trajectory=trajectory,
+        atlas=loaded.atlas,
+        domain=domain,
+        stage_curves=stage_average_curves(trajectory, loaded.atlas, domain),
+        global_average=spatial_average(trajectory, all_ids, domain),
+        region_curves=region_average_curves(trajectory, all_ids, domain),
+    )
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = result.trajectory.times
@@ -277,10 +272,10 @@ def _write_node_csv(path, traj, conn):
 
 
 def _sweep_one(
-    loaded: _LoadedDomain, cfg: SimulationConfig, alpha: float, outdir: str, trajectory=None
+    loaded: _LoadedDomain, cfg: SimulationConfig, alpha: float, outdir: str, trajectory
 ):
     cfg = replace(cfg, alpha=alpha, output_dir=outdir)
-    result = _run_loaded(cfg, loaded, trajectory=trajectory)
+    result = _run_loaded(cfg, loaded, trajectory)
     times = result.trajectory.times
     t_half = first_crossing(times, result.global_average, 0.5)
     t_sat = first_crossing(times, result.global_average, SATURATION_LEVEL)
@@ -297,29 +292,20 @@ class _WorkerTraceback(Exception):
 def _sweep_batch(cfg_text: str, jobs):
     """Runs at each (alpha, outdir) of jobs, in order, on one load of the domain.
 
-    A graph batch solves all its alphas in lockstep first, then reduces and
-    writes them one by one; a mesh batch runs one alpha at a time.  Returns
-    the summary rows of the runs that finished, the exception that stopped
-    the batch and its formatted traceback, or None and None.
+    The trajectories come from ``_trajectories`` (a graph batch solves its
+    alphas in lockstep, a mesh batch one alpha at a time), and each is
+    reduced and written before the next is taken.  Returns the summary
+    rows of the runs that finished, the exception that stopped the batch
+    and its formatted traceback, or None and None.
     """
     rows = []
     try:
         cfg = parse_config_text(cfg_text)
         cfg.alpha = jobs[0][0]
         loaded = _load(cfg)
-        if cfg.domain == "graph":
-            # the alphas before the first that fails run to T, as they
-            # would one after another
-            trajectories, failure = graphfk.solve_fk_graph_alphas(
-                loaded.solver_domain, loaded.C0, [alpha for alpha, _ in jobs],
-                cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs,
-            )
-        else:
-            trajectories, failure = [None] * len(jobs), None
-        for (alpha, outdir), trajectory in zip(jobs, trajectories):
-            rows.append(_sweep_one(loaded, cfg, alpha, outdir, trajectory))
-        if failure is not None:
-            raise failure
+        trajectories = _trajectories(cfg, loaded, [alpha for alpha, _ in jobs])
+        for alpha, outdir in jobs:  # no reference to a trajectory outlives its run
+            rows.append(_sweep_one(loaded, cfg, alpha, outdir, next(trajectories)))
     except Exception as exc:  # the rows before it are still written
         return rows, exc, traceback.format_exc()
     return rows, None, None
@@ -329,9 +315,11 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
     """One run per alpha; summary CSV with half-crossing and saturation times.
 
     The alphas are split into contiguous batches, one per worker, and each
-    batch loads and assembles its domain once.  A graph batch advances its
-    alphas in lockstep, as the rows of one time loop (see
-    graphfk.solve_fk_graph_alphas); each per-alpha output is still
+    batch loads and assembles its domain once.  A batch takes its
+    trajectories from the generator a single run takes its one from
+    (``_trajectories``): a graph batch advances its alphas in lockstep, as
+    the rows of one time loop (see graphfk.solve_fk_graph_alphas), and a
+    mesh batch solves one alpha at a time; each per-alpha output is
     byte-identical to that of a single run.  Individual run failures abort
     the sweep after writing the rows completed before the first failing
     alpha, with that alpha's error, as a sweep running its alphas one after

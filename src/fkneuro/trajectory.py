@@ -1,4 +1,5 @@
-"""Time-series state container and its CSV / binary output formats.
+"""Time-series state container, the time loop both solvers share
+(``advance``), and the container's CSV / binary output formats.
 
 Concentration values are reported as computed: anything outside
 [-0.05, 1.05] is flagged with a warning row in the CSV, never clipped.
@@ -305,6 +306,69 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+
+def step_count(T: float, dt: float) -> int:
+    """round(T/dt); raises ValueError unless T/dt is within a relative 1e-9 of an integer >= 1."""
+    ratio = T / dt
+    if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+        raise ValueError(
+            f"T must be a whole number of steps dt, got T={T!r}, dt={dt!r} (T/dt={ratio!r})"
+        )
+    return round(ratio)
+
+
+def advance(step, C0, alphas, dt: float, T: float, log):
+    """Run the time loop of k = len(alphas) rows from C0 up to final time T.
+
+    ``step(C_n, C_nm1, alphas, t)`` advances the live rows to time t and
+    returns (C_next, stats): a (live, N) block, or an (N,) state for one
+    row, and one dict per row with "fallback", and "error" where its solve
+    failed.  The first step gets C0, (N,) or (k, N), as C_n and C_nm1, and
+    each later one the very object the step before returned (its first
+    rows, once a row has failed).  A row fails on an "error" or a
+    non-finite state, and leaves with every row after it; the rows before
+    it run on to T.  Returns one Trajectory per row before the first that
+    failed, their states views of one (k, n_steps + 1, N) block, and that
+    row's exception (its "error", or a FloatingPointError naming the step
+    and t) or None.  Each returned row whose steps fell back to the sparse
+    LU logs one warning on ``log``.
+    """
+    n_steps = step_count(T, dt)
+    alphas = np.asarray(alphas, dtype=float)
+    k = live = len(alphas)  # the rows still stepping are 0 .. live - 1
+    states = np.empty((k, n_steps + 1, np.shape(C0)[-1]))
+    states[:, 0] = C0
+    stats = [[] for _ in range(k)]
+    failure = None
+    prev = curr = C0
+    for n in range(n_steps):
+        t = (n + 1) * dt
+        nxt, step_stats = step(curr, prev, alphas[:live], t)
+        finite = np.isfinite(nxt).reshape(live, -1).all(axis=1).tolist()
+        for i in range(len(finite)):
+            error = step_stats[i].get("error")
+            if error is None and not finite[i]:
+                error = FloatingPointError(f"non-finite state after step {n + 1} (t={t:g})")
+            if error is not None:
+                failure, live = error, i
+                break
+            stats[i].append(step_stats[i])
+        if not live:
+            break
+        if live < len(finite):
+            nxt, curr = nxt[:live], curr[:live]
+        states[:live, n + 1] = nxt
+        prev, curr = curr, nxt
+    for alpha, row in zip(alphas[:live].tolist(), stats):
+        fallbacks = sum(st["fallback"] for st in row)
+        if fallbacks:
+            log.warning(
+                "%d of %d steps fell back to the sparse LU (alpha=%g, dt=%g)",
+                fallbacks, n_steps, alpha, dt,
+            )
+    times = dt * np.arange(n_steps + 1)
+    return [Trajectory(times, states[i], stats[i]) for i in range(live)], failure
 
 
 def write_series_csv(path, times, columns: dict):

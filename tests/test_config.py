@@ -121,6 +121,31 @@ def test_dt_alpha_bound_by_domain(domain, bound):
     SimulationConfig(domain=domain, dt=0.05, alpha=8.54).validate()
 
 
+@pytest.mark.parametrize(
+    "T,dt,ratio", [(0.5, 0.3, "1.6666666666666667"), (0.4, 0.3, "1.3333333333333335")]
+)
+def test_T_must_be_a_whole_number_of_steps(T, dt, ratio):
+    # round(T/dt) steps would end the run at 0.6 or 0.3, not at T
+    message = rf"got T={T}, dt={dt} \(T/dt={ratio}\)"
+    with pytest.raises(ConfigError, match=message):
+        SimulationConfig(T=T, dt=dt).validate()
+
+
+@pytest.mark.parametrize(
+    "T,dt",
+    [
+        (40.0, 0.05),  # the published horizon
+        (10.0, 0.05),  # the benchmark horizons: mesh-run, mesh-sweep, graph-run, graph-sweep
+        (0.5, 0.05),
+        (2.0, 0.05),
+        (0.35, 0.05),  # T/dt = 6.999999999999999
+        (2.3, 0.1),  # T/dt = 22.999999999999996
+    ],
+)
+def test_T_within_1e_9_of_whole_steps_passes(T, dt):
+    SimulationConfig(T=T, dt=dt, alpha=0.61).validate()
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_scale_k_must_be_positive(value):
     with pytest.raises(ConfigError, match="scale_k must be > 0"):

@@ -23,7 +23,7 @@ from fkneuro.geometry import (
     write_connectome,
     write_mesh,
 )
-from fkneuro.trajectory import fmt17, read_series_csv
+from fkneuro.trajectory import fmt17, read_series_csv, write_series_csv
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ def test_sweep_failure_preserves_partial(domains, tmp_path, monkeypatch):
     cfg = graph_config(domains, seed_regions="all", T=40.0, output_dir=str(tmp_path))
     real = harness._sweep_one
 
-    # a graph batch passes each alpha its trajectory, solved in lockstep
+    # a batch passes each alpha its trajectory, solved in lockstep on a graph
     def exploding(loaded, cfg, alpha, outdir, *trajectory):
         if alpha == 1.0:
             raise RuntimeError("boom")
@@ -293,7 +293,7 @@ def test_mesh_run_warns_once_when_steps_fall_back(domains, tmp_path, caplog):
     assert fallbacks > 0
     records = [r for r in caplog.records if "fell back" in r.getMessage()]
     assert [r.getMessage() for r in records] == [
-        f"{fallbacks} of 80 steps fell back to the direct solve (alpha=3, dt=0.05)"
+        f"{fallbacks} of 80 steps fell back to the sparse LU (alpha=3, dt=0.05)"
     ]
     assert records[0].levelname == "WARNING"
     # the run also leaves the physical range: one record for all its states
@@ -421,6 +421,41 @@ def test_graph_sweep_solver_failure_keeps_earlier_alphas(domains, tmp_path, monk
         f"alpha_{SWEEP_ALPHAS[0]:g}", "sweep_summary.csv"
     ]
     result = harness.run(graph_sweep_config(domains, tmp_path / "run", alpha=SWEEP_ALPHAS[0]))
+    swept = tmp_path / "sweep" / f"alpha_{SWEEP_ALPHAS[0]:g}"
+    assert sorted(p.name for p in swept.iterdir()) == sorted(
+        Path(p).name for p in result.paths.values()
+    )
+    for path in map(Path, result.paths.values()):
+        assert (swept / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_mesh_sweep_solver_failure_keeps_earlier_alphas(domains, tmp_path, monkeypatch):
+    # the second alpha's state turns NaN at step 3: its run fails, the
+    # third alpha never starts, and the first has written its files
+    real = stepper_module.MeshStepper.step
+    calls = []
+
+    def poisoned(self, C_n, forcing=None, t_next=0.0):
+        C_next, stats = real(self, C_n, forcing=forcing, t_next=t_next)
+        calls.append(self.system.alpha)
+        if calls.count(SWEEP_ALPHAS[1]) == 3:
+            C_next[0] = np.nan
+        return C_next, stats
+
+    monkeypatch.setattr(stepper_module.MeshStepper, "step", poisoned)
+    cfg = mesh_sweep_config(domains, tmp_path / "sweep", workers=1)
+    message = "aborted after 1/3 runs: non-finite state after step 3 (t=0.15)"
+    with pytest.raises(FkneuroError, match=re.escape(message)):
+        harness.sweep(cfg, SWEEP_ALPHAS)
+    assert calls == [SWEEP_ALPHAS[0]] * 80 + [SWEEP_ALPHAS[1]] * 3
+    monkeypatch.undo()
+
+    lines = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith(f"{fmt17(SWEEP_ALPHAS[0])},")
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+        f"alpha_{SWEEP_ALPHAS[0]:g}", "sweep_summary.csv"
+    ]
+    result = harness.run(mesh_sweep_config(domains, tmp_path / "run", alpha=SWEEP_ALPHAS[0]))
     swept = tmp_path / "sweep" / f"alpha_{SWEEP_ALPHAS[0]:g}"
     assert sorted(p.name for p in swept.iterdir()) == sorted(
         Path(p).name for p in result.paths.values()
@@ -622,6 +657,18 @@ def test_cli_sweep_and_stage(tmp_path, domains, capsys):
     )
     assert rc == 0
     assert staging_out.read_text().startswith("stage,activation_time_years")
+
+
+@pytest.mark.parametrize("c_crit", ["1.5", "nan", "0"])
+def test_cli_stage_rejects_c_crit_outside_the_unit_interval(tmp_path, capsys, c_crit):
+    series = tmp_path / "trajectory.csv"
+    curve = [0.1, 0.4, 0.8]
+    write_series_csv(series, [0.0, 1.0, 2.0], {"avg_II": curve, "avg_global": curve})
+    staging_out = tmp_path / "staging.csv"
+    rc = main(["stage", "--input", str(series), "--output", str(staging_out), "--c-crit", c_crit])
+    assert rc == 2
+    assert "c_crit must be in (0,1)" in capsys.readouterr().err
+    assert not staging_out.exists()
 
 
 def test_cli_map_suvr(tmp_path):

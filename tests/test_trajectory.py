@@ -15,6 +15,7 @@ from fkneuro import graphfk, trajectory
 from fkneuro.geometry import generate_connectome
 from fkneuro.trajectory import (
     Trajectory,
+    advance,
     first_crossing,
     fmt17,
     read_series_csv,
@@ -257,3 +258,100 @@ def test_formatter_tables_are_built_on_first_use():
     env = {**os.environ, "PYTHONPATH": str(Path(trajectory.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout.split() == ["0", "1"], out.stderr
+
+
+@st.composite
+def loop_plans(draw):
+    """k rows, a step count, the (row, step) cells where a row's step fails
+    ("error" in its stats, a "nan" state, or both) and those that fall back."""
+    k = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(0, k - 1), st.integers(1, n_steps))
+    faults = draw(st.dictionaries(cells, st.sampled_from(["error", "nan", "both"]), max_size=4))
+    fallbacks = draw(st.sets(cells, max_size=k * n_steps))
+    alphas = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    return k, n_steps, faults, fallbacks, alphas
+
+
+class ListLog:
+    def __init__(self):
+        self.records = []
+
+    def warning(self, msg, *args):
+        self.records.append(msg % args)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(plan=loop_plans())
+def test_advance_keeps_the_rows_before_the_first_failure(plan):
+    k, n_steps, faults, fallbacks, alphas = plan
+    dt, N = 0.25, 3
+    C0 = np.arange(k * N, dtype=float).reshape(k, N)
+    returned, produced = [], [[] for _ in range(k)]  # step outputs, stats per row
+
+    def step(C_n, C_nm1, live_alphas, t):
+        n = len(returned) + 1
+        assert t == n * dt
+        if returned:  # the previous output itself, or its first rows
+            last = returned[-1]
+            assert C_n is last if len(C_n) == len(last) else C_n.base is last
+        out = C_n + live_alphas[:, None]
+        stats = []
+        for i in range(len(C_n)):
+            kind = faults.get((i, n), "")
+            st_ = {"fallback": (i, n) in fallbacks}
+            if kind in ("error", "both"):
+                st_["error"] = RuntimeError(f"row {i} step {n}")
+            if kind in ("nan", "both"):
+                out[i, i % N] = np.nan
+            produced[i].append(st_)
+            stats.append(st_)
+        returned.append(out)
+        return out, stats
+
+    log = ListLog()
+    trajectories, failure = advance(step, C0, alphas, dt, n_steps * dt, log)
+
+    # the reference: at each step the first live row with a fault fails
+    live, failed_at = k, None
+    for n in range(1, n_steps + 1):
+        for i in range(live):
+            if (i, n) in faults:
+                live, failed_at = i, (i, n)
+                break
+        if not live:
+            break
+    assert len(trajectories) == live
+    if failed_at is None:
+        assert failure is None
+    elif faults[failed_at] == "nan":
+        assert type(failure) is FloatingPointError
+        n = failed_at[1]
+        assert str(failure) == f"non-finite state after step {n} (t={n * dt:g})"
+    else:
+        assert failure is produced[failed_at[0]][failed_at[1] - 1]["error"]
+    expected_log = []
+    for i, traj in enumerate(trajectories):
+        assert traj.times.tolist() == (dt * np.arange(n_steps + 1)).tolist()
+        row = [C0[i]]
+        for _ in range(n_steps):
+            row.append(row[-1] + alphas[i])
+        assert traj.states.tobytes() == np.array(row).tobytes()
+        assert len(traj.solver_stats) == n_steps
+        assert all(a is b for a, b in zip(traj.solver_stats, produced[i]))
+        count = sum((i, n) in fallbacks for n in range(1, n_steps + 1))
+        if count:
+            expected_log.append(
+                f"{count} of {n_steps} steps fell back to the sparse LU "
+                f"(alpha={alphas[i]:g}, dt={dt:g})"
+            )
+    assert log.records == expected_log
+
+
+def test_advance_rejects_a_final_time_between_steps(chain5):
+    # 0.5 / 0.3 steps: a loop of round(T/dt) = 2 steps would end at 0.6
+    with pytest.raises(ValueError, match=r"whole number of steps dt, got T=0\.5, dt=0\.3"):
+        graphfk.solve_fk_graph(chain5, np.full(5, 0.1), 0.61, dt=0.3, T=0.5)
+    with pytest.raises(ValueError, match=r"T=0\.4, dt=0\.3"):
+        graphfk.solve_fk_graph(chain5, np.full(5, 0.1), 0.61, dt=0.3, T=0.4)
+    assert graphfk.solve_fk_graph(chain5, np.full(5, 0.1), 0.61, dt=0.05, T=0.35).n_steps == 7
