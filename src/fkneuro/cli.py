@@ -16,7 +16,7 @@ from .config import FIELD_TYPES, SimulationConfig, load_config, serialize_config
 from .errors import ConfigError, FkneuroError
 from .geometry.connectome import generate_connectome, write_connectome
 from .geometry.mesh import generate_structured_mesh, slab_labeler, write_mesh
-from .staging import load_clinical_csv, map_clinical_rows
+from .staging import load_clinical_csv, load_thresholds_csv, map_clinical_rows
 from .harness import write_staging_report
 from .trajectory import fmt17, read_series_csv
 
@@ -100,13 +100,7 @@ def _cmd_map_suvr(args) -> int:
     abeta_params = cfg.suvr_abeta()
     tau_params = cfg.suvr_tau()
     if args.thresholds:
-        with open(args.thresholds) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("region,"):
-                    continue
-                name, value = line.split(",", 1)
-                tau_params.abnormality_thresholds[name.strip()] = float(value)
+        tau_params.abnormality_thresholds.update(load_thresholds_csv(args.thresholds))
     rows = load_clinical_csv(args.input)
     try:
         mapped = map_clinical_rows(rows, abeta_params, tau_params)

@@ -167,16 +167,10 @@ class DGSpace:
 
     # -- integrals ---------------------------------------------------------
 
-    def region_weights(self, region_ids) -> np.ndarray:
-        """Weights w, shape (N,), with w @ C the mean of C over the regions.
-
-        The mean is the integral over the regions divided by their measure.
-        """
-        return self.region_weight_matrix([region_ids]).toarray()[:, 0]
-
     def region_weight_matrix(self, groups) -> sp.csc_matrix:
         """Weights W, shape (N, G), with states @ W the mean over each of
-        the disjoint groups of region ids."""
+        the disjoint groups of region ids: the integral over the group's
+        regions divided by their measure."""
         return region_weight_matrix(
             self.labels, self.measures, self.basis_integrals, groups, "mesh"
         )

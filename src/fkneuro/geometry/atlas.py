@@ -6,8 +6,9 @@ target and is not modeled).  A slab table supports synthetic ordered-band
 meshes where staging structure is emulated by geometry.
 """
 
+import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,25 +110,16 @@ class BraakAtlas:
     neocortex: frozenset
     seed_abeta: frozenset
     seed_tau: frozenset
-    unresolved: tuple = ()
-    stage_order: tuple = field(default=STAGE_ORDER)
 
     def __post_init__(self):
-        names = [s for s in self.stage_order if s in self.stages]
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                overlap = self.stages[names[a]] & self.stages[names[b]]
-                if overlap:
-                    raise AtlasError(
-                        f"stages {names[a]} and {names[b]} share regions "
-                        f"{sorted(overlap)}"
-                    )
+        names = [s for s in STAGE_ORDER if s in self.stages]
+        for a, b in itertools.combinations(names, 2):
+            overlap = self.stages[a] & self.stages[b]
+            if overlap:
+                raise AtlasError(f"stages {a} and {b} share regions {sorted(overlap)}")
 
     def all_region_ids(self) -> frozenset:
-        out = frozenset()
-        for ids in self.stages.values():
-            out |= ids
-        return out
+        return frozenset().union(*self.stages.values())
 
     def stage_of(self, region_id: int):
         for stage, ids in self.stages.items():
@@ -149,9 +141,17 @@ def build_braak_atlas(labels: dict, table: StageTable = ANATOMICAL_TABLE) -> Bra
 
     Every name in the table must resolve; unresolved names raise an
     AtlasError listing them, as does a stage group resolving to the empty
-    set (which would otherwise silently skip a stage).
+    set (which would otherwise silently skip a stage), and two label names
+    that are the same after normalization (which would leave one of them
+    unreachable).
     """
-    lookup = {_norm(name): int(rid) for name, rid in labels.items()}
+    lookup = {}  # normalized name -> (name, region id)
+    for name, rid in labels.items():
+        first, first_id = lookup.setdefault(_norm(name), (name, int(rid)))
+        if first != name:
+            raise AtlasError(
+                f"region names {first!r} (id {first_id}) and {name!r} (id {rid}) are the same name"
+            )
 
     unresolved = []
 
@@ -160,7 +160,7 @@ def build_braak_atlas(labels: dict, table: StageTable = ANATOMICAL_TABLE) -> Bra
         for name in names:
             key = _norm(name)
             if key in lookup:
-                ids.add(lookup[key])
+                ids.add(lookup[key][1])
             else:
                 unresolved.append(name)
         return frozenset(ids)
@@ -195,23 +195,31 @@ def slab_atlas(n_slabs: int = 5) -> BraakAtlas:
     return build_braak_atlas(labels, table=SLAB_TABLE)
 
 
-def load_region_labels(path) -> dict:
-    """Read a 'region_name,region_id' CSV into a naming table."""
-    labels = {}
+def csv_fields(path, header: str):
+    """(line number, stripped fields) of each data line of a small CSV table,
+    skipping blank lines, '#' comments and a header whose first field is
+    ``header``."""
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise AtlasError(f"line {lineno}: expected 'region_name,region_id'")
-            if parts[0] == "region_name":
-                continue
-            try:
-                labels[parts[0]] = int(parts[1])
-            except ValueError:
-                raise AtlasError(f"line {lineno}: bad region id {parts[1]!r}")
+            if line and line[0] != "#" and parts[0] != header:
+                yield lineno, parts
+
+
+def load_region_labels(path) -> dict:
+    """Read a 'region_name,region_id' CSV into a naming table; a name may
+    appear once."""
+    labels = {}
+    for lineno, parts in csv_fields(path, "region_name"):
+        if len(parts) != 2:
+            raise AtlasError(f"line {lineno}: expected 'region_name,region_id'")
+        if parts[0] in labels:
+            raise AtlasError(f"line {lineno}: region name {parts[0]!r} listed twice")
+        try:
+            labels[parts[0]] = int(parts[1])
+        except ValueError:
+            raise AtlasError(f"line {lineno}: bad region id {parts[1]!r}")
     if not labels:
         raise AtlasError("no labels found")
     return labels

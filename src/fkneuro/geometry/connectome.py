@@ -122,14 +122,9 @@ class Connectome:
     def n_nodes(self) -> int:
         return len(self.region_ids)
 
-    def region_weights(self, region_ids) -> np.ndarray:
-        """Weights w, shape (M,), with w @ C the volume-weighted mean of the
-        nodal state C over the regions."""
-        return self.region_weight_matrix([region_ids]).toarray()[:, 0]
-
     def region_weight_matrix(self, groups) -> sp.csc_matrix:
-        """Weights W, shape (M, G), with states @ W the mean over each of
-        the disjoint groups of region ids."""
+        """Weights W, shape (M, G), with states @ W the volume-weighted mean
+        over each of the disjoint groups of region ids."""
         volumes = self.volumes
         return region_weight_matrix(self.region_ids, volumes, volumes[:, None], groups, "graph")
 

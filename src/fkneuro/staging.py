@@ -1,5 +1,9 @@
 """Post-processing: spatial averages, SUVR normalization, staging analysis.
 
+Every space average a run reports (per region, per Braak stage and over
+the whole domain) is the mean over disjoint groups of regions, taken in one
+product of the states with the domain's ``region_weight_matrix``.
+
 Clinical PET-SUVR values are mapped to the simulation's [0,1] scale with
 piecewise-linear maps; simulated region curves are reduced to activation
 times (first crossing of a critical threshold, linearly interpolated) from
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry.atlas import STAGE_ORDER
+from .geometry.atlas import STAGE_ORDER, csv_fields
 from .trajectory import Trajectory, first_crossing
 
 logger = logging.getLogger(__name__)
@@ -23,7 +27,7 @@ ACTIVE = "active"
 SATURATION = "saturation"
 PHASE_ORDER = (STATIONARY, LAG, ACTIVE, SATURATION)
 
-TIME_CHUNK = 32  # time rows per product in region_average_curves
+TIME_CHUNK = 32  # time rows per product in _group_means
 
 
 @dataclass
@@ -166,37 +170,34 @@ def classify_phase(
 # Simulated-trajectory reductions
 
 
-def spatial_average(traj: Trajectory, region_ids, domain) -> np.ndarray:
-    """Volume-weighted space average of the state restricted to a region set.
+def _group_means(states: np.ndarray, groups, domain) -> np.ndarray:
+    """Space-average time series over each of the disjoint region groups,
+    shape (len(groups), len(states)).
 
-    ``domain`` is the run's DG space or connectome; it supplies the average
-    as a linear functional, ``region_weights``.
+    One product with the domain's ``region_weight_matrix`` reduces every
+    group at once, TIME_CHUNK time rows at a time: the sparse product
+    copies its transposed dense operand, so a chunk bounds that copy.
     """
-    return traj.states @ domain.region_weights(region_ids)
+    weights_t = domain.region_weight_matrix(groups).T
+    return np.hstack(
+        [weights_t @ states[i : i + TIME_CHUNK].T for i in range(0, len(states), TIME_CHUNK)]
+    )
+
+
+def spatial_average(traj: Trajectory, region_ids, domain) -> np.ndarray:
+    """Volume-weighted space average of the state restricted to a region set."""
+    return _group_means(traj.states, [region_ids], domain)[0]
 
 
 def region_average_curves(traj: Trajectory, region_ids, domain) -> dict:
-    """Space-average time series of each listed region, keyed by region id.
-
-    One product with the domain's ``region_weight_matrix`` reduces every
-    region at once, TIME_CHUNK time rows at a time: the sparse product
-    copies its transposed dense operand, so a chunk bounds that copy.
-    """
-    weights_t = domain.region_weight_matrix([[rid] for rid in region_ids]).T
-    states = traj.states
-    curves = np.hstack(
-        [weights_t @ states[i : i + TIME_CHUNK].T for i in range(0, len(states), TIME_CHUNK)]
-    )
-    return dict(zip(region_ids, curves))
+    """Space-average time series of each listed region, keyed by region id."""
+    return dict(zip(region_ids, _group_means(traj.states, [[rid] for rid in region_ids], domain)))
 
 
 def stage_average_curves(traj: Trajectory, atlas, domain) -> dict:
     """Space-average time series per Braak stage present in the domain."""
-    return {
-        stage: spatial_average(traj, atlas.stages[stage], domain)
-        for stage in atlas.stage_order
-        if stage in atlas.stages
-    }
+    stages = [stage for stage in STAGE_ORDER if stage in atlas.stages]
+    return dict(zip(stages, _group_means(traj.states, [atlas.stages[s] for s in stages], domain)))
 
 
 @dataclass
@@ -290,13 +291,8 @@ def braak_activation_order(
     Entries are sorted by time; stages whose times form a tie group (each
     within ``tie_tol`` of the one before) are listed in anatomical order.
     """
-    acts = {}
-    never = []
-    for stage, vals in stage_curves.items():
-        t = first_crossing(times, vals, c_crit)
-        if t is None:
-            never.append(stage)
-        acts[stage] = t
+    acts = {stage: first_crossing(times, vals, c_crit) for stage, vals in stage_curves.items()}
+    never = [stage for stage, t in acts.items() if t is None]
     stages = [s for s in STAGE_ORDER if s in stage_curves]
     known = [(s, acts[s]) for s in stages if acts[s] is not None]
     # a new tie group starts where the sorted times step by more than
@@ -318,8 +314,6 @@ def braak_activation_order(
                 for (_, t_prev), (_, t_next) in zip(known, known[1:])
             ) and not never
             order = ORDER_ANATOMICAL if anatomical else ORDER_VIOLATED
-        if never and order == ORDER_ANATOMICAL:
-            order = ORDER_VIOLATED
     else:
         order = ORDER_DEGENERATE
     return ActivationOrderReport(entries=entries, order=order, never_activated=never)
@@ -346,42 +340,47 @@ def load_clinical_csv(path) -> list:
     The mean must be finite, and the sd finite and >= 0.
     """
     rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts[0] == "protein":
-                continue
-            if len(parts) != 5:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 5 fields "
-                    f"(protein,braak_stage,region,mean_suvr,sd_suvr)"
-                )
-            protein = parts[0].lower()
-            if protein not in ("abeta", "tau"):
-                raise ValueError(f"{path}:{lineno}: unknown protein {parts[0]!r}")
-            if parts[1] not in BRAAK_STAGE_SEQUENCE:
-                raise ValueError(f"{path}:{lineno}: unknown Braak stage {parts[1]!r}")
-            try:
-                mean, sd = float(parts[3]), float(parts[4])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad SUVR value")
-            if not math.isfinite(mean):
-                raise ValueError(f"{path}:{lineno}: mean SUVR {parts[3]} must be finite")
-            if not (math.isfinite(sd) and sd >= 0):
-                raise ValueError(f"{path}:{lineno}: SUVR sd {parts[4]} must be finite and >= 0")
-            rows.append(
-                ClinicalRow(
-                    protein=protein,
-                    braak_stage=parts[1],
-                    region=parts[2],
-                    mean_suvr=mean,
-                    sd_suvr=sd,
-                )
+    for lineno, parts in csv_fields(path, "protein"):
+        where = f"{path}:{lineno}"
+        if len(parts) != 5:
+            raise ValueError(
+                f"{where}: expected 5 fields (protein,braak_stage,region,mean_suvr,sd_suvr)"
             )
+        protein = parts[0].lower()
+        if protein not in ("abeta", "tau"):
+            raise ValueError(f"{where}: unknown protein {parts[0]!r}")
+        if parts[1] not in BRAAK_STAGE_SEQUENCE:
+            raise ValueError(f"{where}: unknown Braak stage {parts[1]!r}")
+        try:
+            mean, sd = float(parts[3]), float(parts[4])
+        except ValueError:
+            raise ValueError(f"{where}: bad SUVR value")
+        if not math.isfinite(mean):
+            raise ValueError(f"{where}: mean SUVR {parts[3]} must be finite")
+        if not (math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"{where}: SUVR sd {parts[4]} must be finite and >= 0")
+        rows.append(ClinicalRow(protein, parts[1], parts[2], mean, sd))
     return rows
+
+
+def load_thresholds_csv(path) -> dict:
+    """Read `region,threshold` rows: each region's tau abnormality
+    threshold, finite and given once."""
+    thresholds = {}
+    for lineno, parts in csv_fields(path, "region"):
+        where = f"{path}:{lineno}"
+        if len(parts) != 2:
+            raise ValueError(f"{where}: expected 2 fields (region,threshold)")
+        if parts[0] in thresholds:
+            raise ValueError(f"{where}: region {parts[0]!r} listed twice")
+        try:
+            threshold = float(parts[1])
+        except ValueError:
+            raise ValueError(f"{where}: bad threshold {parts[1]!r}")
+        if not math.isfinite(threshold):
+            raise ValueError(f"{where}: threshold {parts[1]} must be finite")
+        thresholds[parts[0]] = threshold
+    return thresholds
 
 
 def _is_early_region(region: str) -> bool:

@@ -398,17 +398,26 @@ def write_series_csv(path, times, columns: dict):
 
 
 def read_series_csv(path):
-    """Read back a `t,...` series CSV; returns (times, {name: values})."""
+    """Read back a `t,...` series CSV; returns (times, {name: values}).
+    Malformed input raises ValueError naming the path and line."""
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    data_lines = [ln for ln in lines if not ln.startswith("#")]
-    header = data_lines[0].split(",")
-    if header[0] != "t":
+        lines = [(n, ln) for n, ln in enumerate(map(str.strip, f), start=1) if ln and ln[0] != "#"]
+    header = lines[0][1].split(",") if lines else []
+    if header[:1] != ["t"]:
         raise ValueError(f"{path}: not a series CSV (header {header[:3]}...)")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in data_lines[1:]]
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no data rows")
+    rows = []
+    for lineno, line in lines[1:]:
+        where = f"{path}:{lineno}"
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if len(rows[-1]) != len(header):
+            raise ValueError(f"{where}: {len(rows[-1])} fields, the header has {len(header)}")
     arr = np.array(rows)
-    times = arr[:, 0]
-    return times, {name: arr[:, i + 1] for i, name in enumerate(header[1:])}
+    return arr[:, 0], {name: arr[:, i + 1] for i, name in enumerate(header[1:])}
 
 
 STATE_MAGIC = "FKSTATE 1"

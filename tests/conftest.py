@@ -12,6 +12,12 @@ from fkneuro.geometry import (
 )
 
 
+def region_mean_weights(domain, region_ids):
+    """Dense w with w @ C the mean of C over the regions: the one column of
+    the domain's region weight matrix."""
+    return domain.region_weight_matrix([region_ids]).toarray()[:, 0]
+
+
 def logistic(t, c0, alpha):
     e = np.exp(alpha * np.asarray(t, dtype=float))
     return c0 * e / (1.0 - c0 + c0 * e)

@@ -125,3 +125,18 @@ def test_label_file_roundtrip(tmp_path):
     bad.write_text("entorhinal,notanumber\n")
     with pytest.raises(AtlasError, match="bad region id"):
         load_region_labels(bad)
+
+
+def test_label_file_rejects_a_repeated_name(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("region_name,region_id\nentorhinal,7\n# note\nhippocampus,9\nentorhinal,8\n")
+    with pytest.raises(AtlasError, match=r"^line 5: region name 'entorhinal' listed twice$"):
+        load_region_labels(path)
+
+
+def test_names_equal_after_normalization_rejected():
+    labels = dk_labels()
+    labels["Entorhinal Cortex"] = 99
+    message = rf"'entorhinal' \(id {labels['entorhinal']}\) and 'Entorhinal Cortex' \(id 99\)"
+    with pytest.raises(AtlasError, match=message):
+        build_braak_atlas(labels, table=ANATOMICAL_TABLE)

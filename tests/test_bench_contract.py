@@ -65,6 +65,25 @@ print(
 """
 
 
+# appended to a traced run: the reduction spans and the series CSVs it wrote
+REDUCTIONS = """
+totals = tracer.totals()
+print(
+    totals.get("staging.spatial_average", (0,))[0],
+    totals.get("staging.stage_average_curves", (0,))[0],
+    sum(size > 0 for size in tracer.values["io.series_csv_bytes"]),
+)
+"""
+
+
+def assert_reductions_traced(averages, stage_curves, series_files):
+    # a run reaches both wrapped reductions through the attributes the
+    # tracer replaced, and writes trajectory.csv and region_averages.csv
+    assert averages >= 1
+    assert stage_curves >= 1
+    assert series_files >= 2
+
+
 def run_with_bench(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "bench"]))
     return subprocess.run(
@@ -83,9 +102,11 @@ def test_bench_tracer_installs():
 
 
 def test_bench_tracer_records_every_graph_step(tmp_path):
-    proc = run_with_bench(GRAPH_RUN, str(tmp_path))
+    proc = run_with_bench(GRAPH_RUN + REDUCTIONS, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    spans, steps, loads_recorded, nodes, edges = map(float, proc.stdout.split())
+    *numbers, averages, stage_curves, series_files = map(float, proc.stdout.split())
+    spans, steps, loads_recorded, nodes, edges = numbers
+    assert_reductions_traced(averages, stage_curves, series_files)
     assert steps == 10
     assert spans == steps
     # the per-layer graph counts keep their meaning: one load of the
@@ -96,9 +117,10 @@ def test_bench_tracer_records_every_graph_step(tmp_path):
 
 
 def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
-    proc = run_with_bench(MESH_RUN, str(tmp_path))
+    proc = run_with_bench(MESH_RUN + REDUCTIONS, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    numbers = map(float, proc.stdout.split())
+    *numbers, averages, stage_curves, series_files = map(float, proc.stdout.split())
+    assert_reductions_traced(averages, stage_curves, series_files)
     step_spans, solve_spans, static_nnz, steps, *rest = numbers
     space_spans, assemble_spans, dofs_recorded, dofs, n_states, *counts = rest
     loads_recorded, elements, internal_faces = counts

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic, scalar_euler_semi_implicit
+from conftest import logistic, region_mean_weights, scalar_euler_semi_implicit
 from fkneuro.dg import assemble, solve_fk_mesh, solve_linear
 from fkneuro.dg import stepper as stepper_module
 from fkneuro.dg.stepper import MeshStepper
@@ -33,7 +33,7 @@ def test_single_element_constant_mode_update():
     C1, _ = MeshStepper(system, 0.05).step(C0)
     # brute-force 1x1 reduction of the implicit update
     oracle = 0.1 / (1.0 - 0.05 * 0.61 * (1.0 - 0.1))
-    assert system.space.region_weights([1]) @ C1 == pytest.approx(oracle, abs=1e-12)
+    assert region_mean_weights(system.space, [1]) @ C1 == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(0.10282, abs=5e-6)
 
 
@@ -48,7 +48,7 @@ def test_uniform_step_is_the_scalar_update_up_to_the_dt_alpha_bound(dt_alpha):
     C1, _ = MeshStepper(system, dt).step(C0)
     ratio = 1.0 / (1.0 - dt_alpha * (1.0 - c))
     assert np.abs(C1 - ratio * C0).max() <= 1e-12 * np.abs(C1).max()
-    mean = system.space.region_weights(np.unique(mesh.regions)) @ C1
+    mean = region_mean_weights(system.space, np.unique(mesh.regions)) @ C1
     assert mean == pytest.approx(c * ratio, abs=1e-12)
 
 
@@ -59,7 +59,7 @@ def test_uniform_state_tracks_scalar_recursion_exactly():
     C0 = system.space.seed_vector([1], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.05, T=1.0)
     oracle = scalar_euler_semi_implicit(0.1, 0.61, 0.05, traj.n_steps)
-    avgs = traj.states @ system.space.region_weights([1])
+    avgs = traj.states @ region_mean_weights(system.space, [1])
     assert np.abs(avgs - oracle).max() <= 1e-10
 
 
@@ -68,7 +68,7 @@ def test_uniform_seed_short_logistic_run():
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
     C0 = system.space.seed_vector([1], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.01, T=5.0)
-    avgs = traj.states @ system.space.region_weights([1])
+    avgs = traj.states @ region_mean_weights(system.space, [1])
     assert np.abs(avgs - logistic(traj.times, 0.1, 0.61)).max() <= 2.5e-3
 
 
@@ -131,7 +131,7 @@ def test_temporal_order_one():
     errors = []
     for dt in (0.1, 0.05, 0.025):
         traj = solve_fk_mesh(system, C0, dt=dt, T=10.0)
-        avgs = traj.states @ system.space.region_weights([1])
+        avgs = traj.states @ region_mean_weights(system.space, [1])
         errors.append(np.abs(avgs - logistic(traj.times, 0.1, 0.61)).max())
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for order in orders:

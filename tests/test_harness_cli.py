@@ -703,6 +703,71 @@ def test_cli_map_suvr_missing_threshold(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+TAU_CLINICAL = (
+    "protein,braak_stage,region,mean_suvr,sd_suvr\n"
+    "tau,III,Braak IV,1.2,0.1\n"
+    "tau,IV,Braak IV,1.6,0.1\n"
+)
+
+
+def test_cli_map_suvr_reads_thresholds(tmp_path):
+    clinical = tmp_path / "clinical.csv"
+    clinical.write_text(TAU_CLINICAL)
+    thresholds = tmp_path / "thresholds.csv"
+    thresholds.write_text("region,threshold\n# tau\nBraak IV,1.5\nBraak V,1.7\n")
+    out = tmp_path / "mapped.csv"
+    rc = main(
+        ["map-suvr", "--input", str(clinical), "--output", str(out), "--thresholds", str(thresholds)]
+    )
+    assert rc == 0
+    # 1.6 crosses 1.5 at stage IV, and 1.2 is more than epsilon short of it
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["active"] * 2
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("Braak IV", "expected 2 fields (region,threshold)"),
+        ("Braak IV,1.5,2", "expected 2 fields (region,threshold)"),
+        ("Braak IV,high", "bad threshold 'high'"),
+        ("Braak IV,nan", "threshold nan must be finite"),
+        ("Braak IV,-inf", "threshold -inf must be finite"),
+        ("Braak V,1.4", "region 'Braak V' listed twice"),
+    ],
+)
+def test_cli_map_suvr_rejects_bad_thresholds(tmp_path, capsys, line, message):
+    clinical = tmp_path / "clinical.csv"
+    clinical.write_text(TAU_CLINICAL)
+    thresholds = tmp_path / "thresholds.csv"
+    thresholds.write_text(f"region,threshold\nBraak V,1.7\n{line}\n")
+    out = tmp_path / "mapped.csv"
+    rc = main(
+        ["map-suvr", "--input", str(clinical), "--output", str(out), "--thresholds", str(thresholds)]
+    )
+    assert rc == 1
+    assert f"ValueError: {thresholds}:3: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,where,message",
+    [
+        ("t,avg_II\n# note\n", "", "no data rows"),
+        ("t,avg_II\n0,0.1\n1,0.2,0.3\n", ":3", "3 fields, the header has 2"),
+        ("t,avg_II\n0,0.1\n1\n", ":3", "1 fields, the header has 2"),
+        ("t,avg_II\n0,0.1\n\n# note\n1,abc\n", ":5", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_cli_stage_rejects_bad_series(tmp_path, capsys, text, where, message):
+    series = tmp_path / "trajectory.csv"
+    series.write_text(text)
+    staging_out = tmp_path / "staging.csv"
+    rc = main(["stage", "--input", str(series), "--output", str(staging_out)])
+    assert rc == 1
+    assert f"ValueError: {series}{where}: {message}\n" in capsys.readouterr().err
+    assert not staging_out.exists()
+
+
 def test_cli_compare(tmp_path, domains):
     cfg_mesh = tmp_path / "mesh.cfg"
     cfg_graph = tmp_path / "graph.cfg"

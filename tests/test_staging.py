@@ -3,13 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic
+from conftest import logistic, region_mean_weights
 from fkneuro import graphfk
 from fkneuro.dg import DGSpace, assemble, solve_fk_mesh
 from fkneuro.geometry import (
+    STAGE_ORDER,
+    BraakAtlas,
     Connectome,
     DiffusionModel,
     Edges,
@@ -22,6 +24,7 @@ from fkneuro.staging import (
     LAG,
     SATURATION,
     STATIONARY,
+    TIME_CHUNK,
     SuvrMapParams,
     braak_activation_order,
     classify_phase,
@@ -108,6 +111,21 @@ def region_measure(domain, ids):
     return domain.volumes[np.isin(domain.region_ids, ids)].sum()
 
 
+def unit_integrals(domain):
+    """Integral of each unknown's unit function: of a DG basis function, or
+    the volume of a graph node."""
+    if isinstance(domain, DGSpace):
+        return domain.basis_integrals.ravel()
+    return domain.volumes
+
+
+def dense_mean_weights(domain, ids):
+    """w with states @ w the mean over the regions, from the unit labels,
+    measures and integrals alone."""
+    inside = np.isin(unit_labels(domain), list(ids))
+    return np.where(inside, unit_integrals(domain), 0.0) / region_measure(domain, list(ids))
+
+
 def constant_one(domain):
     if isinstance(domain, DGSpace):
         return domain.project(lambda p: np.ones(len(p)))
@@ -130,12 +148,12 @@ def test_region_weights_are_the_region_mean(weight_domains, kind, picks, seed):
     for ids in (A, B, A + B):
         if not ids:
             continue
-        w = domain.region_weights(ids)
+        w = region_mean_weights(domain, ids)
         assert not w[~np.isin(unit_labels(domain), ids)].any()
         assert abs(w @ one - 1.0) <= 1e-13
     if A and B:
         mass = {
-            key: region_measure(domain, ids) * (domain.region_weights(ids) @ C)
+            key: region_measure(domain, ids) * (region_mean_weights(domain, ids) @ C)
             for key, ids in (("A", A), ("B", B), ("AB", A + B))
         }
         scale = np.abs(C).max() * region_measure(domain, A + B)
@@ -145,19 +163,49 @@ def test_region_weights_are_the_region_mean(weight_domains, kind, picks, seed):
 @pytest.mark.parametrize("kind", ["mesh", "graph"])
 def test_region_average_curves_are_the_region_means(weight_domains, kind):
     domain = weight_domains[kind]
-    if isinstance(domain, DGSpace):
-        integrals = domain.basis_integrals.ravel()  # of each basis function
-    else:
-        integrals = domain.volumes
-    labels = unit_labels(domain)
-    states = np.random.default_rng(5).normal(size=(3, len(labels)))
+    states = np.random.default_rng(5).normal(size=(3, len(unit_labels(domain))))
     ids = [4, 1, 5, 3, 2]
     curves = region_average_curves(make_traj([0.0, 1.0, 2.0], states), ids, domain)
     assert list(curves) == ids
     for rid in ids:
-        inside = labels == rid
-        mean = states[:, inside] @ integrals[inside] / region_measure(domain, [rid])
+        mean = states @ dense_mean_weights(domain, [rid])
         assert np.abs(curves[rid] - mean).max() <= 1e-13 * np.abs(mean).max()
+
+
+@pytest.mark.parametrize("kind", ["mesh", "graph"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    picks=st.lists(st.integers(0, len(STAGE_ORDER)), min_size=5, max_size=5),
+    n_times=st.integers(1, 2 * TIME_CHUNK + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_means_are_one_product_of_the_dense_means(
+    weight_domains, kind, picks, n_times, seed
+):
+    # picks[r] puts region r+1 in the stage group STAGE_ORDER[picks[r] - 1],
+    # or in none when 0; the stage, global and per-region curves all come
+    # from the one product, and time rows cross the TIME_CHUNK boundaries
+    assume(any(picks))
+    domain = weight_domains[kind]
+    stages = {
+        stage: frozenset(r + 1 for r, p in enumerate(picks) if p == g)
+        for g, stage in enumerate(STAGE_ORDER, start=1)
+        if g in picks
+    }
+    atlas = BraakAtlas(stages, frozenset(), frozenset(), frozenset())
+    states = np.random.default_rng(seed).normal(size=(n_times, len(unit_labels(domain))))
+    traj = make_traj(np.arange(n_times, dtype=float), states)
+    curves = stage_average_curves(traj, atlas, domain)
+    assert list(curves) == [s for s in STAGE_ORDER if s in stages]
+    curves["all"] = spatial_average(traj, atlas.all_region_ids(), domain)
+    stages["all"] = atlas.all_region_ids()
+    regions = region_average_curves(traj, sorted(atlas.all_region_ids()), domain)
+    curves.update(regions)
+    stages.update({rid: [rid] for rid in regions})
+    for key, ids in stages.items():
+        dense = states @ dense_mean_weights(domain, ids)
+        assert curves[key].shape == (n_times,)
+        assert np.abs(curves[key] - dense).max() <= 1e-13 * np.abs(states).max()
 
 
 @pytest.mark.parametrize("kind", ["mesh", "graph"])
