@@ -27,9 +27,9 @@ alpha of a sweep while max(dK, alpha) is unchanged.  SuperLU factors P in
 symmetric mode (minimum-degree ordering of A^T + A, diagonal pivots),
 which halves the fill of the default column ordering.
 
-CG starts from the polynomial extrapolant through the stepper's last five
-states, C^n ... C^{n-4} (fewer right after a start: 2 C^n - C^{n-1} from
-two), while each C^n is the array the stepper itself returned.  The start
+CG starts from the polynomial extrapolant through the last five states,
+C^n ... C^{n-4} (fewer right after a start: 2 C^n - C^{n-1} from two),
+which the time loop holds and hands each step as its history.  The start
 sets the iteration count: at 2D n=24 it takes CG from about 3 iterations
 per step down to about 1.3.  A solve that breaks down or stagnates -- e.g.
 the step matrix loses definiteness for large dt*alpha -- ends early and
@@ -115,40 +115,35 @@ class MeshStepper:
         static[diagonal] += 1.0
         self.static_part = sp.csr_matrix((static, A.indices, A.indptr), shape=(N, N))
         self._lhs = sp.csr_matrix((np.zeros(len(static)), A.indices, A.indptr), shape=(N, N))
-        self._chain = []  # the last <= _ORDER + 1 states of this stepper, newest last
 
-    def step(self, C_n: np.ndarray, forcing=None, t_next: float = 0.0):
-        """Advance one step; returns (C_next, stats).
+    def step(self, history: np.ndarray, forcing=None, t_next: float = 0.0):
+        """Advance one step from the last state of ``history``; returns (C_next, stats).
 
-        CG starts from the polynomial extrapolant through the last k + 1 <= 5
-        states of the stepper's chain: C_n itself (k = 0), 2 C_n - C_{n-1}
-        (k = 1), up to 5 C_n - 10 C_{n-1} + 10 C_{n-2} - 5 C_{n-3} + C_{n-4}
-        (k = 4).  The chain continues when C_n is the array the previous
-        call returned, and restarts from C_n otherwise.
+        ``history`` holds the states C_0 ... C_n as rows, oldest first; a
+        1-D state is the history of one.  CG starts from the polynomial
+        extrapolant through its last k + 1 <= 5 rows: C_n itself (k = 0),
+        2 C_n - C_{n-1} (k = 1), up to
+        5 C_n - 10 C_{n-1} + 10 C_{n-2} - 5 C_{n-3} + C_{n-4} (k = 4).
         """
         system = self.system
-        C_n = np.asarray(C_n, dtype=float)
-        if C_n.shape != (system.N,):
-            raise ValueError(f"state has shape {C_n.shape}, want ({system.N},)")
+        history = np.asarray(history, dtype=float)
+        if history.ndim not in (1, 2) or history.shape[-1] != system.N or not history.size:
+            raise ValueError(f"history has shape {history.shape}, want (n, {system.N})")
+        recent = history.reshape(-1, system.N)[-_ORDER - 1 :]
+        C_n = recent[-1]
         lhs = self._lhs
         np.copyto(lhs.data, self.static_part.data)
         lhs.data[self._block_positions] += self.dt * system.reaction_blocks(C_n).ravel()
         rhs = C_n
         if forcing is not None:
             rhs = rhs + self.dt * self._forcing_vector(forcing, t_next)
-        chain = self._chain
-        if not (chain and C_n is chain[-1]):
-            chain[:] = [C_n]
-        coefficients = _EXTRAPOLATION[len(chain) - 1]
+        coefficients = _EXTRAPOLATION[len(recent) - 1]
         x0 = coefficients[0] * C_n
-        for c, state in zip(coefficients[1:], reversed(chain[:-1])):
+        for c, state in zip(coefficients[1:], recent[-2::-1]):
             x0 += c * state
-        C_next, stats = solve_linear(
+        return solve_linear(
             lhs, rhs, x0=x0, rtol=self.rtol, maxiter=self.maxiter, precond=self.precond
         )
-        chain.append(C_next)
-        del chain[: -_ORDER - 1]
-        return C_next, stats
 
     def _forcing_vector(self, forcing, t: float) -> np.ndarray:
         """L2 projection of forcing(points, t) onto the space."""
@@ -166,18 +161,18 @@ def solve_fk_mesh(
 ) -> Trajectory:
     """Run the semi-implicit time loop from C0 up to final time T.
 
-    ``trajectory.advance`` at one row runs ``MeshStepper.step`` on the
-    state the step before returned, so the extrapolation chain runs on;
-    the run raises the loop's failure.  Logs one warning when any step fell
-    back to the sparse LU, and one when an element mean of any state,
-    initial one included, lies outside [OVERSHOOT_LOW, OVERSHOOT_HIGH].
-    The states are kept as computed either way.
+    ``trajectory.advance`` at one row hands ``MeshStepper.step`` the
+    states it holds, so each step starts CG from the extrapolant through
+    its last five; the run raises the loop's failure.  Logs one warning
+    when any step fell back to the sparse LU, and one when an element mean
+    of any state, initial one included, lies outside [OVERSHOOT_LOW,
+    OVERSHOOT_HIGH].  The states are kept as computed either way.
     """
     stepper = MeshStepper(system, dt, rtol=rtol, maxiter=int(maxiter_factor * system.N))
 
-    def step(C_n, C_nm1, alphas, t):
-        C_next, stats = stepper.step(C_n, forcing=forcing, t_next=t)
-        return C_next, [stats]
+    def step(history, alphas, t):
+        C_next, stats = stepper.step(history[0], forcing=forcing, t_next=t)
+        return C_next[None], [stats]
 
     trajectories, failure = advance(step, C0, [system.alpha], dt, T, logger)
     if failure is not None:

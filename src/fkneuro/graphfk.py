@@ -5,7 +5,8 @@ Semi-discrete system per node j:
     dC_j/dt = -sum_i L_ji C_i + alpha * C_j * (1 - C_j)
 
 integrated by Crank-Nicolson with the nonlinear factor frozen at the
-second-order extrapolant g = 1 - (3 C^n - C^{n-1}) / 2.  The consistent
+second-order extrapolant g = 1 - (3 C^n - C^{n-1}) / 2, self-started by
+C^{-1} := C^0 (see ``solve_fk_graph``).  The consistent
 averaging puts + alpha*dt*diag(g) on the right-hand side; the originally
 printed update formula carries a minus sign there, which cancels the
 reaction and damps growth.  That variant stays available behind
@@ -30,10 +31,11 @@ A step also takes a (k, M) block of k states, one per alpha, and solves
 its rows as k independent systems that share each CG iteration's L @ V
 (a row that stops stays in the block, frozen); ``solve_fk_graph_alphas``
 advances the alphas of a sweep in lockstep that way, through the time
-loop the DG solver shares (``trajectory.advance``: step count, states,
-non-finite check, failure rule and fallback warning).  Every row has its
-own scale, gate and fallback, and comes out bit-identical to a run at its
-alpha alone (``solve_fk_graph``, which is the lockstep loop at one alpha).
+loop the DG solver shares (``trajectory.advance``: step count, the states,
+which it hands each step as its history, non-finite check, failure rule
+and fallback warning).  Every row has its own scale, gate and fallback,
+and comes out bit-identical to a run at its alpha alone
+(``solve_fk_graph``, which is the lockstep loop at one alpha).
 """
 
 import logging
@@ -210,13 +212,16 @@ def solve_fk_graph_alphas(
 
     The alphas are the rows of one state block, advanced in lockstep by
     ``trajectory.advance`` with one call of the module attribute
-    ``step_cn_extrapolated`` per step; each row gets the bits of a run at
-    its alpha alone (``solve_fk_graph``, which raises the failure this
-    returns).  Returns advance's (trajectories, failure).
+    ``step_cn_extrapolated`` per step, on C^n and C^{n-1} from the states
+    the loop holds; the first step self-starts with C^{-1} := C^0.  Each
+    row gets the bits of a run at its alpha alone (``solve_fk_graph``,
+    which raises the failure this returns).  Returns advance's
+    (trajectories, failure).
     """
-    C0 = np.repeat(np.asarray(C0, dtype=float)[None], len(alphas), axis=0)
 
-    def step(C_n, C_nm1, live_alphas, t):
+    def step(history, live_alphas, t):
+        C_n = history[:, -1]
+        C_nm1 = history[:, -2] if history.shape[1] > 1 else C_n
         return step_cn_extrapolated(conn, C_n, C_nm1, live_alphas, dt, literal_rhs=literal_rhs)
 
     return advance(step, C0, alphas, dt, T, logger)
@@ -243,13 +248,13 @@ def solve_fk_graph(
     steps fell back to the LU logs one warning.  This is
     ``solve_fk_graph_alphas`` at the single alpha, raising its failure.
 
-    The scheme needs two back states; the loop self-starts with
-    C^{-1} := C^0, degrading only the first step to first-order
-    extrapolation.  The scheme stays second order, but the start adds
-    dt^2 * (alpha * c0 / 2) * c'(t) to the leading error of a logistic
-    solution c(t) from c(0) = c0.  At the defaults (alpha=0.61, c0=0.1,
-    dt=0.05) that term peaks at about 26% of the maximum of the scheme's
-    own leading error.
+    The scheme needs two back states; its step in
+    ``solve_fk_graph_alphas`` self-starts with C^{-1} := C^0, degrading
+    only the first step to first-order extrapolation.  The scheme stays
+    second order, but the start adds dt^2 * (alpha * c0 / 2) * c'(t) to
+    the leading error of a logistic solution c(t) from c(0) = c0.  At the
+    defaults (alpha=0.61, c0=0.1, dt=0.05) that term peaks at about 26% of
+    the maximum of the scheme's own leading error.
     """
     trajectories, failure = solve_fk_graph_alphas(conn, C0, [alpha], dt, T, literal_rhs)
     if failure is not None:

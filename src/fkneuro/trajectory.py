@@ -300,10 +300,6 @@ class Trajectory:
                 raise ValueError("time grid is not uniform")
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
@@ -321,18 +317,19 @@ def step_count(T: float, dt: float) -> int:
 def advance(step, C0, alphas, dt: float, T: float, log):
     """Run the time loop of k = len(alphas) rows from C0 up to final time T.
 
-    ``step(C_n, C_nm1, alphas, t)`` advances the live rows to time t and
-    returns (C_next, stats): a (live, N) block, or an (N,) state for one
-    row, and one dict per row with "fallback", and "error" where its solve
-    failed.  The first step gets C0, (N,) or (k, N), as C_n and C_nm1, and
-    each later one the very object the step before returned (its first
-    rows, once a row has failed).  A row fails on an "error" or a
+    The loop holds every state in one (k, n_steps + 1, N) block, C0, (N,)
+    or (k, N), broadcast into its first column.  ``step(history, alphas,
+    t)`` advances the live rows to time t: ``history`` is the block's view
+    of their states C^0 ... C^n, (live, n + 1, N), so each step reads the
+    earlier states it needs from it.  It returns (C_next, stats): the
+    (live, N) block of C^{n+1} and one dict per row with "fallback", and
+    "error" where its solve failed.  A row fails on an "error" or a
     non-finite state, and leaves with every row after it; the rows before
     it run on to T.  Returns one Trajectory per row before the first that
-    failed, their states views of one (k, n_steps + 1, N) block, and that
-    row's exception (its "error", or a FloatingPointError naming the step
-    and t) or None.  Each returned row whose steps fell back to the sparse
-    LU logs one warning on ``log``.
+    failed, their states views of the block, and that row's exception (its
+    "error", or a FloatingPointError naming the step and t) or None.  Each
+    returned row whose steps fell back to the sparse LU logs one warning on
+    ``log``.
     """
     n_steps = step_count(T, dt)
     alphas = np.asarray(alphas, dtype=float)
@@ -341,10 +338,9 @@ def advance(step, C0, alphas, dt: float, T: float, log):
     states[:, 0] = C0
     stats = [[] for _ in range(k)]
     failure = None
-    prev = curr = C0
     for n in range(n_steps):
         t = (n + 1) * dt
-        nxt, step_stats = step(curr, prev, alphas[:live], t)
+        nxt, step_stats = step(states[:live, : n + 1], alphas[:live], t)
         finite = np.isfinite(nxt).reshape(live, -1).all(axis=1).tolist()
         for i in range(len(finite)):
             error = step_stats[i].get("error")
@@ -356,10 +352,7 @@ def advance(step, C0, alphas, dt: float, T: float, log):
             stats[i].append(step_stats[i])
         if not live:
             break
-        if live < len(finite):
-            nxt, curr = nxt[:live], curr[:live]
-        states[:live, n + 1] = nxt
-        prev, curr = curr, nxt
+        states[:live, n + 1] = nxt[:live]
     for alpha, row in zip(alphas[:live].tolist(), stats):
         fallbacks = sum(st["fallback"] for st in row)
         if fallbacks:
@@ -468,7 +461,5 @@ def first_crossing(times, values, level) -> float | None:
     if k == 0:
         return float(times[0])
     t0, t1 = times[k - 1], times[k]
-    v0, v1 = values[k - 1], values[k]
-    if v1 == v0:
-        return float(t1)
+    v0, v1 = values[k - 1], values[k]  # v0 < level <= v1
     return float(t0 + (level - v0) * (t1 - t0) / (v1 - v0))

@@ -1,10 +1,13 @@
 """Every hypothesis test in tests/ runs the same examples on every run: each
 ``settings(...)`` call passes ``derandomize=True``, so a failure found once
 is found again and a passing suite stays passing.  The scan reads the test
-files' syntax trees.
+files' syntax trees.  A failing hypothesis test fails alone: the session's
+warning filters let the rest of the suite run.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -54,3 +57,37 @@ def test_every_hypothesis_settings_is_derandomized():
         for line in random_settings(path.read_text())
     ]
     assert not found, "settings(...) without derandomize=True:\n" + "\n".join(found)
+
+
+FAILING_AND_PASSING = """\
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # reporting the failing example imports modules that warn on import;
+    # under the suite's warning filters that must not end the session
+    (tmp_path / "test_two.py").write_text(FAILING_AND_PASSING)
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(TESTS.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+            "test_two.py",
+        ],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "1 failed, 1 passed" in output
+    assert "INTERNALERROR" not in output

@@ -243,11 +243,11 @@ def test_cg_starts_from_the_extrapolant_of_its_own_states(monkeypatch):
         return original(A, b, x0=x0, **kwargs)
 
     monkeypatch.setattr(stepper_module, "solve_linear", spy)
-    # a non-uniform state, so that the chained states differ
+    # a non-uniform state, so that the states of the history differ
     C = [system.space.project(lambda x: 0.1 + 0.05 * np.sin(3.0 * x[:, 0] + x[:, 1]))]
     for _ in range(6):
-        C.append(stepper.step(C[-1])[0])
-    stepper.step(C[-1].copy())  # equal values, but not the array the stepper returned
+        C.append(stepper.step(np.stack(C))[0])
+    stepper.step(C[-1])  # a 1-D state is a history of one
     # the polynomial extrapolants through the last 1..5 states
     assert np.array_equal(starts[0], C[0])
     assert np.array_equal(starts[1], 2.0 * C[1] - C[0])
@@ -321,9 +321,10 @@ def test_direct_fallback_refines_to_the_tolerance():
         perturbed_mesh(4, 0), DiffusionModel(8.0, 80.0), alpha=0.0, eta0=10.0, degree=2
     )
     stepper = MeshStepper(system, 1.0)
-    C = np.random.default_rng(0).normal(size=system.N)
+    C = [np.random.default_rng(0).normal(size=system.N)]
     for _ in range(2):
-        C, stats = stepper.step(C)
+        C_next, stats = stepper.step(np.stack(C))  # the second starts from 2 C_1 - C_0
+        C.append(C_next)
         assert stats["residual"] <= 1e-10
     assert stats["fallback"] is True
 

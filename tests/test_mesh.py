@@ -126,6 +126,31 @@ def test_repeated_vertex_is_degenerate_facet(vertices, vertex_lists, message):
         elements_mesh(vertices, vertex_lists)
 
 
+COINCIDENT_VERTICES = """\
+FKMESH 1 2
+VERTICES 4
+0 0
+1 0
+0 1
+0 1
+ELEMENTS 2
+3 0 1 2 1 1 0
+3 1 3 2 1 1 0
+"""
+
+
+def test_zero_measure_element_rejected(tmp_path):
+    # vertices 2 and 3 are one point, so element 1 is a segment
+    path = tmp_path / "flat.fkmesh"
+    path.write_text(COINCIDENT_VERTICES)
+    with pytest.raises(MeshTopologyError, match="^element 1 has zero measure$"):
+        load_mesh(path)
+    # a tetrahedron whose four vertices lie in one plane
+    flat = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    with pytest.raises(MeshTopologyError, match="^element 0 has zero measure$"):
+        elements_mesh(flat, [[0, 1, 2, 3]])
+
+
 def test_facet_listed_twice_by_one_element():
     # the second polygon runs 1 -> 3 -> 2 and back along 2 -> 3
     vertices = [[0, 0], [1, 0], [0, 1], [1, 1]]

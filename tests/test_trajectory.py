@@ -289,15 +289,18 @@ def test_advance_keeps_the_rows_before_the_first_failure(plan):
     C0 = np.arange(k * N, dtype=float).reshape(k, N)
     returned, produced = [], [[] for _ in range(k)]  # step outputs, stats per row
 
-    def step(C_n, C_nm1, live_alphas, t):
+    def step(history, live_alphas, t):
         n = len(returned) + 1
         assert t == n * dt
-        if returned:  # the previous output itself, or its first rows
-            last = returned[-1]
-            assert C_n is last if len(C_n) == len(last) else C_n.base is last
-        out = C_n + live_alphas[:, None]
+        # the states so far of the live rows: C0, then each earlier output
+        live = len(live_alphas)
+        assert history.shape == (live, n, N)
+        for i in range(live):
+            earlier = [C0[i]] + [out[i] for out in returned]
+            assert history[i].tobytes() == np.array(earlier).tobytes()
+        out = history[:, -1] + live_alphas[:, None]
         stats = []
-        for i in range(len(C_n)):
+        for i in range(live):
             kind = faults.get((i, n), "")
             st_ = {"fallback": (i, n) in fallbacks}
             if kind in ("error", "both"):
