@@ -27,9 +27,10 @@ a_j <= 0, or CG does not pass the gate within _CG_MAXITER iterations (or
 breaks down or stagnates first), a refined sparse LU of the system solves
 the step instead.
 
-A step also takes a (k, M) block of k states, one per alpha, and solves
-its rows as k independent systems that share each CG iteration's L @ V
-(a row that stops stays in the block, frozen); ``solve_fk_graph_alphas``
+A step solves a (k, M) block of k states, one per alpha, as k
+independent systems that share each CG iteration's L @ V (a row that stops
+stays in the block, frozen); a single state is a block of one.
+``solve_fk_graph_alphas``
 advances the alphas of a sweep in lockstep that way, through the time
 loop the DG solver shares (``trajectory.advance``: step count, the states,
 which it hands each step as its history, non-finite check, failure rule
@@ -65,13 +66,6 @@ def rhs_semidiscrete(conn, C: np.ndarray, alpha: float) -> np.ndarray:
     return -(conn.laplacian @ C) + alpha * C * (1.0 - C)
 
 
-def _laplacian_rows(L, V):
-    """L applied to every row of V; row i is bit-equal to ``L @ V[i]``."""
-    if len(V) == 1:  # the vector product, without the block product's set-up
-        return (L @ V[0])[None]
-    return (L @ V.T).T
-
-
 def constant_mode_preconditioner(a, d):
     """The balancing preconditioner of diag(a) + dt*L, with the constants as its coarse space.
 
@@ -92,10 +86,10 @@ def constant_mode_preconditioner(a, d):
 
     so an application is r/d plus two matrix-vector products: one with
     the rows 1 and w, and one with the rows (1 + a.w/sum(a) - w)/sum(a)
-    and -1/sum(a).  Returns the callback R -> M_i^{-1} R_i, row by row.
-    A block applies both products as batched ``matmul``s and a one-row
-    block as 2-D ``dot``s; both call the same BLAS matrix-vector product
-    per row, so each row of a block gets the bits of a one-row block.
+    and -1/sum(a).  Returns the callback R -> M_i^{-1} R_i, row by row,
+    for (k, M) blocks only.  It applies both products as batched
+    ``matmul``s, which call one BLAS matrix-vector product per row, so each
+    row of a block gets the bits of a block of one.
     """
     k, M = a.shape
     inv_d = 1.0 / d
@@ -110,11 +104,9 @@ def constant_mode_preconditioner(a, d):
 
     def apply(R):
         R = np.ascontiguousarray(R)
-        if len(R) == 1:  # the 2-D products, without the batch's set-up
-            Z = basis[0].dot(R[0]).dot(coefficients[0])[None]
-        else:  # sum(r) and w.r of each row, then their combination of its coefficients
-            sums = np.matmul(basis, R[:, :, None]).transpose(0, 2, 1)
-            Z = np.matmul(sums, coefficients)[:, 0]
+        # sum(r) and w.r of each row, then their combination of its coefficients
+        sums = np.matmul(basis, R[:, :, None]).transpose(0, 2, 1)
+        Z = np.matmul(sums, coefficients)[:, 0]
         Z += inv_d * R
         return Z
 
@@ -131,11 +123,12 @@ def step_cn_extrapolated(
 ):
     """One Crank-Nicolson step; returns (C_next, stats).
 
-    ``C_n`` and ``C_nm1`` are (M,) states, or (k, M) blocks whose row i is
-    an independent state at conversion rate ``alpha[i]`` (``alpha`` a
-    scalar or of shape (k,)).  Every row has its own reaction, scale,
-    preconditioner, and, through ``linsolve.solve``, CG recurrence, residual
-    gate and LU fallback, and gets the bits a 1-D call gives it.  The
+    ``C_n`` and ``C_nm1`` are (k, M) blocks whose row i is an independent
+    state at conversion rate ``alpha[i]`` (``alpha`` a scalar or of shape
+    (k,)), or (M,) states, which are stepped as a block of one.  Every row
+    has its own reaction, scale, preconditioner, and, through
+    ``linsolve.solve``, CG recurrence, residual gate and LU fallback, and
+    gets the bits a block of its own gives it.  The
     definite rows with a nonzero right-hand side share one block CG, one
     ``L @ V`` per iteration, in which a row that stops stays, frozen.
 
@@ -168,7 +161,7 @@ def step_cn_extrapolated(
     reaction = alpha * dt * (1.0 - 0.5 * (3.0 * C_n - C_nm1))
     a = 2.0 - reaction
     # the literal right-hand side's factor 2 - reaction is a itself
-    rhs = (a if literal_rhs else 2.0 + reaction) * C_n - dt * _laplacian_rows(L, C_n)
+    rhs = (a if literal_rhs else 2.0 + reaction) * C_n - dt * (L @ C_n.T).T
     # solve for C_next / scale, with scale the power of two just above
     # max|rhs|: exact, and no squared norm of the scaled rhs underflows;
     # above 2**1023 (no float) it is 2**1023, which leaves |rhs| < 2
@@ -181,9 +174,9 @@ def step_cn_extrapolated(
     rhs = rhs / scale
 
     def operators(rows):
-        a_rows = a if len(rows) == k else a.take(rows, 0)
+        a_rows = a.take(rows, 0)
         return (
-            lambda V: a_rows * V + dt * _laplacian_rows(L, V),
+            lambda V: a_rows * V + dt * (L @ V.T).T,
             constant_mode_preconditioner(a_rows, a_rows + dt * conn.degree),
         )
 

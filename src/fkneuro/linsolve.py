@@ -2,13 +2,13 @@
 
 One loop serves both time steppers: the graph passes Jacobi scaling with
 the constant mode deflated (see graphfk.constant_mode_preconditioner), the
-DG stepper a factorization of I + dt*A (see dg.stepper).  It solves k
-independent systems at once, one per row of a (k, N) block; a 1-D right-
-hand side is the k = 1 case.  Rows share the operator applications, so a
-batch pays one block product per iteration instead of k, but each row keeps
-its own recurrence, and every row operation (products row by row, dots
-through the same BLAS call as a 1-D ``r @ z``) gives the bits the row would
-get on its own.
+DG stepper a factorization of I + dt*A (see dg.stepper).  It works on
+(k, N) blocks only, one independent system per row; a single system is a
+block of one.  Rows share the operator applications, so a batch pays one
+block product per iteration instead of k, but each row keeps its own
+recurrence, and every row operation (products row by row, dots through the
+same BLAS call as a 1-D ``r @ z``) gives the bits the row would get in a
+block of its own.
 
 A row stops as soon as its recurrence residual reaches its absolute
 tolerance, and gives up early when its iteration breaks down (p . A p <= 0,
@@ -19,7 +19,7 @@ stopped row stays in the block, frozen at its stop: the block products run
 over it, unread, until the last row stops.
 
 ``solve`` applies one policy to the k systems of a step, and every row
-gets the bits, stats and error of its own k = 1 call:
+gets the bits, stats and error of a block of its own:
 
 - a definite row (SPD, as the caller knows) with b = 0 is solved by 0;
 - the other definite rows run ``pcg`` to relative residual ``cg_rtol``,
@@ -56,40 +56,27 @@ def row_dots(A, B):
     1-D ``@``, as ``ndarray.dot`` does; the rows must be contiguous for it to
     give the same bits.
     """
-    if len(A) == 1:  # the 1-D dot itself, without the set-up of a batch or of ``@``
-        return np.array([np.ascontiguousarray(A[0]).dot(np.ascontiguousarray(B[0]))])
     A = np.ascontiguousarray(A)
     B = np.ascontiguousarray(B)
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def pcg(apply, precond, b, x0, tol, maxiter):
-    """Preconditioned CG for A x = b from x0 until ||b - A x|| <= tol.
+    """Preconditioned CG for A_i x_i = b_i, row by row, until ||b_i - A_i x_i|| <= tol[i].
 
-    With a 1-D ``b``, ``apply(v)`` returns A v and ``precond(r)`` returns
-    M^{-1} r; both should be symmetric positive definite.  With a (k, N)
-    block ``b`` (and ``x0``), row i is the system A_i x_i = b_i, ``tol``
-    holds one tolerance per row, and ``apply(V)`` and ``precond(R)`` get
-    the whole block and return A_i or M_i^{-1} applied to each row.  A
-    stopped row's entries hold unread, possibly non-finite values, so a
-    callback must keep each row's result to that row.
+    ``b`` and ``x0`` are (k, N) blocks and ``tol`` holds one tolerance per
+    row.  ``apply(V)`` and ``precond(R)`` get the whole block and return
+    A_i or M_i^{-1} applied to each row; both should be symmetric positive
+    definite.  A stopped row's entries hold unread, possibly non-finite
+    values, so a callback must keep each row's result to that row.
 
     At most ``maxiter`` iterations are taken.  Returns (x, iterations,
-    residuals), with ``residuals`` the norms of the recurrence residual at
-    x0 and after every iteration: the solve converged when
-    ``residuals[-1] <= tol``, and otherwise stopped on breakdown,
-    stagnation or the iteration cap, returning its last iterate.  For a
-    block, ``x`` is (k, N), and ``iterations`` and ``residuals`` are lists
-    of the k rows' counts and residual lists.
+    residuals): the (k, N) iterates, and the k rows' iteration counts and
+    lists of recurrence residual norms, at x0 and after every iteration.  A
+    row converged when its ``residuals[i][-1] <= tol[i]``, and otherwise
+    stopped on breakdown, stagnation or the iteration cap, returning its
+    last iterate.
     """
-    if np.ndim(b) == 1:
-        x, iterations, residuals = pcg(
-            lambda V: apply(V[0])[None],
-            lambda R: precond(R[0])[None],
-            np.asarray(b)[None], np.asarray(x0)[None], [tol], maxiter,
-        )
-        return x[0], iterations[0], residuals[0]
-
     X = np.array(x0, dtype=float)  # the returned iterates, each row set when it stops
     residuals = [[] for _ in X]
     # each row's residual last halved, and the iteration it was halved at
@@ -141,17 +128,16 @@ def solve(operators, matrix, B, X0, cg_rtol, gate, maxiter, definite):
     starts from X0 and stops after ``maxiter`` iterations.  ``stats`` holds
     k dicts; a failed row's has its LinearSolverError under ``error``.
     """
-    k = len(B)
     norms = [math.sqrt(v) for v in row_dots(B, B).tolist()]
     stats = [
         {"iterations": 0, "residual": 0.0 if d and norm == 0.0 else math.inf, "fallback": False}
         for d, norm in zip(definite, norms)
     ]
     X = np.zeros(B.shape)
-    cg = [i for i in range(k) if definite[i] and norms[i] != 0.0]
+    cg = [i for i, (d, norm) in enumerate(zip(definite, norms)) if d and norm != 0.0]
     histories = {}
     if cg:
-        B_cg, X0_cg = (B, X0) if len(cg) == k else (B.take(cg, 0), X0.take(cg, 0))
+        B_cg, X0_cg = B.take(cg, 0), X0.take(cg, 0)
         apply, precond = operators(cg)
         tol = [cg_rtol * norms[i] for i in cg]
         x, iterations, residuals = pcg(apply, precond, B_cg, X0_cg, tol, maxiter)

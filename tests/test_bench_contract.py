@@ -5,13 +5,20 @@ is renamed or removed, so this guards the names the benchmark relies on.
 A wrapper only sees the calls made through the attribute it replaced, so
 the time loops must reach their step, and the DG step its linear solve,
 through the module or class attribute, not through a reference taken when
-the module was imported.
+the module was imported.  The probe sample of the sweep workloads steps the
+solvers through their 1-D entry points, which no harness run reaches, so
+it runs here too.
 """
 
+import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,3 +147,24 @@ def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
     assert loads_recorded == 1
     assert elements == 50
     assert internal_faces == 65
+
+
+@pytest.mark.parametrize("workload", ["mesh-sweep", "graph-sweep"])
+def test_bench_probe_step_is_finite_and_matches_the_reference(workload, tmp_path):
+    # worker.probe takes one step from a seeded non-uniform state through
+    # MeshStepper.step or a 1-D step_cn_extrapolated
+    proc = subprocess.run(
+        [
+            sys.executable, "bench/worker.py", "--workload", workload, "--seed", "0",
+            "--outdir", str(tmp_path), "--t-spawn", str(time.monotonic()), "--mode", "probe",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads((tmp_path / "probe.json").read_text())
+    assert set(probe) == {"energy", "norm", "change"}
+    assert all(math.isfinite(v) and v > 0 for v in probe.values())
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    expected = reference["entries"][workload]["0"]["probe"]
+    for name, value in expected.items():
+        assert probe[name] == pytest.approx(value, rel=reference["probe_rtol"])

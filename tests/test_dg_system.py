@@ -82,13 +82,6 @@ def test_harmonic_average_two_four():
         assert eta == pytest.approx([4 / (8.0 / 3.0) * 2.0], rel=1e-15)
 
 
-def test_face_penalties_reject_zero_diameter():
-    mesh = equilateral_pair_mesh()
-    mesh.diameters[1] = 0.0
-    with pytest.raises(ValueError, match="zero diameter"):
-        face_penalties(mesh, DiffusionModel(), degree=1, eta0=1.0, alpha=0.0)
-
-
 def test_face_penalty_point_value():
     mesh = equilateral_pair_mesh()
     assert len(mesh.internal_faces) == 1

@@ -12,7 +12,7 @@ from fkneuro import graphfk, harness
 from fkneuro.cli import main
 from fkneuro.config import SimulationConfig, load_config, serialize_config
 from fkneuro.dg import stepper as stepper_module
-from fkneuro.errors import ConfigError, FkneuroError, RegionVocabularyError
+from fkneuro.errors import AtlasError, ConfigError, FkneuroError, RegionVocabularyError
 from fkneuro.geometry import (
     ANATOMICAL_TABLE,
     STAGE_ORDER,
@@ -592,15 +592,17 @@ def test_compare_names_the_ids_one_domain_lacks(domains, tmp_path):
     assert not (tmp_path / "cmp" / "comparison.csv").exists()
 
 
-def test_compare_vocabulary_mismatch(domains, tmp_path):
+def test_compare_rejects_an_atlas_region_the_graph_lacks(domains, tmp_path):
+    # the slabs atlas names regions 1-5; a 4-node chain has no region 5, so
+    # the graph side fails on the atlas before any comparison is written
     conn = generate_connectome(4, topology="chain")
     graph_path = tmp_path / "four.csv"
     write_connectome(conn, graph_path)
-    cfg_mesh = mesh_config(domains)
-    cfg_graph = graph_config(domains, graph_path=str(graph_path))
-    cfg_graph.atlas_table = "slabs"
-    with pytest.raises((RegionVocabularyError, FkneuroError)):
+    cfg_mesh = mesh_config(domains, T=0.5)
+    cfg_graph = graph_config(domains, graph_path=str(graph_path), T=0.5)
+    with pytest.raises(AtlasError, match=re.escape("[5]")):
         harness.compare(cfg_mesh, cfg_graph, tmp_path / "cmp")
+    assert not list((tmp_path / "cmp").rglob("comparison.csv"))
 
 
 def test_workers_env_cap(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fkneuro.dg.stepper import solve_linear
 from fkneuro.errors import LinearSolverError
-from fkneuro.linsolve import _STALL, pcg, solve
+from fkneuro.linsolve import _STALL, pcg, row_dots, solve
 
 RTOL = 1e-10
 MAXITER = 1000
@@ -51,8 +51,16 @@ def jacobi(A):
     return lambda r: inv_diag * r
 
 
+def pcg_one(A, precond, b, tol, maxiter):
+    """``pcg`` on the one-row block of A x = b from 0; returns that row's results."""
+    X, iterations, residuals = pcg(
+        lambda V: A.dot(V[0])[None], precond, b[None], np.zeros((1, len(b))), [tol], maxiter
+    )
+    return X[0], iterations[0], residuals[0]
+
+
 def run_pcg(A, b):
-    return pcg(A.dot, jacobi(A), b, np.zeros(len(b)), RTOL * np.linalg.norm(b), MAXITER)
+    return pcg_one(A, jacobi(A), b, RTOL * np.linalg.norm(b), MAXITER)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -99,10 +107,31 @@ def test_pcg_stops_at_breakdown_before_stepping():
     # p . A p = 0 on the first direction: the step length would be infinite
     A = np.diag([1.0, -1.0])
     b = np.array([1.0, 1.0])
-    x, iterations, residuals = pcg(A.dot, lambda r: r, b, np.zeros(2), 1e-10, MAXITER)
+    x, iterations, residuals = pcg_one(A, lambda r: r, b, 1e-10, MAXITER)
     assert iterations == 0
     assert residuals == [pytest.approx(np.sqrt(2.0))]
     assert not x.any()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_block_rows_are_bit_equal_to_their_vector_products(seed):
+    # the solver layer handles a single system as a block of one, which is
+    # exact only because each row of a block product is the bits of the
+    # row's own vector product: row_dots against the 1-D dot, and the
+    # sparse product with V.T against L @ v (the graph step's Laplacian)
+    rng = np.random.default_rng(seed)
+    for N in [1, 7, 83, 1015, 6912]:
+        L = sp.random(N, N, density=min(1.0, 8.0 / N), format="csr", rng=rng)
+        L = (L + L.T).tocsr()
+        for k in range(1, 9):
+            A, B, V = rng.normal(size=(3, k, N))
+            dots = row_dots(A, B)
+            products = (L @ V.T).T
+            assert dots.shape == (k,) and products.shape == (k, N)
+            for i in range(k):
+                assert dots[i].tobytes() == (A[i] @ B[i]).tobytes()
+                assert products[i].tobytes() == (L @ V[i]).tobytes()
 
 
 @st.composite
@@ -115,7 +144,7 @@ def stacked_systems(draw):
 
 
 def stop_reason(residuals, iterations, tol, maxiter):
-    """Why a 1-D pcg call ended: tolerance, cap, stall or breakdown."""
+    """Why a one-row pcg call ended: tolerance, cap, stall or breakdown."""
     if residuals[-1] <= tol:
         return "tolerance"
     if iterations == maxiter:
@@ -130,7 +159,7 @@ def stop_reason(residuals, iterations, tol, maxiter):
 def test_pcg_rows_equal_their_single_solves():
     # each row of a block keeps its own recurrence and stopping tests, so
     # every row's iterate, iteration count and residual history are the
-    # bits of its own 1-D solve, whatever the other rows do; a stopped row
+    # bits of its own one-row solve, whatever the other rows do; a stopped row
     # stays in the block, so every callback gets all k rows, and the block
     # takes one product per iteration of its slowest row (plus the first
     # residual's, and one more when the last rows break down unstepped)
@@ -157,7 +186,7 @@ def test_pcg_rows_equal_their_single_solves():
         assert set(shapes["apply"]) | set(shapes["precond"]) <= {B.shape}
         assert 1 <= len(shapes["apply"]) <= 2 + max(iterations)
         for i, (A, b) in enumerate(systems):
-            x1, it1, res1 = pcg(A.dot, jacobi(A), b, np.zeros(len(b)), tols[i], maxiter)
+            x1, it1, res1 = pcg_one(A, jacobi(A), b, tols[i], maxiter)
             assert X[i].tobytes() == x1.tobytes()
             assert iterations[i] == it1
             assert np.array(residuals[i]).tobytes() == np.array(res1).tobytes()
