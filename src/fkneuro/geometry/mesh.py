@@ -101,7 +101,8 @@ class PolytopalMesh:
     ``simplex_groups`` lists the sub-tessellations stacked per simplex
     count: (elements (g,), simplices (g, s, d+1, d), simplex measures
     (g, s)).  ``internal_faces`` and ``boundary_faces`` are `Faces`.
-    A bad facet or an element of zero measure raises MeshTopologyError.
+    A bad facet, an element of zero measure or a facet of zero size raises
+    MeshTopologyError.
     """
 
     def __init__(self, vertices, cells, regions, axons, subtess=None):
@@ -156,15 +157,6 @@ class PolytopalMesh:
                 f"element {i}: sub-tessellation measure {sub[i]} != "
                 f"element measure {measures[i]}"
             )
-        total_sub = sub.sum()
-        if abs(total_sub - self.measure) > _MEASURE_RTOL * self.measure:
-            raise MeshTopologyError(
-                f"mesh measure mismatch: elements {self.measure}, "
-                f"sub-tessellation {total_sub}"
-            )
-        normals = np.concatenate([self.internal_faces.normals, self.boundary_faces.normals])
-        if (np.abs(np.linalg.norm(normals, axis=1) - 1.0) > _UNIT_TOL).any():
-            raise MeshTopologyError("face normal is not unit length")
 
 
 def _cell_geometry(vertices, ids, sizes):
@@ -285,7 +277,8 @@ def _build_faces(vertices, ids, sizes, simplex_groups, measures):
     """(internal, boundary) `Faces` in sorted-key order (the key is the
     facet's sorted vertex ids).  Raises MeshTopologyError for the first bad
     facet row (``_check_facets``), then for the first element of zero
-    measure, before any face is built.
+    measure, before any face is built, and for the first face of zero size
+    before any normal is normalized.
 
     A face keeps the vertex order of its lowest-numbered owner, its left
     element, and its unit normal points away from that element's centroid.
@@ -309,7 +302,12 @@ def _build_faces(vertices, ids, sizes, simplex_groups, measures):
         normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
     else:
         normals = np.cross(edges[:, 0], edges[:, 1])
-    normals /= np.sqrt(row_dots(normals, normals))[:, None]
+    lengths = np.sqrt(row_dots(normals, normals))
+    flat = np.flatnonzero(~(lengths > 0))
+    if flat.size:
+        facet = tuple(int(v) for v in facets[order[start[flat[0]]]])
+        raise MeshTopologyError(f"element {left[flat[0]]} has facet {facet} of zero size")
+    normals /= lengths[:, None]
     centroids = _centroids(d, len(sizes), simplex_groups)
     inward = row_dots(normals, verts.mean(axis=1) - centroids[left]) < 0
     normals[inward] *= -1.0

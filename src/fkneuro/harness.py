@@ -1,9 +1,11 @@
 """Experiment orchestration: single runs, alpha sweeps, mesh-vs-graph comparison.
 
-Every entry point takes a validated SimulationConfig, loads or builds the
-domain, runs the matching solver and writes CSV artifacts.  Outputs are
-deterministic: fixed column orders, canonical float text, no time-seeded
-randomness.
+Every entry point is one pipeline: ``_load`` validates a SimulationConfig,
+loads its atlas and domain, checks one against the other and resolves the
+seeds; then ``_runs`` solves, reduces and writes each (alpha, output
+directory) job on that domain.  ``compare`` loads both domains before
+either runs.  Outputs are deterministic: fixed column orders, canonical
+float text, no time-seeded randomness.
 """
 
 import logging
@@ -132,8 +134,7 @@ def _load(cfg: SimulationConfig) -> _LoadedDomain:
             raise ConfigError("domain=mesh requires mesh_path")
         mesh = load_mesh(cfg.mesh_path)
         atlas.validate_against(mesh.regions)
-        model = DiffusionModel(d_ext=cfg.d_ext, d_axn=cfg.d_axn)
-        model.validate()
+        model = DiffusionModel(d_ext=cfg.d_ext, d_axn=cfg.d_axn)  # cfg.validate checked it
         system = assemble(mesh, model, cfg.alpha, cfg.eta0, cfg.ell)
         seeds = resolve_seed_regions(cfg, atlas, mesh.regions)
         C0 = system.space.seed_vector(seeds, cfg.seed_value)
@@ -147,26 +148,31 @@ def _load(cfg: SimulationConfig) -> _LoadedDomain:
     return _LoadedDomain(atlas, conn, conn, C0, sorted(int(r) for r in conn.region_ids))
 
 
-def _trajectories(cfg: SimulationConfig, loaded: _LoadedDomain, alphas):
-    """The trajectory of cfg at each of alphas in turn, on a domain loaded for cfg.
+def _runs(cfg: SimulationConfig, loaded: _LoadedDomain, jobs):
+    """The RunResult of each (alpha, output_dir) of jobs in turn, on a domain
+    `_load` has loaded for cfg.
 
-    A graph solves all its alphas in lockstep first (see
-    graphfk.solve_fk_graph_alphas); a mesh solves each alpha only when it
-    is asked for the next one, so it holds one trajectory at a time.
-    After the trajectories of the alphas before the first that fails, the
-    generator raises that alpha's error, as runs one after another would.
+    A mesh solves each alpha only when its result is asked for, so it holds
+    one trajectory at a time; a graph solves all its alphas in lockstep first
+    (see graphfk.solve_fk_graph_alphas).  After the results of the alphas
+    before the first that fails, the generator raises that alpha's error, as
+    runs one after another would.
     """
     if cfg.domain == "mesh":
-        for alpha in alphas:
-            yield solve_fk_mesh(
-                loaded.solver_domain.with_alpha(alpha), loaded.C0, cfg.dt, cfg.T,
-                rtol=cfg.solver_tol, maxiter_factor=cfg.solver_maxit_factor,
+        for alpha, outdir in jobs:  # no name here holds a trajectory past its yield
+            yield _run_loaded(
+                replace(cfg, alpha=alpha), loaded, solve_fk_mesh(
+                    loaded.solver_domain.with_alpha(alpha), loaded.C0, cfg.dt, cfg.T,
+                    rtol=cfg.solver_tol, maxiter_factor=cfg.solver_maxit_factor,
+                ), outdir,
             )
         return
     trajectories, failure = graphfk.solve_fk_graph_alphas(
-        loaded.solver_domain, loaded.C0, alphas, cfg.dt, cfg.T, literal_rhs=cfg.paper_literal_rhs
+        loaded.solver_domain, loaded.C0, [alpha for alpha, _ in jobs], cfg.dt, cfg.T,
+        literal_rhs=cfg.paper_literal_rhs,
     )
-    yield from trajectories
+    for (alpha, outdir), trajectory in zip(jobs, trajectories):
+        yield _run_loaded(replace(cfg, alpha=alpha), loaded, trajectory, outdir)
     if failure is not None:
         raise failure
 
@@ -202,8 +208,7 @@ def write_staging_report(path, times, stage_curves: dict, c_crit: float):
 
 def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
     """Single simulation: trajectory, region-average and staging artifacts."""
-    loaded = _load(cfg)
-    return _run_loaded(cfg, loaded, next(_trajectories(cfg, loaded, [cfg.alpha])), output_dir)
+    return next(_runs(cfg, _load(cfg), [(cfg.alpha, output_dir)]))
 
 
 def _run_loaded(
@@ -271,15 +276,13 @@ def _write_node_csv(path, traj, conn):
         write_labelled17(f, traj.times, traj.states, [int(rid) for rid in conn.region_ids])
 
 
-def _sweep_one(
-    loaded: _LoadedDomain, cfg: SimulationConfig, alpha: float, outdir: str, trajectory
-):
-    cfg = replace(cfg, alpha=alpha, output_dir=outdir)
-    result = _run_loaded(cfg, loaded, trajectory)
+def _crossings(result: RunResult):
+    """Half-crossing and saturation times of a run's global average."""
     times = result.trajectory.times
-    t_half = first_crossing(times, result.global_average, 0.5)
-    t_sat = first_crossing(times, result.global_average, SATURATION_LEVEL)
-    return alpha, t_half, t_sat
+    return (
+        first_crossing(times, result.global_average, 0.5),
+        first_crossing(times, result.global_average, SATURATION_LEVEL),
+    )
 
 
 class _WorkerTraceback(Exception):
@@ -292,20 +295,18 @@ class _WorkerTraceback(Exception):
 def _sweep_batch(cfg_text: str, jobs):
     """Runs at each (alpha, outdir) of jobs, in order, on one load of the domain.
 
-    The trajectories come from ``_trajectories`` (a graph batch solves its
-    alphas in lockstep, a mesh batch one alpha at a time), and each is
-    reduced and written before the next is taken.  Returns the summary
-    rows of the runs that finished, the exception that stopped the batch
-    and its formatted traceback, or None and None.
+    The results come from ``_runs`` (a graph batch solves its alphas in
+    lockstep, a mesh batch one alpha at a time), and each is reduced and
+    written before the next is taken.  Returns the summary rows of the runs
+    that finished, the exception that stopped the batch and its formatted
+    traceback, or None and None.
     """
     rows = []
     try:
-        cfg = parse_config_text(cfg_text)
-        cfg.alpha = jobs[0][0]
-        loaded = _load(cfg)
-        trajectories = _trajectories(cfg, loaded, [alpha for alpha, _ in jobs])
-        for alpha, outdir in jobs:  # no reference to a trajectory outlives its run
-            rows.append(_sweep_one(loaded, cfg, alpha, outdir, next(trajectories)))
+        cfg = replace(parse_config_text(cfg_text), alpha=jobs[0][0])
+        results = _runs(cfg, _load(cfg), jobs)
+        for alpha, _ in jobs:  # no name holds a result while the next is solved
+            rows.append((alpha, *_crossings(next(results))))
     except Exception as exc:  # the rows before it are still written
         return rows, exc, traceback.format_exc()
     return rows, None, None
@@ -316,8 +317,8 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
 
     The alphas are split into contiguous batches, one per worker, and each
     batch loads and assembles its domain once.  A batch takes its
-    trajectories from the generator a single run takes its one from
-    (``_trajectories``): a graph batch advances its alphas in lockstep, as
+    results from the generator a single run takes its one from
+    (``_runs``): a graph batch advances its alphas in lockstep, as
     the rows of one time loop (see graphfk.solve_fk_graph_alphas), and a
     mesh batch solves one alpha at a time; each per-alpha output is
     byte-identical to that of a single run.  Individual run failures abort
@@ -407,26 +408,26 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
 def compare(cfg_mesh: SimulationConfig, cfg_graph: SimulationConfig, output_dir) -> Path:
     """Mesh-vs-graph comparison over a shared region-id vocabulary.
 
-    Runs both configurations, aligns per-region average curves on the mesh
-    time grid, and reports the max absolute deviation plus activation-time
-    differences (positive lead = graph activates earlier).
+    Loads and checks both domains (the graph first: the mesh load also
+    assembles) and then their region vocabularies before either side runs
+    and writes under ``mesh`` or ``graph`` of output_dir.  Aligns per-region
+    average curves on the mesh time grid, and reports the max absolute
+    deviation plus activation-time differences (positive lead = graph
+    activates earlier).
     """
-    cfg_mesh.validate()
-    cfg_graph.validate()
     if cfg_mesh.domain != "mesh" or cfg_graph.domain != "graph":
         raise ConfigError("compare expects a mesh config and a graph config")
-    outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    res_mesh = run(cfg_mesh, output_dir=outdir / "mesh")
-    res_graph = run(cfg_graph, output_dir=outdir / "graph")
-
-    ids_mesh = set(res_mesh.region_curves)
-    ids_graph = set(res_graph.region_curves)
+    loaded_graph = _load(cfg_graph)
+    loaded_mesh = _load(cfg_mesh)
+    ids_mesh, ids_graph = set(loaded_mesh.region_ids), set(loaded_graph.region_ids)
     if ids_mesh != ids_graph:
         raise RegionVocabularyError(
             missing_in_mesh=ids_graph - ids_mesh,
             missing_in_graph=ids_mesh - ids_graph,
         )
+    outdir = Path(output_dir)
+    (res_mesh,) = _runs(cfg_mesh, loaded_mesh, [(cfg_mesh.alpha, outdir / "mesh")])
+    (res_graph,) = _runs(cfg_graph, loaded_graph, [(cfg_graph.alpha, outdir / "graph")])
 
     t_mesh = res_mesh.trajectory.times
     t_graph = res_graph.trajectory.times

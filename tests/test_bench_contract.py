@@ -5,9 +5,10 @@ is renamed or removed, so this guards the names the benchmark relies on.
 A wrapper only sees the calls made through the attribute it replaced, so
 the time loops must reach their step, and the DG step its linear solve,
 through the module or class attribute, not through a reference taken when
-the module was imported.  The probe sample of the sweep workloads steps the
-solvers through their 1-D entry points, which no harness run reaches, so
-it runs here too.
+the module was imported; a mesh sweep, likewise, must reach its time loop
+once per alpha through the harness attribute.  The probe sample of the
+sweep workloads steps the solvers through their 1-D entry points, which no
+harness run reaches, so it runs here too.
 """
 
 import json
@@ -68,6 +69,29 @@ print(
     result.trajectory.states.shape[1],
     len(tracer.values["mesh.elements"]), tracer.values["mesh.elements"][0],
     tracer.values["mesh.internal_faces"][0],
+)
+"""
+
+MESH_SWEEP = """
+import sys
+import fkneuro, tracing
+from fkneuro.config import SimulationConfig
+from fkneuro.geometry import generate_structured_mesh, slab_labeler, write_mesh
+
+tracer = tracing.Tracer()
+tracing.install(tracer, fkneuro)
+tmp = sys.argv[1]
+mesh = generate_structured_mesh(2, 3, 100.0, labeler=slab_labeler(5, 100.0))
+write_mesh(mesh, tmp + "/slabs.fkmesh")
+cfg = SimulationConfig(
+    domain="mesh", mesh_path=tmp + "/slabs.fkmesh", atlas_table="slabs",
+    seed_regions="all", T=0.5, output_dir=tmp + "/out",
+)
+fkneuro.sweep(cfg, [6.3, 8.54])
+totals = tracer.totals()
+print(
+    totals["dg.loop"][0], len(tracer.values["mem.states_bytes"]),
+    totals["mesh.load"][0], totals["dg.assemble"][0],
 )
 """
 
@@ -147,6 +171,18 @@ def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
     assert loads_recorded == 1
     assert elements == 50
     assert internal_faces == 65
+
+
+def test_bench_tracer_sees_each_alpha_of_a_mesh_sweep(tmp_path):
+    # the benchmark's per-layer mesh-sweep numbers come from these spans:
+    # one time loop and one state block per alpha, on one load and assembly
+    proc = run_with_bench(MESH_SWEEP, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    loops, states, loads, assemblies = map(float, proc.stdout.split())
+    assert loops == 2
+    assert states == 2
+    assert loads == 1
+    assert assemblies == 1
 
 
 @pytest.mark.parametrize("workload", ["mesh-sweep", "graph-sweep"])

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -239,15 +240,16 @@ def test_single_alpha_sweep_reduces_to_run(domains, tmp_path):
 
 def test_sweep_failure_preserves_partial(domains, tmp_path, monkeypatch):
     cfg = graph_config(domains, seed_regions="all", T=40.0, output_dir=str(tmp_path))
-    real = harness._sweep_one
+    real = harness._run_loaded
 
-    # a batch passes each alpha its trajectory, solved in lockstep on a graph
-    def exploding(loaded, cfg, alpha, outdir, *trajectory):
-        if alpha == 1.0:
+    # a graph batch solves its alphas in lockstep, then reduces and writes
+    # each run in turn
+    def exploding(cfg, *args):
+        if cfg.alpha == 1.0:
             raise RuntimeError("boom")
-        return real(loaded, cfg, alpha, outdir, *trajectory)
+        return real(cfg, *args)
 
-    monkeypatch.setattr(harness, "_sweep_one", exploding)
+    monkeypatch.setattr(harness, "_run_loaded", exploding)
     with pytest.raises(FkneuroError, match="aborted after 1/3"):
         harness.sweep(cfg, [0.5, 1.0, 2.0])
     lines = open(tmp_path / "sweep_summary.csv").read().strip().splitlines()
@@ -264,16 +266,16 @@ def test_sweep_worker_failure_keeps_its_traceback(domains, tmp_path, monkeypatch
     assert "load_connectome" in str(info.value.__cause__.__cause__)
 
 
-def counted(monkeypatch, name):
-    """Replace harness.<name> by a wrapper that records each call."""
+def counted(monkeypatch, name, owner=harness):
+    """Replace owner.<name> by a wrapper that records each call."""
     calls = []
-    real = getattr(harness, name)
+    real = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -294,6 +296,22 @@ def test_mesh_sweep_loads_and_assembles_once(domains, tmp_path, monkeypatch):
     assert len(assemblies) == 1
     for alpha in SWEEP_ALPHAS:
         assert (tmp_path / f"alpha_{alpha:g}" / "states.bin").exists()
+
+
+def test_mesh_sweep_holds_one_trajectory_at_a_time(domains, tmp_path, monkeypatch):
+    solved, alive = [], []
+    real = harness.solve_fk_mesh
+
+    def tracked(*args, **kwargs):
+        # how many earlier trajectories are still referenced as this solve starts
+        alive.append(sum(ref() is not None for ref in solved))
+        trajectory = real(*args, **kwargs)
+        solved.append(weakref.ref(trajectory))
+        return trajectory
+
+    monkeypatch.setattr(harness, "solve_fk_mesh", tracked)
+    harness.sweep(mesh_sweep_config(domains, tmp_path), SWEEP_ALPHAS)
+    assert alive == [0] * len(SWEEP_ALPHAS)
 
 
 # dK = d_ext + d_axn: 88 keeps every face penalty; 1.5 moves it at alpha = 3
@@ -578,30 +596,45 @@ def test_compare_graph_leads_with_shortrange_seed(domains, tmp_path):
     assert lead_v and lead_v[0] > 0  # positive lead = graph earlier
 
 
-def test_compare_names_the_ids_one_domain_lacks(domains, tmp_path):
+def solves(monkeypatch):
+    """The call records of the mesh and of the graph time loop."""
+    return (
+        counted(monkeypatch, "solve_fk_mesh"),
+        counted(monkeypatch, "solve_fk_graph_alphas", owner=graphfk),
+    )
+
+
+def test_compare_names_the_ids_one_domain_lacks(domains, tmp_path, monkeypatch):
     # both domains hold the slab atlas's regions 1..5, the graph a sixth
     conn = generate_connectome(6, topology="chain")
     graph_path = tmp_path / "six.csv"
     write_connectome(conn, graph_path)
     cfg_mesh = mesh_config(domains, T=0.5)
     cfg_graph = graph_config(domains, graph_path=str(graph_path), T=0.5)
+    calls = solves(monkeypatch)
     with pytest.raises(RegionVocabularyError) as err:
         harness.compare(cfg_mesh, cfg_graph, tmp_path / "cmp")
     assert err.value.missing_in_mesh == [6] and err.value.missing_in_graph == []
     assert str(err.value) == "region vocabulary mismatch: ids absent from mesh: [6]"
+    # the vocabularies are checked before either side is solved
+    assert calls == ([], [])
+    assert not (tmp_path / "cmp" / "mesh").exists()
     assert not (tmp_path / "cmp" / "comparison.csv").exists()
 
 
-def test_compare_rejects_an_atlas_region_the_graph_lacks(domains, tmp_path):
+def test_compare_rejects_an_atlas_region_the_graph_lacks(domains, tmp_path, monkeypatch):
     # the slabs atlas names regions 1-5; a 4-node chain has no region 5, so
-    # the graph side fails on the atlas before any comparison is written
+    # the graph's load fails on the atlas before either side is solved
     conn = generate_connectome(4, topology="chain")
     graph_path = tmp_path / "four.csv"
     write_connectome(conn, graph_path)
     cfg_mesh = mesh_config(domains, T=0.5)
     cfg_graph = graph_config(domains, graph_path=str(graph_path), T=0.5)
+    calls = solves(monkeypatch)
     with pytest.raises(AtlasError, match=re.escape("[5]")):
         harness.compare(cfg_mesh, cfg_graph, tmp_path / "cmp")
+    assert calls == ([], [])
+    assert not (tmp_path / "cmp" / "mesh").exists()
     assert not list((tmp_path / "cmp").rglob("comparison.csv"))
 
 

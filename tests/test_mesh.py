@@ -151,6 +151,31 @@ def test_zero_measure_element_rejected(tmp_path):
         elements_mesh(flat, [[0, 1, 2, 3]])
 
 
+# two pentagons share the edge (2, 3), whose two vertices are one point
+ZERO_EDGE_VERTICES = [[0, 0], [1, 0], [1, 0.5], [1, 0.5], [0, 1], [2, 0], [2, 1]]
+ZERO_EDGE_PENTAGONS = [[0, 1, 2, 3, 4], [1, 5, 6, 3, 2]]
+
+
+def test_zero_size_facet_rejected(tmp_path):
+    # its normal would be 0/0, and the stiffness NaN
+    message = "^" + re.escape("element 0 has facet (2, 3) of zero size") + "$"
+    with pytest.raises(MeshTopologyError, match=message):
+        elements_mesh(ZERO_EDGE_VERTICES, ZERO_EDGE_PENTAGONS)
+    vertices = np.array(ZERO_EDGE_VERTICES, dtype=float)
+    fans = [
+        vertices[[[ids[0], a, b] for a, b in zip(ids[1:-1], ids[2:])]]
+        for ids in ZERO_EDGE_PENTAGONS
+    ]
+    lines = ["FKMESH 1 2", f"VERTICES {len(vertices)}"]
+    lines += [f"{x:g} {y:g}" for x, y in vertices]
+    lines += ["ELEMENTS 2"] + [f"5 {' '.join(map(str, ids))} 1 1 0" for ids in ZERO_EDGE_PENTAGONS]
+    lines += ["SUBTESS 2"] + ["3 " + " ".join(f"{v:g}" for v in fan.ravel()) for fan in fans]
+    path = tmp_path / "zero_edge.fkmesh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshTopologyError, match=message):
+        load_mesh(path)
+
+
 def test_facet_listed_twice_by_one_element():
     # the second polygon runs 1 -> 3 -> 2 and back along 2 -> 3
     vertices = [[0, 0], [1, 0], [0, 1], [1, 1]]
