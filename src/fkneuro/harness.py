@@ -42,7 +42,6 @@ from .trajectory import (
     Trajectory,
     first_crossing,
     fmt17,
-    write_labelled17,
     write_series_csv,
     write_state_dump,
 )
@@ -207,14 +206,20 @@ def write_staging_report(path, times, stage_curves: dict, c_crit: float):
 
 
 def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
-    """Single simulation: trajectory, region-average and staging artifacts."""
+    """Single simulation: trajectory, region-average and staging artifacts,
+    and with cfg.dump_states the states (and a graph's nodes.csv)."""
     return next(_runs(cfg, _load(cfg), [(cfg.alpha, output_dir)]))
 
 
 def _run_loaded(
     cfg: SimulationConfig, loaded: _LoadedDomain, trajectory: Trajectory, output_dir=None
 ) -> RunResult:
-    """`run` of cfg, whose trajectory is given, on a domain already loaded for it."""
+    """`run` of cfg, whose trajectory is given, on a domain already loaded for it.
+
+    A graph run that dumps its states writes nodes.csv in the pass that
+    writes region_averages.csv, from the text of its region columns (see
+    write_series_csv).
+    """
     domain, all_ids = loaded.domain, loaded.region_ids
     result = RunResult(
         trajectory=trajectory,
@@ -238,7 +243,16 @@ def _run_loaded(
     }
     region_cols["global"] = result.global_average
     region_path = outdir / "region_averages.csv"
-    write_series_csv(region_path, times, region_cols)
+    paths = {"trajectory": traj_path, "region_averages": region_path}
+    nodes = None
+    if cfg.dump_states and cfg.domain == "graph":
+        # a graph region is one node, so its region curve is the node's
+        # state (a -0.0 state sums to +0.0): nodes.csv lists the text of
+        # the region columns in the graph's node order
+        paths["nodes"] = outdir / "nodes.csv"
+        ids = domain.region_ids
+        nodes = (paths["nodes"], ids, (f"region_{rid}" for rid in ids))
+    write_series_csv(region_path, times, region_cols, nodes)
 
     staging_path = outdir / "staging.csv"
     write_staging_report(staging_path, times, result.stage_curves, cfg.c_crit)
@@ -251,29 +265,14 @@ def _run_loaded(
         for stage, t_act in order.entries:
             f.write(f"{stage},{fmt17(t_act) if t_act is not None else ''}\n")
 
-    paths = {
-        "trajectory": traj_path,
-        "region_averages": region_path,
-        "staging": staging_path,
-        "activation_order": order_path,
-    }
+    paths["staging"] = staging_path
+    paths["activation_order"] = order_path
     if cfg.dump_states:
         state_path = outdir / "states.bin"
         write_state_dump(state_path, result.trajectory)
         paths["states"] = state_path
-        if cfg.domain == "graph":
-            node_path = outdir / "nodes.csv"
-            _write_node_csv(node_path, result.trajectory, result.domain)
-            paths["nodes"] = node_path
     result.paths = {k: str(v) for k, v in paths.items()}
     return result
-
-
-def _write_node_csv(path, traj, conn):
-    """Long-format node-level output: t,node_id,c, one line per step and node."""
-    with open(path, "wb") as f:
-        f.write(b"t,node_id,c\n")
-        write_labelled17(f, traj.times, traj.states, [int(rid) for rid in conn.region_ids])
 
 
 def _crossings(result: RunResult):

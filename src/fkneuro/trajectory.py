@@ -5,8 +5,10 @@ Concentration values are reported as computed: anything outside
 [-0.05, 1.05] is flagged with a warning row in the CSV, never clipped.
 
 Every value in a CSV is the text of ``'%.17g' % x`` (``fmt17``).  The
-writers ``write_rows17`` and ``write_labelled17`` make it for whole arrays,
-in chunks of ``CHUNK`` values:
+writer ``write_rows17`` makes it for whole tables, in chunks of ``CHUNK``
+values, and can make the long-format lines `t,label,value` of chosen
+columns from the same text (a graph run's ``nodes.csv``, see
+``write_series_csv``):
 
 1. E = floor(log10|x|).
 2. v = |x| * 10**(16 - E) as ph + pl.  The power is a table pair hi + lo,
@@ -222,7 +224,8 @@ def _fill17(x, sep, words):
     if not all_fast or x.min() < 0:
         cls[np.signbit(x)] += t.neg_offset
     idx += t.word_offset
-    np.bitwise_and(t.words.take(idx), t.masks.take(cls, axis=0), out=words)
+    t.words.take(idx, out=words, mode="clip")  # clip: unbuffered, and idx is in range
+    words &= t.masks.take(cls, axis=0)
     words[:, 5] |= sep
 
 
@@ -242,43 +245,57 @@ def _text(words) -> bytes:
     return words.tobytes().translate(None, b"\0")
 
 
-def write_rows17(f, table):
+def write_rows17(f, table, nodes=None):
     """Write the rows of table (R, K) as '%.17g' text, comma-separated,
-    one line per row, to the binary file f."""
+    one line per row, to the binary file f.
+
+    nodes, when given, is (g, labels, cols): the binary file g also gets a
+    line `t,label,value` for each row and, in order, each label, where t is
+    the row's column 0 and value its column cols[i] for labels[i].  Both
+    files are written from one formatting of each chunk.
+    """
     table = np.ascontiguousarray(table, dtype=float)
     R, K = table.shape
     rows = max(1, CHUNK // K)
     sep = np.full(rows * K, _separator(b","))
     sep[K - 1::K] = _separator(b"\n")
     words = np.empty((rows * K, 6), np.uint64)
+    if nodes is not None:
+        g, labels, cols = nodes
+        label_words = _label_words(labels)
+        # the value's separator ',' becomes '\n'; a value of the last column has it
+        flip = np.where(np.equal(cols, K - 1), np.uint64(0), _separator(b",") ^ _separator(b"\n"))
+        node_rows = max(1, CHUNK // (2 * len(cols)))  # a line holds two values
     for lo in range(0, R, rows):
         block = table[lo:lo + rows].ravel()
         n = len(block)
         _fill17(block, sep[:n], words[:n])
         f.write(_text(words[:n]))
+        if nodes is not None:
+            chunk = words[:n].reshape(-1, K, 6)
+            for i in range(0, len(chunk), node_rows):
+                g.write(_node_text(chunk[i:i + node_rows], cols, label_words, flip))
 
 
-def write_labelled17(f, times, states, labels):
-    """Write lines `t,label,value` for each state row and column, as '%.17g'
-    text with the labels as given, to the binary file f."""
-    states = np.ascontiguousarray(states, dtype=float)
-    times = np.asarray(times, dtype=float)
-    S, M = states.shape
+def _label_words(labels) -> np.ndarray:
+    """The texts `label,` as rows of words, padded with zero bytes to one width."""
     texts = [f"{label},".encode() for label in labels]
     L = -(-max(len(s) for s in texts) // 8)  # words per label
-    steps = max(1, CHUNK // (2 * M))  # a line holds two rows
-    # a line: the row of t (its separator ','), the label, the row of the value
-    words = np.empty((steps, M, 12 + L), np.uint64)
-    words[:, :, 6:6 + L] = _words(texts, 8 * L).reshape(M, L)
-    t_words = np.empty((S, 6), np.uint64)
-    for lo in range(0, S, CHUNK):
-        _fill17(times[lo:lo + CHUNK], _separator(b","), t_words[lo:lo + CHUNK])
-    for lo in range(0, S, steps):
-        s = min(steps, S - lo)
-        words[:s, :, :6] = t_words[lo:lo + s, None]
-        values = words.reshape(steps * M, -1)[: s * M, 6 + L:]
-        _fill17(states[lo:lo + s].ravel(), _separator(b"\n"), values)
-        f.write(_text(words[:s]))
+    return _words(texts, 8 * L).reshape(len(texts), L)
+
+
+def _node_text(words, cols, label_words, flip) -> bytes:
+    """The lines `t,label,value` of the (rows, K, 6) words of rows of a
+    table, one per row and label: a line is the words of column 0, the
+    label's and those of column cols[i] with its separator XORed by flip[i].
+    (Its buffers are gone before the next chunk is formatted.)"""
+    L = label_words.shape[1]
+    lines = np.empty((len(words), len(cols), 12 + L), np.uint64)
+    lines[:, :, :6] = words[:, :1]
+    lines[:, :, 6:6 + L] = label_words
+    lines[:, :, 6 + L:] = words[:, cols]
+    lines[:, :, -1] ^= flip
+    return _text(lines)
 
 
 @dataclass
@@ -364,10 +381,15 @@ def advance(step, C0, alphas, dt: float, T: float, log):
     return [Trajectory(times, states[i], stats[i]) for i in range(live)], failure
 
 
-def write_series_csv(path, times, columns: dict):
+def write_series_csv(path, times, columns: dict, nodes=None):
     """Write `t,<col>,...` series with overshoot warning rows.
 
     ``columns`` maps column name -> 1D array aligned with ``times``.
+    ``nodes``, when given, is (node_path, labels, column_names): node_path
+    gets the long-format lines `t,node_id,c` of each time and, in order,
+    each label with the values of the column named at its position in the
+    iterable column_names, from the same formatted text as path (see
+    write_rows17).
     """
     names = list(columns)
     table = [np.asarray(times, dtype=float)]
@@ -385,7 +407,16 @@ def write_series_csv(path, times, columns: dict):
         table.append(vals)
     with open(path, "wb") as f:
         f.write(("\n".join(["t," + ",".join(names)] + warnings) + "\n").encode())
-        write_rows17(f, np.column_stack(table))
+        if nodes is None:
+            write_rows17(f, np.column_stack(table))
+        else:
+            node_path, labels, node_columns = nodes
+            column = dict(zip(names, range(1, len(names) + 1)))
+            cols = np.array([column[name] for name in node_columns])
+            del column  # not held while the files are written
+            with open(node_path, "wb") as g:
+                g.write(b"t,node_id,c\n")
+                write_rows17(f, np.column_stack(table), (g, labels, cols))
     if warnings:
         logger.warning("%s: %d out-of-range values flagged", path, len(warnings))
 

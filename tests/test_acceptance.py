@@ -54,13 +54,15 @@ def mesh_global_average(system, traj):
 def test_criterion_1_graph_logistic_oracle():
     # The bound is the scheme's own leading error from the truncation
     # analysis (see cn_extrapolated_predicted_error), with 5% room for the
-    # O(dt^3) terms; it is computed before the timed solver calls.
+    # O(dt^3) terms; it is computed before the timed solver calls.  The
+    # runtime is this process's CPU time, which other processes on the
+    # host do not add to.
     times = 0.05 * np.arange(801)
     predicted = {
         alpha: np.abs(cn_extrapolated_predicted_error(times, 0.1, alpha, 0.05)).max()
         for alpha in (0.61, 0.70)
     }
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     conn = edgeless_graph(1)
     checks = []
     for alpha, pred in predicted.items():
@@ -82,7 +84,7 @@ def test_criterion_1_graph_logistic_oracle():
     checks.append(
         (all(1.8 <= o <= 2.2 for o in orders), f"orders {[f'{o:.2f}' for o in orders]}")
     )
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     checks.append((elapsed < 1.0, f"runtime {elapsed:.2f}s (<1s)"))
     assert report(1, checks)
 

@@ -45,6 +45,27 @@ print(
 )
 """
 
+GRAPH_DUMP = """
+import os, sys
+import fkneuro, tracing
+from fkneuro.config import SimulationConfig
+from fkneuro.geometry import generate_connectome, write_connectome
+
+tracer = tracing.Tracer()
+tracing.install(tracer, fkneuro)
+tmp = sys.argv[1]
+write_connectome(generate_connectome(5, topology="ring"), tmp + "/ring.csv")
+cfg = SimulationConfig(
+    domain="graph", graph_path=tmp + "/ring.csv", atlas_table="slabs",
+    seed_regions="II", T=0.5, dump_states=True, output_dir=tmp + "/out",
+)
+result = fkneuro.run(cfg)
+print(
+    os.path.getsize(result.paths["region_averages"]), os.path.getsize(result.paths["nodes"]),
+    *tracer.values["io.series_csv_bytes"],
+)
+"""
+
 MESH_RUN = """
 import sys
 import fkneuro, tracing
@@ -145,6 +166,18 @@ def test_bench_tracer_records_every_graph_step(tmp_path):
     assert loads_recorded == 1
     assert nodes == 5
     assert edges == 5
+
+
+def test_bench_tracer_counts_the_series_files_of_a_graph_state_dump(tmp_path):
+    # nodes.csv is written in the pass that writes region_averages.csv,
+    # which still goes through the harness's write_series_csv: the tracer
+    # sees trajectory.csv and region_averages.csv, and counts their bytes
+    proc = run_with_bench(GRAPH_DUMP, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    region_bytes, node_bytes, *series_bytes = map(float, proc.stdout.split())
+    assert node_bytes > 0
+    assert len(series_bytes) == 2
+    assert region_bytes in series_bytes
 
 
 def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):

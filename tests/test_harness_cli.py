@@ -26,7 +26,7 @@ from fkneuro.geometry import (
     write_connectome,
     write_mesh,
 )
-from fkneuro.trajectory import fmt17, read_series_csv, write_series_csv
+from fkneuro.trajectory import fmt17, read_series_csv, read_state_dump, write_series_csv
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +129,60 @@ def test_run_graph_artifacts_and_states(domains, tmp_path):
         for rid, c in zip(range(1, 6), row)
     )
     assert open(result.paths["nodes"]).read() == expected
+
+
+def test_graph_files_follow_node_and_sorted_id_order(tmp_path):
+    # nodes.csv lists the nodes in the graph file's order, region_averages.csv
+    # its regions by sorted id; both print each state as fmt17 does
+    ids = [4, 1, 5, 2, 3]
+    graph = tmp_path / "shuffled.csv"
+    graph.write_text(
+        "# FKGRAPH 1, k=1\n"
+        + "".join(f"node,{rid},{i},0,0,{1 + 0.25 * i}\n" for i, rid in enumerate(ids))
+        + "".join(f"edge,{a},{b},10,5\n" for a, b in zip(ids, ids[1:]))
+    )
+    cfg = SimulationConfig(
+        domain="graph", graph_path=str(graph), atlas_table="slabs", seed_regions="II",
+        T=2.0, dump_states=True, output_dir=str(tmp_path / "out"),
+    )
+    result = harness.run(cfg)
+    assert result.domain.region_ids.tolist() == ids
+    times, states = result.trajectory.times, read_state_dump(result.paths["states"])
+    assert open(result.paths["nodes"]).read() == "t,node_id,c\n" + "".join(
+        f"{fmt17(t)},{rid},{fmt17(c)}\n" for t, row in zip(times, states) for rid, c in zip(ids, row)
+    )
+    by_id = states[:, np.argsort(ids)]
+    assert open(result.paths["region_averages"]).read() == (
+        "t,region_1,region_2,region_3,region_4,region_5,global\n" + "".join(
+            ",".join(map(fmt17, (t, *row, avg))) + "\n"
+            for t, row, avg in zip(times, by_id, result.global_average)
+        )
+    )
+
+
+def test_graph_files_print_a_negative_zero_state_as_zero(domains, tmp_path, monkeypatch):
+    # a region curve is the region's mean, states @ W, which sums a -0.0
+    # state to +0.0; nodes.csv is made from the same text, so it prints 0
+    # too, while states.bin keeps the state as it is
+    real = graphfk.solve_fk_graph_alphas
+
+    def signed_zeros(*args, **kw):
+        trajectories, failure = real(*args, **kw)
+        for traj in trajectories:
+            traj.states[traj.states == 0] = -0.0
+        return trajectories, failure
+
+    monkeypatch.setattr(graphfk, "solve_fk_graph_alphas", signed_zeros)
+    result = harness.run(graph_config(domains, output_dir=str(tmp_path), dump_states=True))
+    states = read_state_dump(result.paths["states"])
+    assert np.signbit(states[0]).tolist() == [False, True, True, True, True]
+    times = result.trajectory.times
+    assert open(result.paths["nodes"]).read() == "t,node_id,c\n" + "".join(
+        f"{fmt17(t)},{rid},{fmt17(c + 0.0)}\n"
+        for t, row in zip(times, states) for rid, c in zip(range(1, 6), row)
+    )
+    lines = open(result.paths["region_averages"]).read().splitlines()
+    assert lines[1] == "0,0.29999999999999999,0,0,0,0," + fmt17(result.global_average[0])
 
 
 def test_sweep_parallel_workers(domains, tmp_path):

@@ -3,6 +3,7 @@ from decimal import Decimal
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from fkneuro.trajectory import (
     fmt17,
     read_series_csv,
     read_state_dump,
-    write_labelled17,
     write_rows17,
     write_series_csv,
     write_state_dump,
@@ -125,10 +125,11 @@ def percent_rows(table) -> bytes:
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist()).encode()
 
 
-def labelled17(times, states, labels) -> bytes:
-    out = io.BytesIO()
-    write_labelled17(out, times, states, labels)
-    return out.getvalue()
+def node_rows17(table, labels, cols):
+    """The text write_rows17 gives table, and the node lines it gives with it."""
+    out, nodes = io.BytesIO(), io.BytesIO()
+    write_rows17(out, table, (nodes, labels, cols))
+    return out.getvalue(), nodes.getvalue()
 
 
 def percent_labelled(times, states, labels) -> bytes:
@@ -185,6 +186,15 @@ def test_rows17_is_percent_17g_in_any_chunking(table, chunk):
         trajectory.CHUNK = default
 
 
+def node_table(times, states, labels, extra):
+    """The columns of a graph run's region table: t, the states in sorted
+    label order, and the column extra if it is not None; and the column of
+    each label."""
+    order = np.argsort(labels, kind="stable")
+    table = np.column_stack([times, states[:, order]] + ([] if extra is None else [extra]))
+    return table, (1 + np.argsort(order)).tolist()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     states=arrays(
@@ -194,15 +204,22 @@ def test_rows17_is_percent_17g_in_any_chunking(table, chunk):
     ),
     dt=st.sampled_from([0.05, 0.1, 0.25, 1.0 / 3.0, 1e-3]),
     labels=st.lists(st.integers(0, 10**12), min_size=4, max_size=4, unique=True),
+    last=st.booleans(),
     chunk=st.integers(1, 12),
 )
-def test_labelled17_is_percent_17g_in_any_chunking(states, dt, labels, chunk):
+def test_node_lines_are_percent_17g_in_any_chunking(states, dt, labels, last, chunk):
+    # the node lines reuse the words of the table's columns, in label
+    # order; with last, a node's column is the table's last, whose
+    # separator is already a newline
     times = dt * np.arange(len(states))
     labels = labels[: states.shape[1]]
+    table, cols = node_table(times, states, labels, None if last else states[:, 0])
     default = trajectory.CHUNK
     trajectory.CHUNK = chunk
     try:
-        assert labelled17(times, states, labels) == percent_labelled(times, states, labels)
+        text, node_text = node_rows17(table, labels, cols)
+        assert text == percent_rows(table)
+        assert node_text == percent_labelled(times, states, labels)
     finally:
         trajectory.CHUNK = default
 
@@ -226,6 +243,60 @@ def test_ties_go_through_python(monkeypatch):
     assert calls == ties
 
 
+TIES = [x for x in (j * 2.0**-k for k in range(20, 40) for j in range(1, 400, 2)) if is_tie(x)]
+
+# values whose text or row is easy to get wrong: signed zeros, subnormals,
+# |x| outside [1e-280, 1e280], rounding ties and their neighbours, and
+# values just outside [-0.05, 1.05], which get warning rows
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-290, -3e-281,
+    3e281, -1e300, 1.7976931348623157e308, -0.05, np.nextafter(-0.05, -1), 1.05,
+    np.nextafter(1.05, 2), -0.06, 1.06, 2.0,
+    *TIES[:10], *np.nextafter(TIES[:10], 0), *np.nextafter(TIES[:10], 1),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    states=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 4)),
+        elements=st.one_of(
+            st.floats(width=64, allow_nan=False, allow_infinity=False),
+            st.floats(-0.1, 1.1),
+            st.sampled_from(EDGE_VALUES),
+        ),
+    ),
+    dt=st.sampled_from([0.05, 0.1, 0.25, 1.0 / 3.0, 1e-3]),
+    labels=st.lists(st.integers(0, 10**12), min_size=4, max_size=4, unique=True),
+    last=st.booleans(),
+    chunk=st.integers(1, 12),
+)
+def test_series_csv_writes_node_lines_from_its_own_text(states, dt, labels, last, chunk):
+    times = dt * np.arange(len(states))
+    labels = labels[: states.shape[1]]
+    table, cols = node_table(times, states, labels, None if last else states[:, 0])
+    names = [f"region_{label}" for label in labels]
+    columns = {names[i]: states[:, i] for i in np.argsort(labels, kind="stable")}
+    if not last:
+        columns["global"] = states[:, 0]
+    default = trajectory.CHUNK
+    trajectory.CHUNK = chunk
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            series, nodes, alone = (Path(tmp, name) for name in ("s.csv", "n.csv", "a.csv"))
+            write_series_csv(series, times, columns, (nodes, labels, names))
+            write_series_csv(alone, times, columns)
+            text = series.read_bytes()
+            assert text == alone.read_bytes()
+            assert text.endswith(percent_rows(table))
+            assert nodes.read_bytes() == b"t,node_id,c\n" + percent_labelled(times, states, labels)
+    finally:
+        trajectory.CHUNK = default
+    flagged = np.count_nonzero((table[:, 1:] < -0.05) | (table[:, 1:] > 1.05))
+    assert text.count(b"# warning: value out of range") == flagged
+
+
 def test_concentration_table_takes_no_python_path(monkeypatch):
     # 801 x 85: t, the 83 node curves of a ring+shortcut graph run from one
     # seeded node, and their mean; nodes far from the seed stay below 1e-4,
@@ -239,8 +310,7 @@ def test_concentration_table_takes_no_python_path(monkeypatch):
     calls = []
     digits = trajectory._python_digits
     monkeypatch.setattr(trajectory, "_python_digits", lambda v: calls.append(v) or digits(v))
-    text = rows17(table)
-    node_text = labelled17(traj.times, traj.states, conn.region_ids.tolist())
+    text, node_text = node_rows17(table, conn.region_ids.tolist(), list(range(1, 84)))
     assert calls == []
     assert text == percent_rows(table)
     assert node_text == percent_labelled(traj.times, traj.states, conn.region_ids.tolist())
