@@ -52,9 +52,10 @@ class DGSystem:
     eta0: float
     stiffness: sp.csr_matrix = field(init=False)
     penalties: np.ndarray = field(init=False)  # per internal face
-    # dt -> the preconditioner of I + dt*A (see MeshStepper); shared by the
-    # systems with_alpha derives from this assembly, so one factorization
-    # serves every alpha
+    # dt -> the preconditioner of I + dt*A, a float32 factor with the
+    # constant mode deflated (see dg.stepper); shared by the systems
+    # with_alpha derives from this assembly, so one factorization serves
+    # every alpha
     step_factors: dict = field(init=False, repr=False)
     _triple_rows: np.ndarray = field(init=False, repr=False)  # space.triple as (E, nb^2, nb)
 

@@ -2,13 +2,13 @@
 
 One loop serves both time steppers: the graph passes Jacobi scaling with
 the constant mode deflated (see graphfk.constant_mode_preconditioner), the
-DG stepper a factorization of I + dt*A (see dg.stepper).  It works on
-(k, N) blocks only, one independent system per row; a single system is a
-block of one.  Rows share the operator applications, so a batch pays one
-block product per iteration instead of k, but each row keeps its own
-recurrence, and every row operation (products row by row, dots through the
-same BLAS call as a 1-D ``r @ z``) gives the bits the row would get in a
-block of its own.
+DG stepper a float32 factorization of I + dt*A with the constant mode
+deflated (see dg.stepper).  It works on (k, N) blocks only, one
+independent system per row; a single system is a block of one.  Rows
+share the operator applications, so a batch pays one block product per
+iteration instead of k, but each row keeps its own recurrence, and every
+row operation (products row by row, dots through the same BLAS call as a
+1-D ``r @ z``) gives the bits the row would get in a block of its own.
 
 A row stops as soon as its recurrence residual reaches its absolute
 tolerance, and gives up early when its iteration breaks down (p . A p <= 0,

@@ -392,23 +392,22 @@ def write_series_csv(path, times, columns: dict, nodes=None):
     write_rows17).
     """
     names = list(columns)
-    table = [np.asarray(times, dtype=float)]
-    warnings = []
-    for name in names:
-        vals = np.asarray(columns[name], dtype=float)
-        if not np.isfinite(vals).all():
-            raise ValueError(f"column {name} contains non-finite values")
-        bad = np.nonzero((vals < OVERSHOOT_LOW) | (vals > OVERSHOOT_HIGH))[0]
-        for idx in bad:
-            warnings.append(
-                f"# warning: value out of range [-0.05, 1.05] at "
-                f"t={fmt17(times[idx])} column={name}: {fmt17(vals[idx])}"
-            )
-        table.append(vals)
+    table = np.column_stack([np.asarray(times, dtype=float)] + [columns[n] for n in names])
+    values = table[:, 1:]
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"column {names[np.argmin(finite)]} contains non-finite values")
+    # the out-of-range values, column by column and in time order within each
+    bad_cols, bad_rows = np.nonzero(((values < OVERSHOOT_LOW) | (values > OVERSHOOT_HIGH)).T)
+    warnings = [
+        f"# warning: value out of range [-0.05, 1.05] at "
+        f"t={fmt17(times[i])} column={names[j]}: {fmt17(values[i, j])}"
+        for j, i in zip(bad_cols.tolist(), bad_rows.tolist())
+    ]
     with open(path, "wb") as f:
         f.write(("\n".join(["t," + ",".join(names)] + warnings) + "\n").encode())
         if nodes is None:
-            write_rows17(f, np.column_stack(table))
+            write_rows17(f, table)
         else:
             node_path, labels, node_columns = nodes
             column = dict(zip(names, range(1, len(names) + 1)))
@@ -416,7 +415,7 @@ def write_series_csv(path, times, columns: dict, nodes=None):
             del column  # not held while the files are written
             with open(node_path, "wb") as g:
                 g.write(b"t,node_id,c\n")
-                write_rows17(f, np.column_stack(table), (g, labels, cols))
+                write_rows17(f, table, (g, labels, cols))
     if warnings:
         logger.warning("%s: %d out-of-range values flagged", path, len(warnings))
 

@@ -272,6 +272,49 @@ def test_extrapolated_start_keeps_cg_iterations_low():
     assert not any(stats["fallback"] for stats in traj.solver_stats)
 
 
+def test_uniform_state_takes_one_cg_iteration_every_step():
+    # a 3D slab seeded in every region stays uniform, so each step's
+    # residual lies in the constant mode, which the preconditioner applies
+    # in float64: one iteration per step (a float32 factor alone maps the
+    # constants only to about 1e-7 and takes 4, 4, 3, 3, 2, ... iterations)
+    mesh = generate_structured_mesh(3, 3, 100.0, labeler=slab_labeler(5, 100.0))
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=6.3, eta0=10.0, degree=2)
+    C0 = system.space.seed_vector(np.unique(mesh.regions), 0.1)
+    traj = solve_fk_mesh(system, C0, dt=0.05, T=0.5)
+    assert [stats["iterations"] for stats in traj.solver_stats] == [1] * 10
+    assert not any(stats["fallback"] for stats in traj.solver_stats)
+
+
+@pytest.mark.parametrize("k", [-120, 130])
+def test_linear_step_commutes_with_powers_of_two(k):
+    # at alpha = 0 the step solves (I + dt A) C' = C, and every float64
+    # operation of CG commutes with a power of two; the float32 factor sees
+    # its input scaled to [-1, 1], so neither 2^-120 (under float32's
+    # smallest normal once multiplied by the residual) nor 2^130 (past its
+    # largest value) reaches the cast
+    mesh = generate_structured_mesh(3, 2, 100.0, labeler=slab_labeler(5, 100.0))
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.0, eta0=10.0, degree=2)
+    stepper = MeshStepper(system, 0.05)
+    C = system.space.project(lambda x: 0.5 + 0.3 * np.sin(x[:, 0] / 9.0 + x[:, 2] / 13.0))
+    C1, stats = stepper.step(C)
+    scaled, scaled_stats = stepper.step(np.ldexp(C, k))
+    assert np.array_equal(scaled, np.ldexp(C1, k))
+    assert scaled_stats["iterations"] == stats["iterations"]
+    assert stats["fallback"] is False and scaled_stats["fallback"] is False
+
+
+def test_preconditioner_maps_non_finite_to_non_finite():
+    mesh = generate_structured_mesh(2, 2, 1.0)
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
+    precond = MeshStepper(system, 0.05).precond
+    for bad in (np.nan, np.inf, -np.inf):
+        r = np.ones(system.N)
+        r[3] = bad
+        with np.errstate(invalid="ignore"):  # as pcg calls it
+            z = precond(r)
+        assert not np.isfinite(z).all()
+
+
 def test_cg_converges_when_dt_alpha_exceeds_one():
     # dt * alpha = 1.25: I + dt*(A - alpha*I) is indefinite, while the
     # preconditioner I + dt*A stays positive definite

@@ -442,12 +442,13 @@ def test_mesh_sweep_factors_once_per_stiffness(
     def counting(*args, **kwargs):
         # the direct fallback of solve_linear factors with default options
         if kwargs.get("options") == {"SymmetricMode": True}:
-            calls.append(args)
+            calls.append(args[0].dtype)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(stepper_module.spla, "splu", counting)
     harness.sweep(mesh_sweep_config(domains, tmp_path, workers=1, **model), SWEEP_ALPHAS)
-    assert len(calls) == factorizations
+    # the preconditioner is factored in single precision
+    assert calls == [np.float32] * factorizations
 
 
 def test_mesh_sweep_two_workers_write_the_same_bytes(domains, tmp_path):

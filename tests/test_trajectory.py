@@ -66,6 +66,29 @@ def test_series_csv_flags_overshoot_without_clipping(tmp_path):
     path2 = tmp_path / "clean.csv"
     write_series_csv(path2, times, {"c": np.array([0.0, 1.0])})
     assert "# warning" not in path2.read_text()
+    # several columns: one row per value, column by column, in time order
+    times = np.array([0.0, 0.5, 1.0])
+    cols = {
+        "b": np.array([1.06, 0.5, -0.25]),
+        "a": np.array([0.0, 1.0, 0.2]),
+        "c": np.array([-0.06, 2.0, 1.5]),
+    }
+    path3 = tmp_path / "many.csv"
+    write_series_csv(path3, times, cols)
+    lines = path3.read_text().splitlines()
+    assert lines[:6] == [
+        "t,b,a,c",
+        "# warning: value out of range [-0.05, 1.05] at t=0 column=b: 1.0600000000000001",
+        "# warning: value out of range [-0.05, 1.05] at t=1 column=b: -0.25",
+        "# warning: value out of range [-0.05, 1.05] at t=0 column=c: -0.059999999999999998",
+        "# warning: value out of range [-0.05, 1.05] at t=0.5 column=c: 2",
+        "# warning: value out of range [-0.05, 1.05] at t=1 column=c: 1.5",
+    ]
+    assert lines[6:] == [
+        "0,1.0600000000000001,0,-0.059999999999999998",
+        "0.5,0.5,1,2",
+        "1,-0.25,0.20000000000000001,1.5",
+    ]
 
 
 def test_series_csv_rejects_non_finite(tmp_path):
@@ -73,6 +96,13 @@ def test_series_csv_rejects_non_finite(tmp_path):
         write_series_csv(
             tmp_path / "bad.csv", np.array([0.0]), {"c": np.array([np.nan])}
         )
+    # the first non-finite column is named, and nothing is written
+    columns = {
+        "a": np.array([0.1, 0.2]), "b": np.array([0.0, np.inf]), "c": np.array([np.nan, 0.0])
+    }
+    with pytest.raises(ValueError, match="column b contains"):
+        write_series_csv(tmp_path / "bad2.csv", np.array([0.0, 1.0]), columns)
+    assert not (tmp_path / "bad2.csv").exists()
 
 
 def test_state_dump_roundtrip(tmp_path):
