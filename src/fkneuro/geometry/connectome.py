@@ -6,9 +6,16 @@ count and l_ij the mean tract length; the graph Laplacian L = K - A is the
 discrete diffusion operator.
 
 A connectome holds its edges as columns (`Edges`); its checks, weights,
-degrees and Laplacian are each one array pass over them.
+degrees and Laplacian are each one array pass over them.  Its CSV file is
+parsed in array passes too: patterns over the whole text sort the lines
+into node and edge rows, and one ``np.loadtxt`` call per kind converts
+their numeric columns, so no field is converted in Python row by row.  Only
+a file that these passes reject is scanned again, line by line, to name its
+first bad line.
 """
 
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,17 +180,107 @@ def write_connectome(conn: Connectome, path):
         f.write(_rows("edge,%d,%d,%.17g,%.17g\n", *ends.T, conn.edges.counts, conn.edges.lengths))
 
 
+# The lines after the header, each matched from the newline before it.  A
+# line is a node row, an edge row, or skipped: blank, a comment, or a column
+# header row (second field `region_id` or `i`).  _WS is what str.strip
+# removes within a line.  What follows each _WS or field in a pattern is a
+# character it cannot hold, so no match comes from taking less of either.
+_WS = r"[^\S\n]*"
+_NODE_ROW = re.compile(rf"\n{_WS}node{_WS},(?!{_WS}region_id{_WS}(?:,|\n|\Z))([^\n]*)")
+_EDGE_ROW = re.compile(rf"\n{_WS}edge{_WS},(?!{_WS}i{_WS}(?:,|\n|\Z))([^\n]*)")
+_OTHER_ROW = re.compile(rf"\n{_WS}(?=[^\s#])(?!node{_WS},|edge{_WS},)")
+_NODE_COLUMNS = np.dtype([("id", int), ("xyz", float, 3), ("volume", float)])
+_EDGE_COLUMNS = np.dtype([("ends", int, 2), ("tracts", float, 2)])
+_COLUMNS = {"node": _NODE_COLUMNS, "edge": _EDGE_COLUMNS}
+
+
+def _width(columns):
+    """The number of fields in a row of the columns, after its kind."""
+    return sum(int(np.prod(columns[name].shape)) for name in columns.names)
+
+
+# a node row that leaves out its last field, the volume, or leaves it blank
+# is given the volume 1
+_NO_VOLUME = re.compile(
+    rf"(\n{_WS}node{_WS},[^,\n]*(?:,[^,\n]*){{{_width(_NODE_COLUMNS) - 2}}})(?:,{_WS})?(?=\n|\Z)"
+)
+
+
+def _table(rows, columns):
+    """The rows' comma-separated fields converted in one array pass; a
+    ValueError if a row has a bad field or not one field per column.
+
+    The structured dtype makes loadtxt check each row's field count, which
+    ``usecols`` would not; ``comments=None`` keeps ``2.5 # c`` a bad field.
+    Older NumPy reads an int field such as ``2.5`` or ``1e3`` as a
+    float cast to int, with only a DeprecationWarning; as an error, that
+    warning is loadtxt's ValueError.
+    """
+    if not rows:  # loadtxt warns on no input
+        return np.empty(0, columns)
+    if "" in rows:  # loadtxt skips an empty row
+        raise ValueError("empty row")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(rows, dtype=columns, delimiter=",", comments=None, ndmin=1)
+
+
+def _tables(body):
+    """(node table, edge table) of the lines after the header, ``body``
+    starting at the header's newline; a ValueError if any line is bad."""
+    if _OTHER_ROW.search(body):
+        raise ValueError("unknown row kind")
+    nodes = _table(_NODE_ROW.findall(_NO_VOLUME.sub(r"\1,1", body)), _NODE_COLUMNS)
+    return nodes, _table(_EDGE_ROW.findall(body), _EDGE_COLUMNS)
+
+
+def _raise_first_bad_line(body):
+    """Raise GraphFormatError naming the first line that `_tables` rejects:
+    a row with one field per column has a bad field, any other is malformed."""
+    for lineno, line in enumerate(body.split("\n")[1:], start=2):
+        try:
+            _tables("\n" + line)
+        except ValueError:
+            kind, *fields = _NO_VOLUME.sub(r"\1,1", "\n" + line)[1:].split(",")
+            kind = kind.strip()
+            if kind not in _COLUMNS:
+                what = f"unknown row kind {kind!r} (want node/edge)"
+            elif len(fields) == _width(_COLUMNS[kind]):
+                what = f"bad {kind} field"
+            else:
+                what = f"malformed {kind} row"
+            raise GraphFormatError(f"line {lineno}: {what}") from None
+
+
 def load_connectome(path, scale_k: float | None = None) -> Connectome:
     """Load the CSV edge-list format; weights are k * n_ij / l_ij.
 
-    The calibration factor k comes from the file header unless overridden
-    by ``scale_k``.
+    The first line is the header ``# FKGRAPH 1``, with an optional
+    ``k=<float>``; the calibration factor k comes from it unless overridden
+    by ``scale_k``.  Each later line is one of, in any order:
+
+    - ``node,region_id,x,y,z[,volume]``: an int id and float fields; a
+      missing or blank volume is 1.0;
+    - ``edge,i,j,n_ij,l_ij``: the int region ids of its ends and float
+      fields;
+    - blank, a ``#`` comment, or a column header row: a node row whose
+      second field is ``region_id``, an edge row whose second is ``i``.
+
+    Whitespace around a field is ignored, and CRLF line ends are read as
+    LF.  A field is a number as ``np.loadtxt`` reads it: no ``_`` digit
+    separators, an int within int64, and nothing after the number, not
+    even a ``#`` comment.
+
+    A bad line raises GraphFormatError naming the first one in file order:
+    a malformed row (wrong field count), a bad field, or an unknown row
+    kind.
     """
     with open(path) as f:
-        raw = f.readlines()
-    if not raw or not raw[0].startswith("# FKGRAPH"):
+        text = f.read()
+    header, newline, body = text.partition("\n")
+    if not header.startswith("# FKGRAPH"):
         raise GraphFormatError("missing '# FKGRAPH' header")
-    header = raw[0].strip()
+    header = header.strip()
     if not header.startswith(_MAGIC):
         raise GraphFormatError(f"unsupported connectome version: {header!r}")
     k_file = 1.0
@@ -194,56 +291,30 @@ def load_connectome(path, scale_k: float | None = None) -> Connectome:
             raise GraphFormatError(f"bad k value in header: {header!r}")
     k = scale_k if scale_k is not None else k_file
 
-    node_rows, ends, tracts = [], [], []
-    for lineno, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        kind = parts[0]
-        if kind == "node":
-            if parts[1] == "region_id":
-                continue  # column header row
-            if len(parts) not in (5, 6):
-                raise GraphFormatError(f"line {lineno}: malformed node row")
-            try:
-                rid = int(parts[1])
-                xyz = [float(p) for p in parts[2:5]]
-                vol = float(parts[5]) if len(parts) == 6 and parts[5] else 1.0
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad node field")
-            node_rows.append((rid, xyz, vol))
-        elif kind == "edge":
-            if parts[1] == "i":
-                continue
-            if len(parts) != 5:
-                raise GraphFormatError(f"line {lineno}: malformed edge row")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-                n_ij, l_ij = float(parts[3]), float(parts[4])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad edge field")
-            ends.append((i, j))
-            tracts.append((n_ij, l_ij))
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown row kind {kind!r} (want node/edge)")
-
-    if not node_rows:
+    body = newline + body
+    try:
+        nodes, edges = _tables(body)
+    except ValueError:
+        _raise_first_bad_line(body)
+        raise  # not reached: a pass fails only on a line that fails alone
+    if not len(nodes):
         raise GraphFormatError("no node rows found")
-    region_ids, coords, volumes = zip(*node_rows)
+    region_ids = nodes["id"]
     # region id -> node index, by one sorted search
     ids, index = np.unique(region_ids, return_index=True)
     if len(ids) < len(region_ids):
         raise GraphFormatError("duplicate region ids among nodes")
-    ends = np.array(ends, dtype=int).reshape(-1, 2)
+    ends = edges["ends"]
     pos = np.searchsorted(ids, ends).clip(max=len(ids) - 1)
     found = ids[pos] == ends
     if not found.all():
         e = np.flatnonzero(~found.all(axis=1))[0]
         (i, j), missing = ends[e].tolist(), ends[e][~found[e]].tolist()
         raise GraphFormatError(f"edge ({i}, {j}) references unknown regions {missing}")
-    counts, lengths = np.array(tracts, dtype=float).reshape(-1, 2).T
-    conn = Connectome(region_ids, coords, volumes, Edges(index[pos], counts, lengths), k)
+    counts, lengths = edges["tracts"].T
+    conn = Connectome(
+        region_ids, nodes["xyz"], nodes["volume"], Edges(index[pos], counts, lengths), k
+    )
     conn.validate(require_connected=True)
     return conn
 

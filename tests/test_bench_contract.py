@@ -66,6 +66,27 @@ print(
 )
 """
 
+GRAPH_SWEEP = """
+import sys
+import fkneuro, tracing
+from fkneuro.config import SimulationConfig
+from fkneuro.geometry import generate_connectome, write_connectome
+
+tracer = tracing.Tracer()
+tracing.install(tracer, fkneuro)
+tmp = sys.argv[1]
+write_connectome(generate_connectome(6, topology="ring", extra_edges=[(1, 4)]), tmp + "/ring.csv")
+cfg = SimulationConfig(
+    domain="graph", graph_path=tmp + "/ring.csv", atlas_table="slabs",
+    seed_regions="all", T=40.0, workers=1, output_dir=tmp + "/out",
+)
+fkneuro.sweep(cfg, [0.5, 1.0, 2.0])
+print(
+    tracer.totals()["graph.load"][0],
+    *tracer.values["graph.nodes"], *tracer.values["graph.edges"],
+)
+"""
+
 MESH_RUN = """
 import sys
 import fkneuro, tracing
@@ -166,6 +187,17 @@ def test_bench_tracer_records_every_graph_step(tmp_path):
     assert loads_recorded == 1
     assert nodes == 5
     assert edges == 5
+
+
+def test_bench_tracer_sees_one_load_per_graph_sweep(tmp_path):
+    # a graph sweep loads its file once, through harness.load_connectome,
+    # and solves every alpha on it: one graph.load span with the file's
+    # 6 nodes and its 6 ring edges plus one shortcut
+    proc = run_with_bench(GRAPH_SWEEP, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    loads, *counts = map(float, proc.stdout.split())
+    assert loads == 1
+    assert counts == [6, 7]
 
 
 def test_bench_tracer_counts_the_series_files_of_a_graph_state_dump(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -250,12 +252,14 @@ def test_bad_length_rejected(tmp_path):
 
 
 def test_volume_defaults_to_one(tmp_path):
+    # a 5-field node row, or a blank 6th field, is a volume of 1.0
     path = tmp_path / "g.csv"
     path.write_text(
-        "# FKGRAPH 1, k=1\nnode,1,0,0,0\nnode,2,1,0,0\nedge,1,2,10,10\n"
+        "# FKGRAPH 1, k=1\nnode,1,0,0,0\nnode,2,1,0,0,\nnode,3,2,0,0,  \nnode,4,3,0,0,5\n"
+        "edge,1,2,10,10\nedge,2,3,10,10\nedge,3,4,10,10\n"
     )
     conn = load_connectome(path)
-    assert conn.volumes.tolist() == [1.0, 1.0]
+    assert conn.volumes.tolist() == [1.0, 1.0, 1.0, 5.0]
 
 
 def test_roundtrip_bitwise(tmp_path, chain5):
@@ -273,3 +277,168 @@ def test_generate_topologies():
     assert len(complete.edges) == 10
     with_shortcut = generate_connectome(5, extra_edges=[(1, 5)])
     assert len(with_shortcut.edges) == 5
+
+
+# ---------------------------------------------------------------------------
+# The file syntax the loader accepts, and the line each fault names
+
+HEADER = "# FKGRAPH 1, k=1\n"
+TWO_NODES = "node,1,0,0,0,1\nnode,2,1,0,0,1\n"
+
+
+def load_text(tmp_path, text, newline=None):
+    path = tmp_path / "g.csv"
+    with open(path, "w", newline=newline) as f:
+        f.write(text)
+    return load_connectome(path)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("node,3,0,0", "malformed node row"),
+        ("node,3,0,0,0,1,7", "malformed node row"),
+        ("node,", "malformed node row"),
+        ("node,3,0,0,x,1", "bad node field"),
+        ("node,3.0,0,0,0,1", "bad node field"),
+        ("node,3,0,0,0,2.5 # c", "bad node field"),
+        ("node,3,0,0,", "bad node field"),
+        ("node,i,0,0,0,1", "bad node field"),
+        ("edge,1,2,10", "malformed edge row"),
+        ("edge,1,2,10,5,6", "malformed edge row"),
+        ("edge,1,2,10,", "bad edge field"),
+        ("edge,1,2,10,2.5 # c", "bad edge field"),
+        ("edge,1,2.5,10,5", "bad edge field"),
+        ("edge,region_id,2,10,5", "bad edge field"),
+        ("vertex,3,0,0,0,1", "unknown row kind 'vertex'"),
+        ("nodes,3,0,0,0,1", "unknown row kind 'nodes'"),
+        ("node # c", "unknown row kind 'node # c'"),
+        (",1,2", "unknown row kind ''"),
+    ],
+)
+def test_loader_names_the_bad_line(tmp_path, line, message):
+    # the bad line is line 5: after the header, a comment and two nodes
+    text = HEADER + "# two nodes\n" + TWO_NODES + line + "\nedge,1,2,10,5\n"
+    with pytest.raises(GraphFormatError, match=f"^line 5: {re.escape(message)}"):
+        load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("kind", ["node", "edge"])
+def test_bare_row_kind_is_malformed(tmp_path, kind):
+    # a kind with no fields is a malformed row, not an IndexError
+    with pytest.raises(GraphFormatError, match=f"^line 4: malformed {kind} row$"):
+        load_text(tmp_path, HEADER + TWO_NODES + kind + "\n")
+
+
+@pytest.mark.parametrize(
+    "first,second,message",
+    [
+        ("node,3,0,0,x,1", "edge,1,2,10,x", "line 3: bad node field"),
+        ("edge,1,2,10,x", "node,3,0,0,x,1", "line 3: bad edge field"),
+        ("edge,1,2,10", "node,3,0,0", "line 3: malformed edge row"),
+        ("node,3,0,0", "edge,1,2,x,5", "line 3: malformed node row"),
+        ("what,1", "node,3,0,0,x,1", "line 3: unknown row kind 'what'"),
+        ("edge,1,2,10,x", "what,1", "line 3: bad edge field"),
+    ],
+)
+def test_first_bad_line_in_file_order_wins(tmp_path, first, second, message):
+    text = HEADER + "\n" + first + "\n" + TWO_NODES + second + "\nedge,1,2,10,5\n"
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}"):
+        load_text(tmp_path, text)
+
+
+def test_comments_blank_lines_and_repeated_headers_anywhere(tmp_path):
+    text = (
+        HEADER
+        + "\n# a comment\n   \n"
+        + "node,region_id,x,y,z,volume\n"
+        + "edge,i,j,n_ij,l_ij\n"
+        + "node,1,0,0,0,2\n"
+        + "  # an indented comment, with, commas\n"
+        + "\n"
+        + "node, region_id ,anything\n"
+        + "node,region_id\n"
+        + "edge,2,1,12,4\n"
+        + "edge , i\n"
+        + "node,2,1,0,0,3\n"
+        + "#\n\n"
+    )
+    conn = load_text(tmp_path, text)
+    assert conn.region_ids.tolist() == [1, 2]
+    assert conn.volumes.tolist() == [2.0, 3.0]
+    assert conn.edges.nodes.tolist() == [[1, 0]]
+    assert conn.weights.tolist() == [3.0]
+
+
+def test_edge_rows_before_node_rows(tmp_path):
+    text = HEADER + "edge,20,10,12,4\nedge,30,20,6,3\nnode,10,0,0,0,1\nnode,20,1,0,0,1\nnode,30,2,0,0,1\n"
+    conn = load_text(tmp_path, text)
+    assert conn.region_ids.tolist() == [10, 20, 30]
+    assert conn.edges.nodes.tolist() == [[1, 0], [2, 1]]
+    assert conn.weights.tolist() == [3.0, 2.0]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_space_padded_fields_and_line_ends(tmp_path, newline):
+    text = (
+        HEADER
+        + "  node ,\t7 , -1.5 ,2e1,  +0.25 , 8 \n"
+        + "\tnode,  +9, 3 ,0,0,1\n"
+        + " edge\t, 9 ,  7, 12 ,4.0  \n"
+    )
+    conn = load_text(tmp_path, text, newline=newline)
+    assert conn.region_ids.tolist() == [7, 9]
+    assert conn.coords.tolist() == [[-1.5, 20.0, 0.25], [3.0, 0.0, 0.0]]
+    assert conn.volumes.tolist() == [8.0, 1.0]
+    assert conn.edges.nodes.tolist() == [[1, 0]]
+    assert conn.edges.counts.tolist() == [12.0]
+    assert conn.edges.lengths.tolist() == [4.0]
+
+
+def test_crlf_bad_line_is_named(tmp_path):
+    text = HEADER + TWO_NODES + "edge,1,2,10,x\n"
+    with pytest.raises(GraphFormatError, match="^line 4: bad edge field"):
+        load_text(tmp_path, text, newline="\r\n")
+
+
+# Outside pytest a DeprecationWarning from library code is ignored; older
+# NumPy then reads an int field through a float and casts it
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("edge,1,2.5,10,5", "bad edge field"),
+        ("edge,1e0,2,10,5", "bad edge field"),
+        ("node,3.0,0,0,0,1", "bad node field"),
+        ("node,1e3,0,0,0,1", "bad node field"),
+        ("node,99999999999999999999,0,0,0,1", "bad node field"),
+    ],
+)
+def test_int_field_is_not_read_through_a_float(tmp_path, line, message):
+    with pytest.raises(GraphFormatError, match=f"^line 4: {message}$"):
+        load_text(tmp_path, HEADER + TWO_NODES + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "missing '# FKGRAPH' header"),
+        ("node,1,0,0,0,1\n", "missing '# FKGRAPH' header"),
+        (" # FKGRAPH 1\nnode,1,0,0,0,1\n", "missing '# FKGRAPH' header"),
+        ("# FKGRAPH 2, k=1\nnode,1,0,0,0,1\n", "unsupported connectome version: '# FKGRAPH 2, k=1'"),
+        ("# FKGRAPH 1, k=abc\nnode,1,0,0,0,1\n", "bad k value in header: '# FKGRAPH 1, k=abc'"),
+        ("# FKGRAPH 1, k=1\n", "no node rows found"),
+        ("# FKGRAPH 1, k=1\n# nothing\nnode,region_id,x,y,z\n\n", "no node rows found"),
+    ],
+)
+def test_header_and_empty_file_errors(tmp_path, text, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        load_text(tmp_path, text)
+
+
+def test_header_k_and_one_node_without_edges(tmp_path):
+    conn = load_text(tmp_path, "# FKGRAPH 1, k= 2.5 , note\nnode,4,0,0,0,1")
+    assert conn.scale_k == 2.5
+    assert conn.region_ids.tolist() == [4]
+    assert len(conn.edges) == 0
+    assert conn.edges.nodes.shape == (0, 2)
