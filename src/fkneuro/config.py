@@ -11,6 +11,7 @@ import typing
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .geometry.mesh import DiffusionModel
 from .staging import SuvrMapParams
 from .trajectory import fmt17, step_count
 
@@ -84,10 +85,6 @@ class SimulationConfig:
             raise ConfigError(f"ell must be >= 1, got {self.ell}")
         if not self.eta0 > 0:
             raise ConfigError(f"eta0 must be > 0, got {self.eta0}")
-        if not self.d_ext > 0:
-            raise ConfigError(f"d_ext must be > 0, got {self.d_ext}")
-        if self.d_axn < 0:
-            raise ConfigError(f"d_axn must be >= 0, got {self.d_axn}")
         if not 0.0 < self.c_crit < 1.0:
             raise ConfigError(f"c_crit must be in (0,1), got {self.c_crit}")
         if not self.solver_tol > 0:
@@ -99,6 +96,7 @@ class SimulationConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         try:
+            DiffusionModel(self.d_ext, self.d_axn).validate()
             self.suvr_abeta()
             self.suvr_tau()
         except ValueError as exc:

@@ -16,7 +16,10 @@ into it and adds dt*M_nl's blocks in place; no sparse matrix is built per
 step.
 
 Conjugate gradients (``linsolve.pcg``) solve each step to relative
-residual 1e-10, preconditioned by P = I + dt*A.  A is symmetric positive
+residual 1e-10, preconditioned by P = I + dt*A, on the right-hand side
+that ``linsolve.solve`` scales by a power of two: every operation of the
+solve, P's included, commutes with it, so no squared norm underflows or
+overflows, even on states of size 2^-1000 or 2^1000.  A is symmetric positive
 semi-definite with the constants as its kernel, so P is symmetric positive
 definite with every eigenvalue >= 1, a sound CG preconditioner at any dt;
 S itself is not definite once dt*alpha >= 1.  P does not depend on alpha:
@@ -77,7 +80,7 @@ def solve_linear(A: sp.csr_matrix, b: np.ndarray, x0, rtol, maxiter, precond):
     ``precond(r)``, then a refined sparse LU; raises its LinearSolverError.
     """
     X, (stats,) = solve(
-        lambda rows: (lambda V: A.dot(V[0])[None], lambda R: precond(R[0])[None]),
+        lambda V: A.dot(V[0])[None], lambda R: precond(R[0])[None],
         lambda i: A, b[None], x0[None], rtol, rtol, maxiter, [True],
     )
     if "error" in stats:

@@ -255,9 +255,10 @@ def _raise_first_bad_line(body):
 def load_connectome(path, scale_k: float | None = None) -> Connectome:
     """Load the CSV edge-list format; weights are k * n_ij / l_ij.
 
-    The first line is the header ``# FKGRAPH 1``, with an optional
-    ``k=<float>``; the calibration factor k comes from it unless overridden
-    by ``scale_k``.  Each later line is one of, in any order:
+    The first line is the header, comma-separated fields: ``# FKGRAPH 1``,
+    then at most one ``k=<float>``, the calibration factor k unless
+    ``scale_k`` overrides it, among fields that are ignored.  Each later
+    line is one of, in any order:
 
     - ``node,region_id,x,y,z[,volume]``: an int id and float fields; a
       missing or blank volume is 1.0;
@@ -281,14 +282,16 @@ def load_connectome(path, scale_k: float | None = None) -> Connectome:
     if not header.startswith("# FKGRAPH"):
         raise GraphFormatError("missing '# FKGRAPH' header")
     header = header.strip()
-    if not header.startswith(_MAGIC):
+    version, *fields = header.split(",")
+    if version.strip() != _MAGIC:
         raise GraphFormatError(f"unsupported connectome version: {header!r}")
-    k_file = 1.0
-    if "k=" in header:
-        try:
-            k_file = float(header.split("k=", 1)[1].split(",")[0])
-        except ValueError:
-            raise GraphFormatError(f"bad k value in header: {header!r}")
+    ks = [value for name, _, value in (f.partition("=") for f in fields) if name.strip() == "k"]
+    if len(ks) > 1:
+        raise GraphFormatError(f"k given more than once in header: {header!r}")
+    try:
+        k_file = float(ks[0]) if ks else 1.0
+    except ValueError:
+        raise GraphFormatError(f"bad k value in header: {header!r}")
     k = scale_k if scale_k is not None else k_file
 
     body = newline + body

@@ -101,8 +101,8 @@ class PolytopalMesh:
     ``simplex_groups`` lists the sub-tessellations stacked per simplex
     count: (elements (g,), simplices (g, s, d+1, d), simplex measures
     (g, s)).  ``internal_faces`` and ``boundary_faces`` are `Faces`.
-    A bad facet, an element of zero measure or a facet of zero size raises
-    MeshTopologyError.
+    A vertex id outside [0, len(vertices)), a bad facet, an element of zero
+    measure or a facet of zero size raises MeshTopologyError.
     """
 
     def __init__(self, vertices, cells, regions, axons, subtess=None):
@@ -118,6 +118,10 @@ class PolytopalMesh:
                 f"3D elements must be tetrahedra (4 vertices); got {sizes[sizes != 4][0]}"
             )
         ids = np.concatenate(cells).astype(int)
+        bad = np.flatnonzero((ids < 0) | (ids >= len(self.vertices)))
+        if bad.size:  # the element that holds the first bad id
+            e = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
+            raise MeshTopologyError(f"element {e}: vertex id out of range")
         self.cell_sizes = sizes
         self.bbox_min, self.bbox_max, self.diameters, self.measures = _cell_geometry(
             self.vertices, ids, sizes

@@ -28,19 +28,18 @@ breaks down or stagnates first), a refined sparse LU of the system solves
 the step instead.
 
 A step solves a (k, M) block of k states, one per alpha, as k
-independent systems that share each CG iteration's L @ V (a row that stops
-stays in the block, frozen); a single state is a block of one.
-``solve_fk_graph_alphas``
-advances the alphas of a sweep in lockstep that way, through the time
-loop the DG solver shares (``trajectory.advance``: step count, the states,
-which it hands each step as its history, non-finite check, failure rule
-and fallback warning).  Every row has its own scale, gate and fallback,
-and comes out bit-identical to a run at its alpha alone
+independent systems that share each CG iteration's L @ V (a row that stops,
+or never runs CG, stays in the block, frozen); a single state is a block
+of one.  ``solve_fk_graph_alphas`` advances the alphas of a sweep in
+lockstep that way, through the time loop the DG solver shares
+(``trajectory.advance``: step count, the states, which it hands each step
+as its history, non-finite check, failure rule and fallback warning).
+Every row gets, from ``linsolve.solve``, its own power-of-two scale, gate
+and fallback, and comes out bit-identical to a run at its alpha alone
 (``solve_fk_graph``, which is the lockstep loop at one alpha).
 """
 
 import logging
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,11 +125,12 @@ def step_cn_extrapolated(
     ``C_n`` and ``C_nm1`` are (k, M) blocks whose row i is an independent
     state at conversion rate ``alpha[i]`` (``alpha`` a scalar or of shape
     (k,)), or (M,) states, which are stepped as a block of one.  Every row
-    has its own reaction, scale, preconditioner, and, through
-    ``linsolve.solve``, CG recurrence, residual gate and LU fallback, and
-    gets the bits a block of its own gives it.  The
-    definite rows with a nonzero right-hand side share one block CG, one
-    ``L @ V`` per iteration, in which a row that stops stays, frozen.
+    has its own reaction and preconditioner, and, through
+    ``linsolve.solve``, its own power-of-two scale, CG recurrence, residual
+    gate and LU fallback, and gets the bits a block of its own gives it.
+    The rows share one block CG, one ``L @ V`` per iteration, in which a
+    row that stops stays, frozen, as does, from the start, a row that is
+    not definite or has a zero right-hand side.
 
     ``stats`` has the keys of ``dg.stepper.solve_linear`` (see
     ``linsolve``): ``iterations`` (CG iterations), ``residual`` (true
@@ -162,30 +162,17 @@ def step_cn_extrapolated(
     a = 2.0 - reaction
     # the literal right-hand side's factor 2 - reaction is a itself
     rhs = (a if literal_rhs else 2.0 + reaction) * C_n - dt * (L @ C_n.T).T
-    # solve for C_next / scale, with scale the power of two just above
-    # max|rhs|: exact, and no squared norm of the scaled rhs underflows;
-    # above 2**1023 (no float) it is 2**1023, which leaves |rhs| < 2
-    scale = np.array(
-        [
-            [math.ldexp(1.0, min(math.frexp(m)[1], 1023))]
-            for m in np.abs(rhs).max(axis=1).tolist()
-        ]
-    )
-    rhs = rhs / scale
-
-    def operators(rows):
-        a_rows = a.take(rows, 0)
-        return (
-            lambda V: a_rows * V + dt * (L @ V.T).T,
-            constant_mode_preconditioner(a_rows, a_rows + dt * conn.degree),
-        )
-
-    # the system is definite while every a_j > 0; CG starts from the extrapolant
+    # the system is definite while every a_j > 0; another row skips CG, and
+    # its preconditioner, never read, is built on a = 1 to divide by no zero
+    definite = [m > 0 for m in a.min(axis=1).tolist()]
+    a_cg = a if all(definite) else np.where(np.array(definite)[:, None], a, 1.0)
+    # CG starts from the extrapolant
     C_next, stats = solve(
-        operators, lambda i: sp.diags(a[i]) + dt * L, rhs, (2.0 * C_n - C_nm1) / scale,
-        _CG_RTOL, _RESIDUAL_TOL, _CG_MAXITER, [m > 0 for m in a.min(axis=1).tolist()],
+        lambda V: a * V + dt * (L @ V.T).T,
+        constant_mode_preconditioner(a_cg, a_cg + dt * conn.degree),
+        lambda i: sp.diags(a[i]) + dt * L, rhs, 2.0 * C_n - C_nm1,
+        _CG_RTOL, _RESIDUAL_TOL, _CG_MAXITER, definite,
     )
-    C_next *= scale
     if single:
         if "error" in stats[0]:
             raise stats[0]["error"]
@@ -230,13 +217,8 @@ def solve_fk_graph(
 ) -> Trajectory:
     """Run the graph time loop from C0 up to final time T.
 
-    Every step goes through the module attribute ``step_cn_extrapolated``:
-    CG on the Crank-Nicolson system while it is positive definite
-    (2 - alpha*dt*g > 0 on every node), preconditioned by Jacobi scaling
-    with the constant mode deflated (``constant_mode_preconditioner``) and
-    iterated to a relative residual of 1e-14, with a refined sparse LU as
-    the fallback; each step must pass the 1e-12 residual gate (the policy
-    of ``linsolve.solve``).  ``solver_stats`` holds one
+    Every step goes through the module attribute ``step_cn_extrapolated``,
+    whose solve the module docstring describes.  ``solver_stats`` holds one
     {"iterations", "residual", "fallback"} entry per step, and a run whose
     steps fell back to the LU logs one warning.  This is
     ``solve_fk_graph_alphas`` at the single alpha, raising its failure.

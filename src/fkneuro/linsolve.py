@@ -18,13 +18,18 @@ bounded number of operator applications before the direct fallback.  A
 stopped row stays in the block, frozen at its stop: the block products run
 over it, unread, until the last row stops.
 
-``solve`` applies one policy to the k systems of a step, and every row
-gets the bits, stats and error of a block of its own:
+``solve`` applies one policy to the k systems of a step, through pcg's
+whole-block callbacks, and every row gets the bits, stats and error of a
+block of its own:
 
+- row i is solved for b_i / s_i from x0_i / s_i and multiplied back, with
+  s_i the power of two just above max |b_i| (at most 2^1023): exact, and
+  no squared norm of a row underflows or overflows;
 - a definite row (SPD, as the caller knows) with b = 0 is solved by 0;
 - the other definite rows run ``pcg`` to relative residual ``cg_rtol``,
   and one block product gives their true residuals |b - A x| / |b| (a
-  row CG left at its start reuses pcg's first residual);
+  row CG left at its start reuses pcg's first residual); the rows that
+  skip CG stay in pcg's block, frozen from the start;
 - a row that CG did not converge or whose true residual is above
   ``gate``, and every row that is not definite, is solved by a sparse LU
   instead, refined up to _REFINEMENTS times while its round-off leaves the
@@ -61,14 +66,16 @@ def row_dots(A, B):
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def pcg(apply, precond, b, x0, tol, maxiter):
+def pcg(apply, precond, b, x0, tol, maxiter, running=None):
     """Preconditioned CG for A_i x_i = b_i, row by row, until ||b_i - A_i x_i|| <= tol[i].
 
     ``b`` and ``x0`` are (k, N) blocks and ``tol`` holds one tolerance per
     row.  ``apply(V)`` and ``precond(R)`` get the whole block and return
     A_i or M_i^{-1} applied to each row; both should be symmetric positive
     definite.  A stopped row's entries hold unread, possibly non-finite
-    values, so a callback must keep each row's result to that row.
+    values, so a callback must keep each row's result to that row.  A row
+    whose ``running[i]`` is False (all run by default) is frozen at x0 from
+    the start, with no residuals and 0 iterations.
 
     At most ``maxiter`` iterations are taken.  Returns (x, iterations,
     residuals): the (k, N) iterates, and the k rows' iteration counts and
@@ -81,7 +88,7 @@ def pcg(apply, precond, b, x0, tol, maxiter):
     residuals = [[] for _ in X]
     # each row's residual last halved, and the iteration it was halved at
     mark, mark_at = [math.inf] * len(X), [0] * len(X)
-    running = [True] * len(X)
+    running = [True] * len(X) if running is None else list(running)
     # a start far from the solution, or an indefinite operator, may
     # overflow; that shows as a non-finite residual or a failed p . A p > 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -116,48 +123,49 @@ def pcg(apply, precond, b, x0, tol, maxiter):
             step = (rz / pq)[:, None]
             x = x + step * p
             r = r - step * q
-    return X, [len(h) - 1 for h in residuals], residuals
+    return X, [max(len(h) - 1, 0) for h in residuals], residuals
 
 
-def solve(operators, matrix, B, X0, cg_rtol, gate, maxiter, definite):
+def solve(apply, precond, matrix, B, X0, cg_rtol, gate, maxiter, definite):
     """Solve A_i x_i = b_i for the rows b_i of the (k, N) block B; returns (X, stats).
 
-    The policy of the module docstring.  ``operators(rows)`` returns pcg's
-    ``(apply, precond)`` for the block of the listed rows, ``matrix(i)``
-    the sparse A_i to factor, and ``definite[i]`` whether A_i is SPD.  CG
-    starts from X0 and stops after ``maxiter`` iterations.  ``stats`` holds
-    k dicts; a failed row's has its LinearSolverError under ``error``.
+    The policy of the module docstring.  ``apply`` and ``precond`` are
+    pcg's whole-block callbacks, ``matrix(i)`` returns the sparse A_i to
+    factor, and ``definite[i]`` whether A_i is SPD.  CG starts from X0 and
+    stops after ``maxiter`` iterations.  ``stats`` holds k dicts; a failed
+    row's has its LinearSolverError under ``error``.
     """
+    _, e = np.frexp(np.abs(B).max(axis=1, keepdims=True))
+    scale = np.ldexp(1.0, np.minimum(e, 1023))  # s_i of the module docstring
+    B = B / scale
     norms = [math.sqrt(v) for v in row_dots(B, B).tolist()]
     stats = [
         {"iterations": 0, "residual": 0.0 if d and norm == 0.0 else math.inf, "fallback": False}
         for d, norm in zip(definite, norms)
     ]
-    X = np.zeros(B.shape)
-    cg = [i for i, (d, norm) in enumerate(zip(definite, norms)) if d and norm != 0.0]
+    running = [d and norm != 0.0 for d, norm in zip(definite, norms)]
+    tol = [cg_rtol * norm for norm in norms]
+    X, iterations, residuals = pcg(apply, precond, B, X0 / scale, tol, maxiter, running)
+    converged = [run and res[-1] <= t for run, res, t in zip(running, residuals, tol)]
+    # a skipped row with b = 0 is solved by 0, and the LU below solves the
+    # others; zero keeps their residuals finite
+    zero = [i for i, ok in enumerate(converged) if not ok]
+    if zero:
+        X[zero] = 0.0
+    true = None  # each row's |b - A x|; a row CG left at its start has pcg's first
+    if any(iterations):
+        d = B - apply(X)
+        true = [math.sqrt(v) for v in row_dots(d, d).tolist()]
     histories = {}
-    if cg:
-        B_cg, X0_cg = B.take(cg, 0), X0.take(cg, 0)
-        apply, precond = operators(cg)
-        tol = [cg_rtol * norms[i] for i in cg]
-        x, iterations, residuals = pcg(apply, precond, B_cg, X0_cg, tol, maxiter)
-        converged = [res[-1] <= t for res, t in zip(residuals, tol)]
-        for j, ok in enumerate(converged):
-            if not ok:  # the LU below solves the row; zero keeps the residual finite
-                x[j] = 0.0
-        true = [res[0] for res in residuals]
-        if any(iterations):
-            d = B_cg - apply(x)
-            true = [math.sqrt(v) for v in row_dots(d, d).tolist()]
-        for i, its, ok, res, history in zip(cg, iterations, converged, true, residuals):
-            stats[i]["iterations"] = its
-            if ok:
-                stats[i]["residual"] = res / norms[i]
-            if not stats[i]["residual"] <= gate:
-                histories[i] = [v / norms[i] for v in history]
-                if ok:
-                    histories[i].append(stats[i]["residual"])
-        X[cg] = x
+    for i in (i for i, run in enumerate(running) if run):
+        row = stats[i]
+        row["iterations"] = iterations[i]
+        if converged[i]:
+            row["residual"] = (true[i] if true else residuals[i][0]) / norms[i]
+        if not row["residual"] <= gate:
+            histories[i] = [v / norms[i] for v in residuals[i]]
+            if converged[i]:
+                histories[i].append(row["residual"])
     for i, row in enumerate(stats):
         if row["residual"] <= gate:
             continue
@@ -166,6 +174,7 @@ def solve(operators, matrix, B, X0, cg_rtol, gate, maxiter, definite):
         X[i], row["residual"], error = _direct(matrix(i), B[i], norms[i] or 1.0, gate, history)
         if error:
             row["error"] = LinearSolverError(error, residual_history=history)
+    X *= scale
     return X, stats
 
 

@@ -82,6 +82,7 @@ def test_bad_values_rejected():
         ("T = 0.01", "T"),
         ("domain = lattice", "domain"),
         ("d_ext = 0", "d_ext"),
+        ("d_axn = -1", "d_axn"),
         ("abeta_theta_low = 3.0", "theta"),
     ],
 )

@@ -426,7 +426,15 @@ def test_int_field_is_not_read_through_a_float(tmp_path, line, message):
         ("node,1,0,0,0,1\n", "missing '# FKGRAPH' header"),
         (" # FKGRAPH 1\nnode,1,0,0,0,1\n", "missing '# FKGRAPH' header"),
         ("# FKGRAPH 2, k=1\nnode,1,0,0,0,1\n", "unsupported connectome version: '# FKGRAPH 2, k=1'"),
+        ("# FKGRAPH 12, xk=3\nnode,1,0,0,0,1\n", "unsupported connectome version: '# FKGRAPH 12, xk=3'"),
+        ("# FKGRAPH 1x\nnode,1,0,0,0,1\n", "unsupported connectome version: '# FKGRAPH 1x'"),
+        ("# FKGRAPH 1 k=2\nnode,1,0,0,0,1\n", "unsupported connectome version: '# FKGRAPH 1 k=2'"),
         ("# FKGRAPH 1, k=abc\nnode,1,0,0,0,1\n", "bad k value in header: '# FKGRAPH 1, k=abc'"),
+        ("# FKGRAPH 1, k\nnode,1,0,0,0,1\n", "bad k value in header: '# FKGRAPH 1, k'"),
+        (
+            "# FKGRAPH 1, k=2, k=5\nnode,1,0,0,0,1\n",
+            "k given more than once in header: '# FKGRAPH 1, k=2, k=5'",
+        ),
         ("# FKGRAPH 1, k=1\n", "no node rows found"),
         ("# FKGRAPH 1, k=1\n# nothing\nnode,region_id,x,y,z\n\n", "no node rows found"),
     ],
@@ -434,6 +442,20 @@ def test_int_field_is_not_read_through_a_float(tmp_path, line, message):
 def test_header_and_empty_file_errors(tmp_path, text, message):
     with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
         load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize(
+    "header,k",
+    [
+        ("# FKGRAPH 1 , note, k =3\r", 3.0),
+        ("# FKGRAPH 1, xk=3, k2=4", 1.0),
+        ("# FKGRAPH 1", 1.0),
+    ],
+)
+def test_header_k_comes_from_a_field_named_k(tmp_path, header, k):
+    # whitespace around the version, the name and the value is ignored, and
+    # so is every other field
+    assert load_text(tmp_path, header + "\nnode,4,0,0,0,1").scale_k == k
 
 
 def test_header_k_and_one_node_without_edges(tmp_path):

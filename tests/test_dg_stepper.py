@@ -285,13 +285,15 @@ def test_uniform_state_takes_one_cg_iteration_every_step():
     assert not any(stats["fallback"] for stats in traj.solver_stats)
 
 
-@pytest.mark.parametrize("k", [-120, 130])
+@pytest.mark.parametrize("k", [-120, 130, -560, -1000, 1000])
 def test_linear_step_commutes_with_powers_of_two(k):
     # at alpha = 0 the step solves (I + dt A) C' = C, and every float64
     # operation of CG commutes with a power of two; the float32 factor sees
     # its input scaled to [-1, 1], so neither 2^-120 (under float32's
     # smallest normal once multiplied by the residual) nor 2^130 (past its
-    # largest value) reaches the cast
+    # largest value) reaches the cast; linsolve.solve scales the right-hand
+    # side below 2 in the same way, so no squared norm of CG underflows at
+    # 2^-560 or 2^-1000, or overflows at 2^1000
     mesh = generate_structured_mesh(3, 2, 100.0, labeler=slab_labeler(5, 100.0))
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.0, eta0=10.0, degree=2)
     stepper = MeshStepper(system, 0.05)

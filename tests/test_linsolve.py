@@ -202,13 +202,10 @@ GATE = 1e-9
 def solve_rows(systems, B, X0, definite, maxiter):
     """``solve`` on the rows of B, row i the system systems[i], Jacobi-preconditioned."""
 
-    def operators(rows):
-        As = [systems[i] for i in rows]
-        inv_diags = np.array([inverse_diagonal(A) for A in As])
-        return lambda V: np.array([A @ v for A, v in zip(As, V)]), lambda R: inv_diags * R
-
+    inv_diags = np.array([inverse_diagonal(A) for A in systems])
     return solve(
-        operators, lambda i: sp.csr_matrix(systems[i]), B, X0, RTOL, GATE, maxiter, definite
+        lambda V: np.array([A @ v for A, v in zip(systems, V)]), lambda R: inv_diags * R,
+        lambda i: sp.csr_matrix(systems[i]), B, X0, RTOL, GATE, maxiter, definite,
     )
 
 

@@ -118,8 +118,21 @@ def elements_mesh(vertices, vertex_lists):
             [[0, 1, 2, 3], [1, 2, 4, 4]],
             "element 1 has a degenerate facet (2, 4, 4)",
         ),
+        # an id out of range: a negative one would index from the end, one
+        # past the end raise a bare IndexError
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], [[1, -1, 2]], "element 0: vertex id out of range"),
+        (
+            [[0, 0], [1, 0], [0, 1], [1, 1]],
+            [[0, 1, 2], [1, 3, -5], [1, 4, 3]],
+            "element 1: vertex id out of range",
+        ),
+        (
+            [[0, 0], [1, 0], [0, 1], [1, 1]],
+            [[0, 1, 2], [1, 3, 2], [1, 4, 3]],
+            "element 2: vertex id out of range",
+        ),
     ],
-    ids=["2d", "3d"],
+    ids=["2d", "3d", "negative-id", "first-bad-id", "id-past-end"],
 )
 def test_repeated_vertex_is_degenerate_facet(vertices, vertex_lists, message):
     with pytest.raises(MeshTopologyError, match=re.escape(message)):
