@@ -11,9 +11,10 @@ and defaults to zero; it is the space's L2 projection (``DGSpace.project``),
 so each step calls the forcing once on all quadrature points.
 
 The step matrix lives in the CSR pattern of A, which holds every element
-block of M_nl.  Each step copies the static part S = I + dt*(A - alpha*I)
-into it and adds dt*M_nl's blocks in place; no sparse matrix is built per
-step.
+block of M_nl.  It starts as the static part S = I + dt*(A - alpha*I), and
+each step writes only the element blocks, S's blocks plus dt*M_nl's; no
+sparse matrix is built and no entry outside the blocks is touched per step,
+and S is not kept apart from it.
 
 Conjugate gradients (``linsolve.pcg``) solve each step to relative
 residual 1e-10, preconditioned by P = I + dt*A, on the right-hand side
@@ -40,12 +41,13 @@ to about 1e-7, and took a uniform state from one CG iteration per step to
 
 CG starts from the polynomial extrapolant through the last five states,
 C^n ... C^{n-4} (fewer right after a start: 2 C^n - C^{n-1} from two),
-which the time loop holds and hands each step as its history.  The start
-sets the iteration count: at 2D n=24 it takes CG from about 3 iterations
-per step down to about 1.3.  A solve that breaks down or stagnates -- e.g.
-the step matrix loses definiteness for large dt*alpha -- ends early and
-falls back to a refined sparse LU of the full step matrix, under the
-policy that ``linsolve.solve`` applies to both steppers (see ``linsolve``).
+which the time loop holds in its window and hands each step as its
+history.  The start sets the iteration count: at 2D n=24 it takes CG from
+about 3 iterations per step down to about 1.3.  A solve that breaks down
+or stagnates -- e.g. the step matrix loses definiteness for large
+dt*alpha -- ends early and falls back to a refined sparse LU of the full
+step matrix, under the policy that ``linsolve.solve`` applies to both
+steppers (see ``linsolve``).
 ``solve_fk_mesh`` runs the steps in the time loop both solvers share,
 ``trajectory.advance``.
 """
@@ -144,21 +146,31 @@ class MeshStepper:
         keys = np.repeat(np.arange(N), np.diff(A.indptr)) * N + A.indices
         self._block_positions = np.searchsorted(keys, rows * N + cols)
         diagonal = self._block_positions[rows == cols]
-        # S = I + dt*(A - alpha*I), rounded as the sparse sum would round it
+        # S = I + dt*(A - alpha*I), rounded as the sparse sum would round it.
+        # A step writes only the element blocks, so the step matrix keeps S
+        # outside them, and S's blocks are kept beside it
         static = A.data.copy()
         static[diagonal] -= system.alpha
         static *= dt
         static[diagonal] += 1.0
-        self.static_part = sp.csr_matrix((static, A.indices, A.indptr), shape=(N, N))
-        self._lhs = sp.csr_matrix((np.zeros(len(static)), A.indices, A.indptr), shape=(N, N))
+        self._static_blocks = static[self._block_positions]
+        self._lhs = sp.csr_matrix((static, A.indices, A.indptr), shape=(N, N))
+
+    @property
+    def static_part(self) -> sp.csr_matrix:
+        """S = I + dt*(A - alpha*I), in A's pattern, built on each call."""
+        lhs = self._lhs
+        data = lhs.data.copy()
+        data[self._block_positions] = self._static_blocks
+        return sp.csr_matrix((data, lhs.indices, lhs.indptr), shape=lhs.shape)
 
     def step(self, history: np.ndarray, forcing=None, t_next: float = 0.0):
         """Advance one step from the last state of ``history``; returns (C_next, stats).
 
-        ``history`` holds the states C_0 ... C_n as rows, oldest first; a
-        1-D state is the history of one.  CG starts from the polynomial
-        extrapolant through its last k + 1 <= 5 rows: C_n itself (k = 0),
-        2 C_n - C_{n-1} (k = 1), up to
+        ``history`` holds the latest states as rows, oldest first and
+        ending with C_n; a 1-D state is the history of one.  CG starts
+        from the polynomial extrapolant through its last k + 1 <= 5 rows:
+        C_n itself (k = 0), 2 C_n - C_{n-1} (k = 1), up to
         5 C_n - 10 C_{n-1} + 10 C_{n-2} - 5 C_{n-3} + C_{n-4} (k = 4).
         """
         system = self.system
@@ -168,8 +180,8 @@ class MeshStepper:
         recent = history.reshape(-1, system.N)[-_ORDER - 1 :]
         C_n = recent[-1]
         lhs = self._lhs
-        np.copyto(lhs.data, self.static_part.data)
-        lhs.data[self._block_positions] += self.dt * system.reaction_blocks(C_n).ravel()
+        reaction = self.dt * system.reaction_blocks(C_n).ravel()
+        lhs.data[self._block_positions] = self._static_blocks + reaction
         rhs = C_n
         if forcing is not None:
             rhs = rhs + self.dt * self._forcing_vector(forcing, t_next)
@@ -194,15 +206,23 @@ def solve_fk_mesh(
     forcing=None,
     rtol: float = 1e-10,
     maxiter_factor: float = 10.0,
+    observers=(),
+    keep_states: bool = True,
 ) -> Trajectory:
     """Run the semi-implicit time loop from C0 up to final time T.
 
-    ``trajectory.advance`` at one row hands ``MeshStepper.step`` the
-    states it holds, so each step starts CG from the extrapolant through
-    its last five; the run raises the loop's failure.  Logs one warning
-    when any step fell back to the sparse LU, and one when an element mean
-    of any state, initial one included, lies outside [OVERSHOOT_LOW,
-    OVERSHOOT_HIGH].  The states are kept as computed either way.
+    ``trajectory.advance`` at one row hands ``MeshStepper.step`` its
+    latest states, so each step starts CG from the extrapolant through its
+    last five; the run raises the loop's failure.  Each of ``observers``
+    is called with every block of states, (1, b, N), as ``advance``
+    describes.  With ``keep_states`` the trajectory holds every state;
+    without, the loop keeps only a window of the last five states and one
+    block, and the trajectory holds the window's states at the end, so the
+    memory does not grow with the step count.  Logs one warning when any
+    step fell back to the sparse LU, and one when an element mean of any
+    state, initial one included, lies outside [OVERSHOOT_LOW,
+    OVERSHOOT_HIGH]; the means are scanned block by block, and the states
+    are kept as computed either way.
     """
     stepper = MeshStepper(system, dt, rtol=rtol, maxiter=int(maxiter_factor * system.N))
 
@@ -210,22 +230,28 @@ def solve_fk_mesh(
         C_next, stats = stepper.step(history[0], forcing=forcing, t_next=t)
         return C_next[None], [stats]
 
-    trajectories, failure = advance(step, C0, [system.alpha], dt, T, logger)
-    if failure is not None:
-        raise failure
-    traj = trajectories[0]
     # element mean: the basis integrals times the coefficients, over the measure
     weights = system.space.basis_integrals / system.space.measures[:, None]
-    lows, highs = np.empty((2, len(traj.states)))
-    for n, C in enumerate(traj.states):
-        means = np.einsum("ei,ei->e", C.reshape(weights.shape), weights)
-        lows[n], highs[n] = means.min(), means.max()
+    lows, highs = [], []
+
+    def scan(block):
+        means = np.einsum("nei,ei->ne", block[0].reshape(-1, *weights.shape), weights)
+        lows.append(means.min(axis=1))
+        highs.append(means.max(axis=1))
+
+    window = None if keep_states else _ORDER + 1
+    trajectories, failure = advance(
+        step, C0, [system.alpha], dt, T, logger, window, [scan, *observers]
+    )
+    if failure is not None:
+        raise failure
+    lows, highs = np.concatenate(lows), np.concatenate(highs)
     outside = np.count_nonzero((lows < OVERSHOOT_LOW) | (highs > OVERSHOOT_HIGH))
     if outside:
         logger.warning(
             "%d of %d states have element means outside [%g, %g]: "
             "from %.6g to %.6g (alpha=%g, dt=%g)",
-            outside, len(traj.states), OVERSHOOT_LOW, OVERSHOOT_HIGH, lows.min(), highs.max(),
+            outside, len(lows), OVERSHOOT_LOW, OVERSHOOT_HIGH, lows.min(), highs.max(),
             system.alpha, dt,
         )
-    return traj
+    return trajectories[0]

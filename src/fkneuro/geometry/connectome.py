@@ -256,9 +256,9 @@ def load_connectome(path, scale_k: float | None = None) -> Connectome:
     """Load the CSV edge-list format; weights are k * n_ij / l_ij.
 
     The first line is the header, comma-separated fields: ``# FKGRAPH 1``,
-    then at most one ``k=<float>``, the calibration factor k unless
-    ``scale_k`` overrides it, among fields that are ignored.  Each later
-    line is one of, in any order:
+    then at most one ``k=<float>`` (a float field, as below), the
+    calibration factor k unless ``scale_k`` overrides it, among fields
+    that are ignored.  Each later line is one of, in any order:
 
     - ``node,region_id,x,y,z[,volume]``: an int id and float fields; a
       missing or blank volume is 1.0;
@@ -288,8 +288,8 @@ def load_connectome(path, scale_k: float | None = None) -> Connectome:
     ks = [value for name, _, value in (f.partition("=") for f in fields) if name.strip() == "k"]
     if len(ks) > 1:
         raise GraphFormatError(f"k given more than once in header: {header!r}")
-    try:
-        k_file = float(ks[0]) if ks else 1.0
+    try:  # the number grammar of the fields
+        k_file = float(_table(ks, np.dtype(float))[0]) if ks else 1.0
     except ValueError:
         raise GraphFormatError(f"bad k value in header: {header!r}")
     k = scale_k if scale_k is not None else k_file

@@ -32,8 +32,9 @@ independent systems that share each CG iteration's L @ V (a row that stops,
 or never runs CG, stays in the block, frozen); a single state is a block
 of one.  ``solve_fk_graph_alphas`` advances the alphas of a sweep in
 lockstep that way, through the time loop the DG solver shares
-(``trajectory.advance``: step count, the states, which it hands each step
-as its history, non-finite check, failure rule and fallback warning).
+(``trajectory.advance``: step count, the states, whose latest it hands
+each step as its history, non-finite check, failure rule and fallback
+warning).
 Every row gets, from ``linsolve.solve``, its own power-of-two scale, gate
 and fallback, and comes out bit-identical to a run at its alpha alone
 (``solve_fk_graph``, which is the lockstep loop at one alpha).
@@ -187,6 +188,8 @@ def solve_fk_graph_alphas(
     dt: float,
     T: float,
     literal_rhs: bool = False,
+    observers=(),
+    keep_states: bool = True,
 ):
     """Run the graph time loop from C0 up to final time T at every alpha at once.
 
@@ -195,8 +198,10 @@ def solve_fk_graph_alphas(
     ``step_cn_extrapolated`` per step, on C^n and C^{n-1} from the states
     the loop holds; the first step self-starts with C^{-1} := C^0.  Each
     row gets the bits of a run at its alpha alone (``solve_fk_graph``,
-    which raises the failure this returns).  Returns advance's
-    (trajectories, failure).
+    which raises the failure this returns).  ``observers`` get every
+    (live, b, M) block of states, as ``advance`` describes; without
+    ``keep_states`` the loop holds only the last two states and one block.
+    Returns advance's (trajectories, failure).
     """
 
     def step(history, live_alphas, t):
@@ -204,7 +209,8 @@ def solve_fk_graph_alphas(
         C_nm1 = history[:, -2] if history.shape[1] > 1 else C_n
         return step_cn_extrapolated(conn, C_n, C_nm1, live_alphas, dt, literal_rhs=literal_rhs)
 
-    return advance(step, C0, alphas, dt, T, logger)
+    window = None if keep_states else 2
+    return advance(step, C0, alphas, dt, T, logger, window, observers)
 
 
 def solve_fk_graph(

@@ -42,6 +42,7 @@ from .trajectory import (
     Trajectory,
     first_crossing,
     fmt17,
+    step_count,
     write_series_csv,
     write_state_dump,
 )
@@ -147,31 +148,93 @@ def _load(cfg: SimulationConfig) -> _LoadedDomain:
     return _LoadedDomain(atlas, conn, conn, C0, sorted(int(r) for r in conn.region_ids))
 
 
+class _Curves:
+    """The curves a run reports, per row of a time loop: its Braak-stage
+    curves, global average and region curves, each reduced through its
+    ``staging`` function.
+
+    As an observer of the loop, it reduces each block of states as it
+    comes, the live rows of a block together, into one (curves, rows,
+    n_states) table, so the loop need not keep the states.  A curve has
+    the bits of one product over all its states (see
+    staging._group_means).
+    """
+
+    def __init__(self, loaded: _LoadedDomain, n_states: int):
+        self.loaded = loaded
+        self.n_states = n_states
+        self.stages = []
+        self.table = None  # made at the first block: no later block has more rows
+        self.filled = 0  # states reduced so far
+        self.weights = {}
+
+    def region_weight_matrix(self, groups):
+        """The domain's weights of groups, built once for all the blocks of
+        the loop: the reductions take this object as their domain."""
+        key = tuple(map(tuple, groups))  # an equal key is the same grouping
+        if key not in self.weights:
+            self.weights[key] = self.loaded.domain.region_weight_matrix(groups)
+        return self.weights[key]
+
+    def __call__(self, block):
+        live, b, N = block.shape
+        states = block.reshape(live * b, N)
+        atlas, ids = self.loaded.atlas, self.loaded.region_ids
+        stages = stage_average_curves(states, atlas, self)
+        average = spatial_average(states, ids, self)
+        regions = region_average_curves(states, ids, self)
+        if self.table is None:
+            self.stages = list(stages)
+            self.table = np.empty((len(stages) + 1 + len(regions), live, self.n_states))
+        curves = [*stages.values(), average, *regions.values()]
+        np.stack(  # straight into the table, with no copy of the block's curves
+            [curve.reshape(live, b) for curve in curves],
+            out=self.table[:, :live, self.filled : self.filled + b],
+        )
+        self.filled += b
+
+    def of(self, row: int):
+        """(stage curves, global average, region curves) of the loop's row."""
+        table = self.table[:, row]
+        S = len(self.stages)
+        return (
+            dict(zip(self.stages, table[:S])),
+            table[S],
+            dict(zip(self.loaded.region_ids, table[S + 1 :])),
+        )
+
+
 def _runs(cfg: SimulationConfig, loaded: _LoadedDomain, jobs):
     """The RunResult of each (alpha, output_dir) of jobs in turn, on a domain
     `_load` has loaded for cfg.
 
-    A mesh solves each alpha only when its result is asked for, so it holds
-    one trajectory at a time; a graph solves all its alphas in lockstep first
-    (see graphfk.solve_fk_graph_alphas).  After the results of the alphas
-    before the first that fails, the generator raises that alpha's error, as
-    runs one after another would.
+    A mesh solves each alpha only when its result is asked for; a graph
+    solves all its alphas in lockstep first (see
+    graphfk.solve_fk_graph_alphas).  The time loop hands each block of
+    states to a _Curves observer, and keeps every state only where
+    cfg.dump_states asks for them, else a window.  After the results
+    of the alphas before the first that fails, the generator raises that
+    alpha's error, as runs one after another would.
     """
+    n_states = step_count(cfg.T, cfg.dt) + 1
     if cfg.domain == "mesh":
         for alpha, outdir in jobs:  # no name here holds a trajectory past its yield
+            curves = _Curves(loaded, n_states)
             yield _run_loaded(
                 replace(cfg, alpha=alpha), loaded, solve_fk_mesh(
                     loaded.solver_domain.with_alpha(alpha), loaded.C0, cfg.dt, cfg.T,
                     rtol=cfg.solver_tol, maxiter_factor=cfg.solver_maxit_factor,
-                ), outdir,
+                    observers=[curves], keep_states=cfg.dump_states,
+                ), curves, 0, outdir,
             )
         return
+    curves = _Curves(loaded, n_states)
     trajectories, failure = graphfk.solve_fk_graph_alphas(
         loaded.solver_domain, loaded.C0, [alpha for alpha, _ in jobs], cfg.dt, cfg.T,
-        literal_rhs=cfg.paper_literal_rhs,
+        literal_rhs=cfg.paper_literal_rhs, observers=[curves], keep_states=cfg.dump_states,
     )
-    for (alpha, outdir), trajectory in zip(jobs, trajectories):
-        yield _run_loaded(replace(cfg, alpha=alpha), loaded, trajectory, outdir)
+    for row, ((alpha, outdir), trajectory) in enumerate(zip(jobs, trajectories)):
+        yield _run_loaded(replace(cfg, alpha=alpha), loaded, trajectory, curves, row, outdir)
     if failure is not None:
         raise failure
 
@@ -212,23 +275,22 @@ def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
 
 
 def _run_loaded(
-    cfg: SimulationConfig, loaded: _LoadedDomain, trajectory: Trajectory, output_dir=None
+    cfg: SimulationConfig,
+    loaded: _LoadedDomain,
+    trajectory: Trajectory,
+    curves: _Curves,
+    row: int,
+    output_dir=None,
 ) -> RunResult:
-    """`run` of cfg, whose trajectory is given, on a domain already loaded for it.
+    """`run` of cfg on a domain already loaded for it, from its trajectory,
+    row ``row`` of the time loop that ``curves`` reduced.
 
     A graph run that dumps its states writes nodes.csv in the pass that
     writes region_averages.csv, from the text of its region columns (see
     write_series_csv).
     """
-    domain, all_ids = loaded.domain, loaded.region_ids
-    result = RunResult(
-        trajectory=trajectory,
-        atlas=loaded.atlas,
-        domain=domain,
-        stage_curves=stage_average_curves(trajectory, loaded.atlas, domain),
-        global_average=spatial_average(trajectory, all_ids, domain),
-        region_curves=region_average_curves(trajectory, all_ids, domain),
-    )
+    domain = loaded.domain
+    result = RunResult(trajectory, loaded.atlas, domain, *curves.of(row))
     outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = result.trajectory.times

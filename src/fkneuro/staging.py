@@ -2,7 +2,9 @@
 
 Every space average a run reports (per region, per Braak stage and over
 the whole domain) is the mean over disjoint groups of regions, taken in one
-product of the states with the domain's ``region_weight_matrix``.
+product of a (rows, N) array of states with the domain's
+``region_weight_matrix``: a trajectory's states, or a block of them that a
+time loop hands its observers.
 
 Clinical PET-SUVR values are mapped to the simulation's [0,1] scale with
 piecewise-linear maps; simulated region curves are reduced to activation
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry.atlas import STAGE_ORDER, csv_fields
-from .trajectory import Trajectory, first_crossing
+from .trajectory import first_crossing
 
 logger = logging.getLogger(__name__)
 
@@ -176,7 +178,9 @@ def _group_means(states: np.ndarray, groups, domain) -> np.ndarray:
 
     One product with the domain's ``region_weight_matrix`` reduces every
     group at once, TIME_CHUNK time rows at a time: the sparse product
-    copies its transposed dense operand, so a chunk bounds that copy.
+    copies its transposed dense operand, so a chunk bounds that copy.  A
+    column of the product does not depend on the others, so the curves
+    have the same bits however the rows are split into calls.
     """
     weights_t = domain.region_weight_matrix(groups).T
     return np.hstack(
@@ -184,20 +188,20 @@ def _group_means(states: np.ndarray, groups, domain) -> np.ndarray:
     )
 
 
-def spatial_average(traj: Trajectory, region_ids, domain) -> np.ndarray:
-    """Volume-weighted space average of the state restricted to a region set."""
-    return _group_means(traj.states, [region_ids], domain)[0]
+def spatial_average(states: np.ndarray, region_ids, domain) -> np.ndarray:
+    """Volume-weighted space average of each state restricted to a region set."""
+    return _group_means(states, [region_ids], domain)[0]
 
 
-def region_average_curves(traj: Trajectory, region_ids, domain) -> dict:
+def region_average_curves(states: np.ndarray, region_ids, domain) -> dict:
     """Space-average time series of each listed region, keyed by region id."""
-    return dict(zip(region_ids, _group_means(traj.states, [[rid] for rid in region_ids], domain)))
+    return dict(zip(region_ids, _group_means(states, [[rid] for rid in region_ids], domain)))
 
 
-def stage_average_curves(traj: Trajectory, atlas, domain) -> dict:
+def stage_average_curves(states: np.ndarray, atlas, domain) -> dict:
     """Space-average time series per Braak stage present in the domain."""
     stages = [stage for stage in STAGE_ORDER if stage in atlas.stages]
-    return dict(zip(stages, _group_means(traj.states, [atlas.stages[s] for s in stages], domain)))
+    return dict(zip(stages, _group_means(states, [atlas.stages[s] for s in stages], domain)))
 
 
 @dataclass

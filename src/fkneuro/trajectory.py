@@ -298,18 +298,40 @@ def _node_text(words, cols, label_words, flip) -> bytes:
     return _text(lines)
 
 
+# A block of states a time loop hands its observers (see advance) holds at
+# most BLOCK_VALUES values over its rows, and at least one state of each.
+# A block's reductions copy it transposed, so larger blocks cost memory: a
+# run on the 2D n=24 slab mesh (N = 6912, 200 steps) peaked at 83.4 MB RSS
+# with 8-state blocks and at 86.9 MB with 32.  Each block's reductions also
+# cost a fixed time, so small states (a graph's) go many at a time
+BLOCK_VALUES = 2**16
+
+
+def block_states(k: int, N: int) -> int:
+    """States per row in a block of k rows of N values (see BLOCK_VALUES)."""
+    return max(1, BLOCK_VALUES // (k * N))
+
+
 @dataclass
 class Trajectory:
-    """Uniform-in-time states: DG coefficients (mesh) or nodal values (graph)."""
+    """Uniform-in-time states: DG coefficients (mesh) or nodal values (graph).
+
+    ``states`` holds the states of steps ``first_step`` ... n_steps, oldest
+    first, so ``states[i]`` is the state at ``times[first_step + i]``:
+    every state where the run kept them (``first_step`` 0), else the window
+    that ``advance`` held at the end, which ends with the final state.
+    """
 
     times: np.ndarray  # (n_steps + 1,)
-    states: np.ndarray  # (n_steps + 1, N)
+    states: np.ndarray  # (n_steps + 1 - first_step, N)
     solver_stats: list = field(default_factory=list)
+    first_step: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if self.states.shape[0] != self.times.shape[0]:
+        n_states = self.times.shape[0] - self.first_step
+        if not 0 < n_states == self.states.shape[0]:
             raise ValueError("states and times disagree on step count")
         if len(self.times) > 1:
             dts = np.diff(self.times)
@@ -319,6 +341,11 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def kept_states(self) -> bool:
+        """Whether ``states`` holds every state of the run."""
+        return self.first_step == 0
 
 
 def step_count(T: float, dt: float) -> int:
@@ -331,33 +358,64 @@ def step_count(T: float, dt: float) -> int:
     return round(ratio)
 
 
-def advance(step, C0, alphas, dt: float, T: float, log):
+def advance(step, C0, alphas, dt: float, T: float, log, window=None, observers=()):
     """Run the time loop of k = len(alphas) rows from C0 up to final time T.
 
-    The loop holds every state in one (k, n_steps + 1, N) block, C0, (N,)
-    or (k, N), broadcast into its first column.  ``step(history, alphas,
-    t)`` advances the live rows to time t: ``history`` is the block's view
-    of their states C^0 ... C^n, (live, n + 1, N), so each step reads the
-    earlier states it needs from it.  It returns (C_next, stats): the
-    (live, N) block of C^{n+1} and one dict per row with "fallback", and
-    "error" where its solve failed.  A row fails on an "error" or a
-    non-finite state, and leaves with every row after it; the rows before
-    it run on to T.  Returns one Trajectory per row before the first that
-    failed, their states views of the block, and that row's exception (its
+    The loop holds the rows' states in one (k, R, N) buffer, C0, (N,) or
+    (k, N), broadcast into its first state.  ``step(history, alphas, t)``
+    advances the live rows to time t: ``history`` is the buffer's view of
+    their latest states, (live, h, N), oldest first and ending with C^n,
+    so each step reads the earlier states it needs from it.  It returns
+    (C_next, stats): the (live, N) block of C^{n+1} and one dict per row
+    with "fallback", and "error" where its solve failed.  A row fails on an
+    "error" or a non-finite state, and leaves with every row after it; the
+    rows before it run on to T.
+
+    ``window`` is the number of latest states a step reads.  Given, R is
+    window + B (or n_steps + 1 if that is fewer), B = block_states(k, N):
+    the buffer holds those states and a block of at most B newer ones, so
+    its size does not grow with the step count, and ``history`` holds the
+    last min(n + 1, window) states.  Left None, R is n_steps + 1: every
+    state is kept, and ``history`` holds C^0 ... C^n.
+
+    Each of ``observers`` is called with every block of states in time
+    order, a (live, b, N) view valid only during the call: once B states
+    have gathered since the last block, and once more after the last
+    step.  The blocks of a row that runs to T hold its states C^0 ...
+    C^{n_steps}, each once.
+
+    Returns one Trajectory per row before the first that failed, their
+    states views of the buffer's rows (all of them where the states are
+    kept, else those it holds at the end, whose first step is the
+    Trajectory's ``first_step``), and that row's exception (its
     "error", or a FloatingPointError naming the step and t) or None.  Each
-    returned row whose steps fell back to the sparse LU logs one warning on
-    ``log``.
+    returned row whose steps fell back to the sparse LU logs one warning
+    on ``log``.
     """
     n_steps = step_count(T, dt)
     alphas = np.asarray(alphas, dtype=float)
     k = live = len(alphas)  # the rows still stepping are 0 .. live - 1
-    states = np.empty((k, n_steps + 1, np.shape(C0)[-1]))
-    states[:, 0] = C0
+    keep = window is None
+    N = np.shape(C0)[-1]
+    block = block_states(k, N)
+    rows = n_steps + 1 if keep else min(n_steps + 1, window + block)
+    buffer = np.empty((k, rows, N))
+    buffer[:, 0] = C0
+    start, end = 0, 1  # the block is buffer[:, start:end], the latest state at end - 1
     stats = [[] for _ in range(k)]
     failure = None
     for n in range(n_steps):
+        if end - start == block:
+            for observe in observers:
+                observe(buffer[:live, start:end])
+            if not keep:  # the states the next steps read move to the front
+                back = min(end, window)
+                buffer[:live, :back] = buffer[:live, end - back : end]
+                end = back
+            start = end
         t = (n + 1) * dt
-        nxt, step_stats = step(states[:live, : n + 1], alphas[:live], t)
+        history = buffer[:live, 0 if keep else max(end - window, 0) : end]
+        nxt, step_stats = step(history, alphas[:live], t)
         finite = np.isfinite(nxt).reshape(live, -1).all(axis=1).tolist()
         for i in range(len(finite)):
             error = step_stats[i].get("error")
@@ -369,7 +427,11 @@ def advance(step, C0, alphas, dt: float, T: float, log):
             stats[i].append(step_stats[i])
         if not live:
             break
-        states[:live, n + 1] = nxt[:live]
+        buffer[:live, end] = nxt[:live]
+        end += 1
+    if live:
+        for observe in observers:
+            observe(buffer[:live, start:end])
     for alpha, row in zip(alphas[:live].tolist(), stats):
         fallbacks = sum(st["fallback"] for st in row)
         if fallbacks:
@@ -378,7 +440,10 @@ def advance(step, C0, alphas, dt: float, T: float, log):
                 fallbacks, n_steps, alpha, dt,
             )
     times = dt * np.arange(n_steps + 1)
-    return [Trajectory(times, states[i], stats[i]) for i in range(live)], failure
+    first_step = n_steps + 1 - end
+    return [
+        Trajectory(times, buffer[i, :end], stats[i], first_step) for i in range(live)
+    ], failure
 
 
 def write_series_csv(path, times, columns: dict, nodes=None):
@@ -450,8 +515,13 @@ def write_state_dump(path, traj: Trajectory):
     """Binary full-state dump: ASCII header line, then row-major doubles.
 
     The header carries N and the step count; rows are the n_steps+1 states
-    including the initial one.
+    including the initial one, so the trajectory must have kept them.
     """
+    if not traj.kept_states:
+        raise ValueError(
+            f"a state dump needs all {len(traj.times)} states, the trajectory holds "
+            f"{len(traj.states)}"
+        )
     n_states, N = traj.states.shape
     with open(path, "wb") as f:
         f.write(f"{STATE_MAGIC} {N} {n_states - 1}\n".encode("ascii"))

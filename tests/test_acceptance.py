@@ -284,7 +284,7 @@ def test_criterion_8_staging_order_and_robustness():
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.70, eta0=10.0, degree=2)
     C0 = system.space.seed_vector(atlas.stages["II"], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.05, T=20.0)
-    curves = stage_average_curves(traj, atlas, system.space)
+    curves = stage_average_curves(traj.states, atlas, system.space)
 
     checks = []
     timelines = {}

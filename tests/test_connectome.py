@@ -458,6 +458,16 @@ def test_header_k_comes_from_a_field_named_k(tmp_path, header, k):
     assert load_text(tmp_path, header + "\nnode,4,0,0,0,1").scale_k == k
 
 
+@pytest.mark.parametrize("value", ["1_0", "\uff11", "2 # c", ""])
+def test_header_k_is_read_as_a_float_field(tmp_path, value):
+    # float() takes `1_0` as 10.0 and a full-width digit as 1.0; the header
+    # k takes the number grammar of a row field, which takes neither
+    header = f"# FKGRAPH 1, k={value}"
+    message = f"bad k value in header: {header!r}"
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        load_text(tmp_path, header + "\nnode,1,0,0,0,1\n")
+
+
 def test_header_k_and_one_node_without_edges(tmp_path):
     conn = load_text(tmp_path, "# FKGRAPH 1, k= 2.5 , note\nnode,4,0,0,0,1")
     assert conn.scale_k == 2.5

@@ -225,10 +225,15 @@ def test_step_matrix_is_the_semi_implicit_operator(which, tmp_path, monkeypatch)
         return original(A, b, **kwargs)
 
     monkeypatch.setattr(stepper_module, "solve_linear", spy)
-    C = np.random.default_rng(4).uniform(size=system.N)
-    stepper.step(C)
-    expected = (static + dt * system.nonlinear_reaction(C)).toarray()
-    assert np.abs(matrices[0] - expected).max() <= 1e-14 * np.abs(expected).max()
+    # a step writes only the element blocks of the matrix the steps share,
+    # so the second step's matrix must hold nothing of the first state's
+    states = np.random.default_rng(4).uniform(size=(2, system.N))
+    for C in states:
+        stepper.step(C)
+    for matrix, C in zip(matrices, states):
+        expected = (static + dt * system.nonlinear_reaction(C)).toarray()
+        assert np.abs(matrix - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.array_equal(stepper.static_part.toarray(), static.toarray())
 
 
 def test_cg_starts_from_the_extrapolant_of_its_own_states(monkeypatch):

@@ -3,13 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fkneuro import graphfk, harness
+from fkneuro import trajectory as trajectory_module
 from fkneuro.cli import main
 from fkneuro.config import SimulationConfig, load_config, serialize_config
 from fkneuro.dg import stepper as stepper_module
@@ -164,15 +167,20 @@ def test_graph_files_print_a_negative_zero_state_as_zero(domains, tmp_path, monk
     # a region curve is the region's mean, states @ W, which sums a -0.0
     # state to +0.0; nodes.csv is made from the same text, so it prints 0
     # too, while states.bin keeps the state as it is
-    real = graphfk.solve_fk_graph_alphas
+    # (every zero of the initial state and of each step's output is -0.0,
+    # so the curves are reduced from the signed zeros too)
+    real_seed, real_step = graphfk.seed_vector, graphfk.step_cn_extrapolated
 
-    def signed_zeros(*args, **kw):
-        trajectories, failure = real(*args, **kw)
-        for traj in trajectories:
-            traj.states[traj.states == 0] = -0.0
-        return trajectories, failure
+    def signed(C):
+        C[C == 0] = -0.0
+        return C
 
-    monkeypatch.setattr(graphfk, "solve_fk_graph_alphas", signed_zeros)
+    def signed_step(*args, **kw):
+        C_next, stats = real_step(*args, **kw)
+        return signed(C_next), stats
+
+    monkeypatch.setattr(graphfk, "seed_vector", lambda *args: signed(real_seed(*args)))
+    monkeypatch.setattr(graphfk, "step_cn_extrapolated", signed_step)
     result = harness.run(graph_config(domains, output_dir=str(tmp_path), dump_states=True))
     states = read_state_dump(result.paths["states"])
     assert np.signbit(states[0]).tolist() == [False, True, True, True, True]
@@ -209,9 +217,10 @@ def test_run_mesh_defaults_saturates(domains, tmp_path):
     assert np.all(np.diff(avg) >= -1e-12)  # monotone growth
 
 
-def test_run_graph_with_anatomical_atlas(tmp_path):
+def test_run_graph_with_anatomical_atlas(tmp_path, monkeypatch):
     # a ring of one node per region name of the paper's Braak table, the
-    # names listed in table order and numbered from 1
+    # names listed in table order and numbered from 1; run as is, in blocks
+    # of 8 states, and with its states kept
     names = [name for stage in STAGE_ORDER for name in ANATOMICAL_TABLE.stages[stage]]
     labels = tmp_path / "labels.csv"
     labels.write_text(
@@ -219,23 +228,35 @@ def test_run_graph_with_anatomical_atlas(tmp_path):
     )
     graph_path = tmp_path / "ring.csv"
     write_connectome(generate_connectome(len(names), topology="ring"), graph_path)
-    cfg = SimulationConfig(
-        domain="graph", graph_path=str(graph_path), atlas_table="anatomical",
-        atlas_path=str(labels), T=2.0, seed_regions="tau", output_dir=str(tmp_path / "out"),
-    )
-    result = harness.run(cfg)
+    monkeypatch.setattr(trajectory_module, "BLOCK_VALUES", 8 * len(names))
     id_of = {name: i for i, name in enumerate(names, 1)}
-    for stage in STAGE_ORDER:
-        ids = {id_of[name] for name in ANATOMICAL_TABLE.stages[stage]}
-        assert result.atlas.stages[stage] == ids
-        # equal node volumes: the stage mean is the mean of its regions' curves
-        mean = np.mean([result.region_curves[i] for i in sorted(ids)], axis=0)
-        assert np.abs(result.stage_curves[stage] - mean).max() <= 1e-15
     seeds = {id_of["entorhinal cortex"], id_of["parahippocampal gyrus"]}
-    C0 = result.trajectory.states[0]
-    assert set(np.flatnonzero(C0) + 1) == seeds and set(C0[C0 > 0]) == {cfg.seed_value}
-    _, cols = read_series_csv(result.paths["trajectory"])
-    assert set(cols) == {f"avg_{stage}" for stage in STAGE_ORDER} | {"avg_global"}
+    for dump in (False, True):
+        cfg = SimulationConfig(
+            domain="graph", graph_path=str(graph_path), atlas_table="anatomical",
+            atlas_path=str(labels), T=2.0, seed_regions="tau", dump_states=dump,
+            output_dir=str(tmp_path / f"out_{dump}"),
+        )
+        result = harness.run(cfg)
+        for stage in STAGE_ORDER:
+            ids = {id_of[name] for name in ANATOMICAL_TABLE.stages[stage]}
+            assert result.atlas.stages[stage] == ids
+            # equal node volumes: the stage mean is the mean of its regions' curves
+            mean = np.mean([result.region_curves[i] for i in sorted(ids)], axis=0)
+            assert np.abs(result.stage_curves[stage] - mean).max() <= 1e-15
+        # a graph region is one node: its curve is the node's state
+        curves = np.array([result.region_curves[i] for i in range(1, len(names) + 1)]).T
+        C0 = curves[0]
+        assert set(np.flatnonzero(C0) + 1) == seeds and set(C0[C0 > 0]) == {cfg.seed_value}
+        trajectory = result.trajectory
+        assert trajectory.kept_states == dump
+        # states[i] is the state at times[first_step + i]: all of them with
+        # the dump, else the window's last states
+        assert trajectory.first_step == trajectory.n_steps + 1 - len(trajectory.states)
+        first = trajectory.first_step
+        assert trajectory.states.tolist() == curves[first:].tolist()
+        _, cols = read_series_csv(result.paths["trajectory"])
+        assert set(cols) == {f"avg_{stage}" for stage in STAGE_ORDER} | {"avg_global"}
 
 
 def test_run_is_deterministic(domains, tmp_path):
@@ -566,6 +587,106 @@ def test_mesh_sweep_solver_failure_keeps_earlier_alphas(domains, tmp_path, monke
     )
     for path in map(Path, result.paths.values()):
         assert (swept / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def files_of(root):
+    """Path relative to root -> bytes, of every file under root."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("call", ["run", "sweep"])
+@pytest.mark.parametrize("domain", ["mesh", "graph"])
+def test_runs_write_the_same_bytes_with_and_without_their_states(
+    domains, tmp_path, monkeypatch, domain, call
+):
+    # with dump_states the time loop keeps every state, without it only a
+    # window; either way it hands each block of states (a graph sweep's
+    # alphas together) to the reductions.  Every file both write has the
+    # same bytes; the dump only adds files.  Blocks of 1000 values make
+    # several blocks here: 5 mesh states, 200 graph states, 66 of three
+    monkeypatch.setattr(trajectory_module, "BLOCK_VALUES", 1000)
+    config = {"mesh": mesh_sweep_config, "graph": graph_sweep_config}[domain]
+    files = {}
+    for dump in (True, False):
+        cfg = config(domains, tmp_path / str(dump))
+        cfg.dump_states = dump
+        if call == "run":
+            result = harness.run(cfg)
+            assert result.trajectory.kept_states == dump
+        else:
+            harness.sweep(cfg, SWEEP_ALPHAS)
+        files[dump] = files_of(tmp_path / str(dump))
+    dumped = {"states.bin", "nodes.csv"} if domain == "graph" else {"states.bin"}
+    assert {path.name for path in files[True].keys() - files[False].keys()} == dumped
+    assert files[False].keys() <= files[True].keys()
+    for path, data in files[False].items():
+        assert data == files[True][path], path
+
+
+def test_windowed_graph_sweep_failure_keeps_earlier_alphas(domains, tmp_path, monkeypatch):
+    # without dump_states: the middle alpha's state turns NaN at step 40,
+    # after the first block of all three rows (32 states each) has been
+    # reduced; the first alpha runs on, and its files are those of a run
+    # at that alpha alone
+    real = graphfk.step_cn_extrapolated
+    calls = []
+
+    def poisoned(conn, C_n, C_nm1, alpha, dt, literal_rhs=False):
+        C_next, stats = real(conn, C_n, C_nm1, alpha, dt, literal_rhs=literal_rhs)
+        calls.append(len(C_next))
+        if len(calls) == 40:
+            C_next[1] = np.nan
+        return C_next, stats
+
+    monkeypatch.setattr(graphfk, "step_cn_extrapolated", poisoned)
+    cfg = graph_sweep_config(domains, tmp_path / "sweep", workers=1)
+    cfg.dump_states = False
+    monkeypatch.setattr(trajectory_module, "BLOCK_VALUES", 32 * 3 * 5)  # 32 states a block
+    message = "aborted after 1/3 runs: non-finite state after step 40 (t=2)"
+    with pytest.raises(FkneuroError, match=re.escape(message)):
+        harness.sweep(cfg, SWEEP_ALPHAS)
+    assert calls[:40] == [3] * 40 and set(calls[40:]) == {1}
+    monkeypatch.undo()
+
+    cfg = graph_sweep_config(domains, tmp_path / "run", alpha=SWEEP_ALPHAS[0])
+    cfg.dump_states = False
+    harness.run(cfg)
+    swept = files_of(tmp_path / "sweep" / f"alpha_{SWEEP_ALPHAS[0]:g}")
+    assert swept == files_of(tmp_path / "run")
+
+
+def test_mesh_run_keeps_one_window_of_states_whatever_its_length(tmp_path, monkeypatch):
+    # the memory a mesh run's time loop allocates (traced by tracemalloc,
+    # which numpy reports to) does not grow with its step count: from 200
+    # to 400 steps it grows by far less than the 200 states it would keep
+    mesh = generate_structured_mesh(2, 8, 40.0, labeler=slab_labeler(5, 40.0))
+    write_mesh(mesh, tmp_path / "slabs.fkmesh")
+    real, growth, kept = harness.solve_fk_mesh, [], []
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        trajectory = real(*args, **kwargs)
+        growth.append(tracemalloc.get_traced_memory()[1] - before)
+        kept.append(trajectory.states.shape)
+        return trajectory
+
+    monkeypatch.setattr(harness, "solve_fk_mesh", measured)
+    cfg = SimulationConfig(
+        domain="mesh", mesh_path=str(tmp_path / "slabs.fkmesh"), atlas_table="slabs",
+        seed_regions="II", output_dir=str(tmp_path / "out"),
+    )
+    harness.run(replace(cfg, T=10.0))  # every one-time allocation, outside the trace
+    tracemalloc.start()
+    try:
+        for T in (10.0, 20.0):
+            harness.run(replace(cfg, T=T))
+    finally:
+        tracemalloc.stop()
+    N = kept[0][1]
+    window = stepper_module._ORDER + 1 + trajectory_module.block_states(1, N)
+    assert all(rows <= window for rows, _ in kept)
+    assert growth[2] - growth[1] < 0.25 * 200 * N * 8
 
 
 def test_sweep_rejects_bad_alphas(domains, tmp_path):

@@ -52,7 +52,7 @@ def test_average_constant_one_everywhere():
     conn = generate_connectome(4, topology="chain")
     traj = make_traj([0.0, 1.0], np.ones((2, 4)))
     for region in ([1], [2, 3], [1, 2, 3, 4]):
-        assert spatial_average(traj, region, conn) == pytest.approx(1.0, abs=1e-15)
+        assert spatial_average(traj.states, region, conn) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_average_two_equal_volume_nodes():
@@ -63,7 +63,7 @@ def test_average_two_equal_volume_nodes():
         edges=Edges([[0, 1]], [5.0], [5.0]),
     )
     traj = make_traj([0.0], [[0.0, 1.0]])
-    assert spatial_average(traj, [1, 2], conn)[0] == pytest.approx(0.5, abs=1e-15)
+    assert spatial_average(traj.states, [1, 2], conn)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_average_volume_weighted():
@@ -74,7 +74,7 @@ def test_average_volume_weighted():
         edges=Edges([[0, 1]], [5.0], [5.0]),
     )
     traj = make_traj([0.0], [[0.0, 1.0]])
-    assert spatial_average(traj, [1, 2], conn)[0] == pytest.approx(0.75, abs=1e-15)
+    assert spatial_average(traj.states, [1, 2], conn)[0] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_average_dg_projection_of_coordinate():
@@ -82,7 +82,7 @@ def test_average_dg_projection_of_coordinate():
     space = DGSpace(mesh, 2)
     C = space.project(lambda p: p[:, 0])
     traj = make_traj([0.0], C[None, :])
-    assert spatial_average(traj, [1], space)[0] == pytest.approx(0.5, abs=1e-13)
+    assert spatial_average(traj.states, [1], space)[0] == pytest.approx(0.5, abs=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ def test_region_average_curves_are_the_region_means(weight_domains, kind):
     domain = weight_domains[kind]
     states = np.random.default_rng(5).normal(size=(3, len(unit_labels(domain))))
     ids = [4, 1, 5, 3, 2]
-    curves = region_average_curves(make_traj([0.0, 1.0, 2.0], states), ids, domain)
+    curves = region_average_curves(make_traj([0.0, 1.0, 2.0], states).states, ids, domain)
     assert list(curves) == ids
     for rid in ids:
         mean = states @ dense_mean_weights(domain, [rid])
@@ -195,11 +195,11 @@ def test_group_means_are_one_product_of_the_dense_means(
     atlas = BraakAtlas(stages, frozenset(), frozenset(), frozenset())
     states = np.random.default_rng(seed).normal(size=(n_times, len(unit_labels(domain))))
     traj = make_traj(np.arange(n_times, dtype=float), states)
-    curves = stage_average_curves(traj, atlas, domain)
+    curves = stage_average_curves(traj.states, atlas, domain)
     assert list(curves) == [s for s in STAGE_ORDER if s in stages]
-    curves["all"] = spatial_average(traj, atlas.all_region_ids(), domain)
+    curves["all"] = spatial_average(traj.states, atlas.all_region_ids(), domain)
     stages["all"] = atlas.all_region_ids()
-    regions = region_average_curves(traj, sorted(atlas.all_region_ids()), domain)
+    regions = region_average_curves(traj.states, sorted(atlas.all_region_ids()), domain)
     curves.update(regions)
     stages.update({rid: [rid] for rid in regions})
     for key, ids in stages.items():
@@ -214,13 +214,13 @@ def test_average_empty_region_rejected(weight_domains, kind):
     traj = make_traj([0.0], np.zeros((1, len(unit_labels(domain)))))
     for reduce in (spatial_average, region_average_curves):
         with pytest.raises(ValueError, match="empty"):
-            reduce(traj, [], domain)
+            reduce(traj.states, [], domain)
         with pytest.raises(ValueError, match="not present"):
-            reduce(traj, [99], domain)
+            reduce(traj.states, [99], domain)
     with pytest.raises(ValueError, match=r"\[99\] not present"):
-        region_average_curves(traj, [2, 99], domain)
+        region_average_curves(traj.states, [2, 99], domain)
     with pytest.raises(ValueError, match="overlap"):
-        region_average_curves(traj, [2, 2], domain)
+        region_average_curves(traj.states, [2, 2], domain)
 
 
 # -- SUVR maps ---------------------------------------------------------------
@@ -390,7 +390,7 @@ def test_activation_order_slab_mesh(slab_mesh, atlas5):
     C0 = system.space.seed_vector(atlas5.stages["II"], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.05, T=12.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj, atlas5, system.space), 0.5
+        traj.times, stage_average_curves(traj.states, atlas5, system.space), 0.5
     )
     assert report.order == "anatomical"
     assert [s for s, _ in report.entries] == ["II", "III", "IV", "V", "VI"]
@@ -405,7 +405,7 @@ def test_activation_order_slab_mesh_3d(atlas5):
     C0 = system.space.seed_vector(atlas5.stages["II"], 0.1)
     traj = solve_fk_mesh(system, C0, dt=0.1, T=10.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj, atlas5, system.space), 0.5
+        traj.times, stage_average_curves(traj.states, atlas5, system.space), 0.5
     )
     assert report.order == "anatomical"
 
@@ -436,7 +436,7 @@ def test_activation_order_uniform_is_degenerate(atlas5, chain5):
     C0 = np.full(5, 0.1)
     traj = graphfk.solve_fk_graph(chain5, C0, alpha=0.70, dt=0.05, T=10.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj, atlas5, chain5), 0.5
+        traj.times, stage_average_curves(traj.states, atlas5, chain5), 0.5
     )
     assert report.order == "degenerate"
 
@@ -446,7 +446,7 @@ def test_activation_order_shortcut_violation(atlas5):
     C0 = graphfk.seed_vector(conn, [1], 0.3)
     traj = graphfk.solve_fk_graph(conn, C0, alpha=0.70, dt=0.05, T=20.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj, atlas5, conn), 0.5
+        traj.times, stage_average_curves(traj.states, atlas5, conn), 0.5
     )
     assert report.order == "violated"
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def test_trajectory_validation():
         Trajectory(times=[0.0, 0.1, 0.3], states=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="step count"):
         Trajectory(times=[0.0, 0.1], states=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="step count"):
+        Trajectory(times=[0.0, 0.1], states=np.zeros((0, 2)))
+    # fewer states than times must say which step the first one is
+    with pytest.raises(ValueError, match="step count"):
+        Trajectory(times=[0.0, 0.1, 0.2], states=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="step count"):
+        Trajectory(times=[0.0, 0.1, 0.2], states=np.zeros((2, 2)), first_step=2)
+    last = Trajectory(times=[0.0, 0.1, 0.2], states=np.zeros((2, 2)), first_step=1)
+    assert last.n_steps == 2 and not last.kept_states
 
 
 def test_series_csv_roundtrip(tmp_path):
@@ -115,6 +125,13 @@ def test_state_dump_roundtrip(tmp_path):
         assert f.readline().startswith(b"FKSTATE 1 7 4")
     back = read_state_dump(path)
     assert np.array_equal(back, states)
+    # a trajectory that holds only its last states (a time loop's window)
+    # has no dump: its header would name steps it does not hold
+    window = Trajectory(times=0.1 * np.arange(5), states=states[-2:], first_step=3)
+    assert not window.kept_states
+    with pytest.raises(ValueError, match="needs all 5 states, the trajectory holds 2"):
+        write_state_dump(tmp_path / "window.bin", window)
+    assert not (tmp_path / "window.bin").exists()
 
 
 def test_state_dump_is_header_and_payload_bytes(tmp_path):
@@ -449,6 +466,63 @@ def test_advance_keeps_the_rows_before_the_first_failure(plan):
                 f"(alpha={alphas[i]:g}, dt={dt:g})"
             )
     assert log.records == expected_log
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(plan=loop_plans(), window=st.integers(1, 5), block=st.integers(1, 4))
+def test_advance_window_hands_steps_and_observers_the_kept_states(plan, window, block):
+    # a step that reads only the last `window` states gives the same rows
+    # whether the loop keeps every state or only a window and a block; the
+    # windowed history is the kept one's last rows, and the blocks handed
+    # to the observers hold each returned row's states once, in order
+    k, n_steps, faults, fallbacks, alphas = plan
+    dt, N = 0.25, 3
+    C0 = np.arange(k * N, dtype=float).reshape(k, N) / 7
+    histories = {None: [], window: []}
+
+    def stepper(kept):
+        def step(history, live_alphas, t):
+            n = round(t / dt)
+            histories[kept].append(history.copy())
+            out = history[:, -window:].sum(axis=1) / 3 + live_alphas[:, None]
+            stats = []
+            for i in range(len(live_alphas)):
+                kind = faults.get((i, n), "")
+                stats.append({"fallback": (i, n) in fallbacks})
+                if kind in ("error", "both"):
+                    stats[-1]["error"] = RuntimeError(f"row {i} step {n}")
+                if kind in ("nan", "both"):
+                    out[i, i % N] = np.nan
+            return out, stats
+
+        return step
+
+    blocks = {None: [], window: []}
+    runs = {}
+    with patch.object(trajectory, "BLOCK_VALUES", block * k * N):
+        for kept in (None, window):
+            runs[kept] = advance(
+                stepper(kept), C0, alphas, dt, n_steps * dt, ListLog(), kept,
+                [lambda b, kept=kept: blocks[kept].append(b.copy())],
+            )
+    (full, full_failure), (windowed, failure) = runs[None], runs[window]
+    assert len(windowed) == len(full)
+    assert str(failure) == str(full_failure) and type(failure) is type(full_failure)
+    for whole, part in zip(histories[None], histories[window]):
+        assert part.shape[1] == min(whole.shape[1], window)
+        assert part.tobytes() == whole[:, -window:].tobytes()
+    for kept in (None, window):
+        assert all(1 <= b.shape[1] <= block for b in blocks[kept])
+    for i, (whole, part) in enumerate(zip(full, windowed)):
+        assert whole.kept_states and not (part.kept_states and n_steps + 1 > window + block)
+        assert len(part.states) <= window + block
+        assert whole.first_step == 0 and part.first_step == n_steps + 1 - len(part.states)
+        assert part.states.tobytes() == whole.states[-len(part.states):].tobytes()
+        assert part.times.tolist() == whole.times.tolist()
+        assert part.solver_stats == whole.solver_stats
+        for kept in (None, window):
+            observed = np.concatenate([b[i] for b in blocks[kept]])
+            assert observed.tobytes() == whole.states.tobytes()
 
 
 def test_advance_rejects_a_final_time_between_steps(chain5):
