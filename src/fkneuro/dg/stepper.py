@@ -218,9 +218,11 @@ def solve_fk_mesh(
     describes.  With ``keep_states`` the trajectory holds every state;
     without, the loop keeps only a window of the last five states and one
     block, and the trajectory holds the window's states at the end, so the
-    memory does not grow with the step count.  Logs one warning when any
-    step fell back to the sparse LU, and one when an element mean of any
-    state, initial one included, lies outside [OVERSHOOT_LOW,
+    memory does not grow with the step count.  The harness runs without:
+    an observer that needs every state, such as the state dump
+    (trajectory.StateDumps), gets them block by block.  Logs one warning
+    when any step fell back to the sparse LU, and one when an element mean
+    of any state, initial one included, lies outside [OVERSHOOT_LOW,
     OVERSHOOT_HIGH]; the means are scanned block by block, and the states
     are kept as computed either way.
     """

@@ -200,8 +200,9 @@ def solve_fk_graph_alphas(
     row gets the bits of a run at its alpha alone (``solve_fk_graph``,
     which raises the failure this returns).  ``observers`` get every
     (live, b, M) block of states, as ``advance`` describes; without
-    ``keep_states`` the loop holds only the last two states and one block.
-    Returns advance's (trajectories, failure).
+    ``keep_states`` the loop holds only the last two states and one block,
+    as in every harness run, whose state dumps are observers
+    (trajectory.StateDumps).  Returns advance's (trajectories, failure).
     """
 
     def step(history, live_alphas, t):

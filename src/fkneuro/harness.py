@@ -39,6 +39,7 @@ from .staging import (
     stage_average_curves,
 )
 from .trajectory import (
+    StateDumps,
     Trajectory,
     first_crossing,
     fmt17,
@@ -204,37 +205,57 @@ class _Curves:
         )
 
 
+def _existing_dir(path: Path) -> Path:
+    """path, or its nearest ancestor that is a directory."""
+    return next(p for p in (path, *path.parents) if p.is_dir())
+
+
 def _runs(cfg: SimulationConfig, loaded: _LoadedDomain, jobs):
     """The RunResult of each (alpha, output_dir) of jobs in turn, on a domain
-    `_load` has loaded for cfg.
+    `_load` has loaded for cfg; an output_dir of None is cfg.output_dir.
 
     A mesh solves each alpha only when its result is asked for; a graph
     solves all its alphas in lockstep first (see
-    graphfk.solve_fk_graph_alphas).  The time loop hands each block of
-    states to a _Curves observer, and keeps every state only where
-    cfg.dump_states asks for them, else a window.  After the results
-    of the alphas before the first that fails, the generator raises that
-    alpha's error, as runs one after another would.
+    graphfk.solve_fk_graph_alphas).  Either time loop keeps only a window
+    of states, and hands each block of states to a _Curves observer and,
+    where cfg.dump_states asks for the states, to a StateDumps observer
+    that streams each row's states.bin.  After the results of the alphas
+    before the first that fails, the generator raises that alpha's error,
+    as runs one after another would; the dumps of the rows that do not
+    finish are discarded, with nothing left on disk or open.
     """
-    n_states = step_count(cfg.T, cfg.dt) + 1
+    n_steps = step_count(cfg.T, cfg.dt)
+    jobs = [(alpha, Path(out if out is not None else cfg.output_dir)) for alpha, out in jobs]
+
+    def open_dumps(rows: int, outdir: Path) -> StateDumps:
+        # a dump as large as the run's states is written on the file system
+        # its output goes to, not to a temporary directory that may be in
+        # memory; the jobs of one loop share a parent directory
+        rows = rows if cfg.dump_states else 0
+        return StateDumps(rows, len(loaded.C0), n_steps, _existing_dir(outdir))
+
     if cfg.domain == "mesh":
         for alpha, outdir in jobs:  # no name here holds a trajectory past its yield
-            curves = _Curves(loaded, n_states)
-            yield _run_loaded(
-                replace(cfg, alpha=alpha), loaded, solve_fk_mesh(
-                    loaded.solver_domain.with_alpha(alpha), loaded.C0, cfg.dt, cfg.T,
-                    rtol=cfg.solver_tol, maxiter_factor=cfg.solver_maxit_factor,
-                    observers=[curves], keep_states=cfg.dump_states,
-                ), curves, 0, outdir,
-            )
+            curves = _Curves(loaded, n_steps + 1)
+            with open_dumps(1, outdir) as dumps:
+                yield _run_loaded(
+                    replace(cfg, alpha=alpha), loaded, solve_fk_mesh(
+                        loaded.solver_domain.with_alpha(alpha), loaded.C0, cfg.dt, cfg.T,
+                        rtol=cfg.solver_tol, maxiter_factor=cfg.solver_maxit_factor,
+                        observers=[curves, dumps], keep_states=False,
+                    ), curves, dumps, 0, outdir,
+                )
         return
-    curves = _Curves(loaded, n_states)
-    trajectories, failure = graphfk.solve_fk_graph_alphas(
-        loaded.solver_domain, loaded.C0, [alpha for alpha, _ in jobs], cfg.dt, cfg.T,
-        literal_rhs=cfg.paper_literal_rhs, observers=[curves], keep_states=cfg.dump_states,
-    )
-    for row, ((alpha, outdir), trajectory) in enumerate(zip(jobs, trajectories)):
-        yield _run_loaded(replace(cfg, alpha=alpha), loaded, trajectory, curves, row, outdir)
+    curves = _Curves(loaded, n_steps + 1)
+    with open_dumps(len(jobs), jobs[0][1]) as dumps:
+        trajectories, failure = graphfk.solve_fk_graph_alphas(
+            loaded.solver_domain, loaded.C0, [alpha for alpha, _ in jobs], cfg.dt, cfg.T,
+            literal_rhs=cfg.paper_literal_rhs, observers=[curves, dumps], keep_states=False,
+        )
+        for row, ((alpha, outdir), trajectory) in enumerate(zip(jobs, trajectories)):
+            yield _run_loaded(
+                replace(cfg, alpha=alpha), loaded, trajectory, curves, dumps, row, outdir
+            )
     if failure is not None:
         raise failure
 
@@ -270,7 +291,9 @@ def write_staging_report(path, times, stage_curves: dict, c_crit: float):
 
 def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
     """Single simulation: trajectory, region-average and staging artifacts,
-    and with cfg.dump_states the states (and a graph's nodes.csv)."""
+    and with cfg.dump_states the states (and a graph's nodes.csv).  The
+    result's trajectory holds the time loop's last window of states; the
+    dump, streamed from the loop, holds all of them."""
     return next(_runs(cfg, _load(cfg), [(cfg.alpha, output_dir)]))
 
 
@@ -279,19 +302,22 @@ def _run_loaded(
     loaded: _LoadedDomain,
     trajectory: Trajectory,
     curves: _Curves,
+    dumps: StateDumps,
     row: int,
-    output_dir=None,
+    outdir: Path,
 ) -> RunResult:
     """`run` of cfg on a domain already loaded for it, from its trajectory,
-    row ``row`` of the time loop that ``curves`` reduced.
+    row ``row`` of the time loop that ``curves`` reduced and ``dumps``
+    wrote, into outdir.
 
-    A graph run that dumps its states writes nodes.csv in the pass that
-    writes region_averages.csv, from the text of its region columns (see
+    The trajectory holds the loop's last window of states, not all of them.
+    A run that dumps its states puts its finished dump at states.bin; a
+    graph run that does also writes nodes.csv, in the pass that writes
+    region_averages.csv, from the text of its region columns (see
     write_series_csv).
     """
     domain = loaded.domain
     result = RunResult(trajectory, loaded.atlas, domain, *curves.of(row))
-    outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     times = result.trajectory.times
 
@@ -331,7 +357,7 @@ def _run_loaded(
     paths["activation_order"] = order_path
     if cfg.dump_states:
         state_path = outdir / "states.bin"
-        write_state_dump(state_path, result.trajectory)
+        write_state_dump(state_path, dumps, row)
         paths["states"] = state_path
     result.paths = {k: str(v) for k, v in paths.items()}
     return result

@@ -35,6 +35,8 @@ written 2.5-4 times faster than with one ``%`` conversion per value.
 import functools
 import logging
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -511,23 +513,60 @@ def read_series_csv(path):
 STATE_MAGIC = "FKSTATE 1"
 
 
-def write_state_dump(path, traj: Trajectory):
-    """Binary full-state dump: ASCII header line, then row-major doubles.
+class StateDumps:
+    """The full-state dumps of the rows of a time loop, written as the loop
+    hands out its blocks of states.
 
-    The header carries N and the step count; rows are the n_steps+1 states
-    including the initial one, so the trajectory must have kept them.
+    A dump is an ASCII header line `FKSTATE 1 <N> <n_steps>`, then the
+    n_steps + 1 states, initial one included, as row-major little-endian
+    doubles.  Each of ``rows`` dumps gets its header at once and, as an
+    observer of ``advance``, the states of its row of every block.  A dump
+    is written to an unnamed temporary file in ``directory``, so a row that
+    fails or is never finished leaves nothing on disk; ``write_state_dump``
+    puts a finished one at its path.  Closing (or leaving a ``with``
+    block) discards every dump not yet put at its path.
     """
-    if not traj.kept_states:
-        raise ValueError(
-            f"a state dump needs all {len(traj.times)} states, the trajectory holds "
-            f"{len(traj.states)}"
-        )
-    n_states, N = traj.states.shape
-    with open(path, "wb") as f:
-        f.write(f"{STATE_MAGIC} {N} {n_states - 1}\n".encode("ascii"))
-        # the array's own buffer: no copy of the states when they are
-        # already C-ordered little-endian doubles
-        f.write(memoryview(np.ascontiguousarray(traj.states, dtype="<f8")))
+
+    def __init__(self, rows: int, N: int, n_steps: int, directory=None):
+        self.n_states = n_steps + 1
+        self.written = [0] * rows  # states of each row so far
+        self.files = []
+        try:
+            for _ in range(rows):
+                self.files.append(tempfile.TemporaryFile(dir=directory))
+                self.files[-1].write(f"{STATE_MAGIC} {N} {n_steps}\n".encode("ascii"))
+        except BaseException:
+            self.close()
+            raise
+
+    def __call__(self, block):
+        """Append each row's (b, N) states of the (live, b, N) block."""
+        for row, (f, states) in enumerate(zip(self.files, block)):
+            # the array's own buffer: no copy of the states when they are
+            # already C-ordered little-endian doubles
+            f.write(memoryview(np.ascontiguousarray(states, dtype="<f8")))
+            self.written[row] += len(states)
+
+    def close(self):
+        for f in self.files:
+            f.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def write_state_dump(path, dumps: StateDumps, row: int):
+    """Put the finished dump of row ``row`` of dumps at path, and close its
+    temporary file.  The dump must hold all its n_steps + 1 states."""
+    written = dumps.written[row]
+    if written != dumps.n_states:
+        raise ValueError(f"a state dump needs all {dumps.n_states} states, it holds {written}")
+    with dumps.files[row] as source, open(path, "wb") as f:
+        source.seek(0)
+        shutil.copyfileobj(source, f)
 
 
 def read_state_dump(path):

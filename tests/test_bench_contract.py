@@ -212,6 +212,20 @@ def test_bench_tracer_counts_the_series_files_of_a_graph_state_dump(tmp_path):
     assert region_bytes in series_bytes
 
 
+def test_bench_tracer_counts_the_bytes_of_a_streamed_state_dump(tmp_path):
+    # the dump is streamed from the time loop, and harness.write_state_dump
+    # puts it at its path: the tracer's io.state_dump_bytes is the size of
+    # states.bin, header and every state
+    code = GRAPH_DUMP + """
+print(os.path.getsize(result.paths["states"]), *tracer.values["io.state_dump_bytes"])
+"""
+    proc = run_with_bench(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    size, *recorded = map(float, proc.stdout.splitlines()[-1].split())
+    assert recorded == [size]
+    assert size == len(b"FKSTATE 1 5 10\n") + 11 * 5 * 8  # T = 0.5, dt = 0.05
+
+
 def test_bench_tracer_records_every_mesh_step_and_solve(tmp_path):
     proc = run_with_bench(MESH_RUN + REDUCTIONS, str(tmp_path))
     assert proc.returncode == 0, proc.stderr

@@ -220,7 +220,7 @@ def test_run_mesh_defaults_saturates(domains, tmp_path):
 def test_run_graph_with_anatomical_atlas(tmp_path, monkeypatch):
     # a ring of one node per region name of the paper's Braak table, the
     # names listed in table order and numbered from 1; run as is, in blocks
-    # of 8 states, and with its states kept
+    # of 8 states, and with its states dumped
     names = [name for stage in STAGE_ORDER for name in ANATOMICAL_TABLE.stages[stage]]
     labels = tmp_path / "labels.csv"
     labels.write_text(
@@ -249,12 +249,14 @@ def test_run_graph_with_anatomical_atlas(tmp_path, monkeypatch):
         C0 = curves[0]
         assert set(np.flatnonzero(C0) + 1) == seeds and set(C0[C0 > 0]) == {cfg.seed_value}
         trajectory = result.trajectory
-        assert trajectory.kept_states == dump
-        # states[i] is the state at times[first_step + i]: all of them with
-        # the dump, else the window's last states
+        # the time loop keeps a window, dump or not: states[i] is the state
+        # at times[first_step + i], the window's last states
+        assert not trajectory.kept_states
         assert trajectory.first_step == trajectory.n_steps + 1 - len(trajectory.states)
         first = trajectory.first_step
         assert trajectory.states.tolist() == curves[first:].tolist()
+        if dump:  # the dump streamed from the loop holds every state
+            assert read_state_dump(result.paths["states"]).tolist() == curves.tolist()
         _, cols = read_series_csv(result.paths["trajectory"])
         assert set(cols) == {f"avg_{stage}" for stage in STAGE_ORDER} | {"avg_global"}
 
@@ -313,22 +315,54 @@ def test_single_alpha_sweep_reduces_to_run(domains, tmp_path):
     assert sweep_traj == open(result.paths["trajectory"], "rb").read()
 
 
+def files_of(root):
+    """Path relative to root -> bytes, of every file under root."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def open_files() -> int:
+    """The number of file descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_only_first_alpha_finished(sweep_dir, run_dir):
+    """sweep_dir holds the first alpha's directory and the summary, and the
+    alpha's files, states.bin included where dumped, are those of run_dir's
+    single run at that alpha."""
+    assert sorted(p.name for p in sweep_dir.iterdir()) == [
+        f"alpha_{SWEEP_ALPHAS[0]:g}", "sweep_summary.csv"
+    ]
+    assert files_of(sweep_dir / f"alpha_{SWEEP_ALPHAS[0]:g}") == files_of(run_dir)
+
+
 def test_sweep_failure_preserves_partial(domains, tmp_path, monkeypatch):
-    cfg = graph_config(domains, seed_regions="all", T=40.0, output_dir=str(tmp_path))
     real = harness._run_loaded
 
     # a graph batch solves its alphas in lockstep, then reduces and writes
-    # each run in turn
+    # each run in turn: the second fails after the loop has finished, and
+    # the dumps of it and the third leave no file behind and nothing open
     def exploding(cfg, *args):
-        if cfg.alpha == 1.0:
+        if cfg.alpha == SWEEP_ALPHAS[1]:
             raise RuntimeError("boom")
         return real(cfg, *args)
 
-    monkeypatch.setattr(harness, "_run_loaded", exploding)
-    with pytest.raises(FkneuroError, match="aborted after 1/3"):
-        harness.sweep(cfg, [0.5, 1.0, 2.0])
-    lines = open(tmp_path / "sweep_summary.csv").read().strip().splitlines()
-    assert len(lines) == 2  # header plus the completed run
+    for dump in (False, True):
+        out = tmp_path / f"dump_{dump}"
+        cfg = graph_config(
+            domains, seed_regions="all", T=40.0, dump_states=dump, output_dir=str(out / "sweep")
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "_run_loaded", exploding)
+            files = open_files()
+            with pytest.raises(FkneuroError, match="aborted after 1/3"):
+                harness.sweep(cfg, SWEEP_ALPHAS)
+            assert open_files() == files
+        lines = (out / "sweep" / "sweep_summary.csv").read_text().strip().splitlines()
+        assert len(lines) == 2  # header plus the completed run
+
+        harness.run(replace(cfg, alpha=SWEEP_ALPHAS[0]), output_dir=str(out / "run"))
+        assert ("states.bin" in os.listdir(out / "run")) == dump
+        assert_only_first_alpha_finished(out / "sweep", out / "run")
 
 
 def test_sweep_worker_failure_keeps_its_traceback(domains, tmp_path, monkeypatch):
@@ -442,9 +476,9 @@ def test_mesh_run_warns_once_when_steps_fall_back(domains, tmp_path, caplog):
 
 
 def element_means(result):
-    """(states, elements) means of a mesh run's DG states, by one array pass."""
+    """(states, elements) means of a dumped mesh run's DG states, by one array pass."""
     space = result.domain
-    states = result.trajectory.states.reshape(-1, *space.basis_integrals.shape)
+    states = read_state_dump(result.paths["states"]).reshape(-1, *space.basis_integrals.shape)
     return (states * space.basis_integrals).sum(axis=2) / space.measures
 
 
@@ -535,8 +569,10 @@ def test_graph_sweep_solver_failure_keeps_earlier_alphas(domains, tmp_path, monk
     monkeypatch.setattr(graphfk, "step_cn_extrapolated", poisoned)
     cfg = graph_sweep_config(domains, tmp_path / "sweep", workers=1)
     message = "aborted after 1/3 runs: non-finite state after step 3 (t=0.15)"
+    files = open_files()  # the failed row's dump is closed
     with pytest.raises(FkneuroError, match=re.escape(message)):
         harness.sweep(cfg, SWEEP_ALPHAS)
+    assert open_files() == files
     assert calls[:3] == [3, 3, 3] and set(calls[3:]) == {1}
     monkeypatch.undo()
 
@@ -570,8 +606,10 @@ def test_mesh_sweep_solver_failure_keeps_earlier_alphas(domains, tmp_path, monke
     monkeypatch.setattr(stepper_module.MeshStepper, "step", poisoned)
     cfg = mesh_sweep_config(domains, tmp_path / "sweep", workers=1)
     message = "aborted after 1/3 runs: non-finite state after step 3 (t=0.15)"
+    files = open_files()  # the failed row's dump is closed
     with pytest.raises(FkneuroError, match=re.escape(message)):
         harness.sweep(cfg, SWEEP_ALPHAS)
+    assert open_files() == files
     assert calls == [SWEEP_ALPHAS[0]] * 80 + [SWEEP_ALPHAS[1]] * 3
     monkeypatch.undo()
 
@@ -589,20 +627,15 @@ def test_mesh_sweep_solver_failure_keeps_earlier_alphas(domains, tmp_path, monke
         assert (swept / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-def files_of(root):
-    """Path relative to root -> bytes, of every file under root."""
-    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 @pytest.mark.parametrize("call", ["run", "sweep"])
 @pytest.mark.parametrize("domain", ["mesh", "graph"])
 def test_runs_write_the_same_bytes_with_and_without_their_states(
     domains, tmp_path, monkeypatch, domain, call
 ):
-    # with dump_states the time loop keeps every state, without it only a
-    # window; either way it hands each block of states (a graph sweep's
-    # alphas together) to the reductions.  Every file both write has the
-    # same bytes; the dump only adds files.  Blocks of 1000 values make
+    # the time loop keeps only a window, with dump_states or without; it
+    # hands each block of states (a graph sweep's alphas together) to the
+    # reductions, and with dump_states to the dumps.  Every file both write
+    # has the same bytes; the dump only adds files.  Blocks of 1000 values make
     # several blocks here: 5 mesh states, 200 graph states, 66 of three
     monkeypatch.setattr(trajectory_module, "BLOCK_VALUES", 1000)
     config = {"mesh": mesh_sweep_config, "graph": graph_sweep_config}[domain]
@@ -612,7 +645,7 @@ def test_runs_write_the_same_bytes_with_and_without_their_states(
         cfg.dump_states = dump
         if call == "run":
             result = harness.run(cfg)
-            assert result.trajectory.kept_states == dump
+            assert not result.trajectory.kept_states
         else:
             harness.sweep(cfg, SWEEP_ALPHAS)
         files[dump] = files_of(tmp_path / str(dump))
@@ -624,10 +657,11 @@ def test_runs_write_the_same_bytes_with_and_without_their_states(
 
 
 def test_windowed_graph_sweep_failure_keeps_earlier_alphas(domains, tmp_path, monkeypatch):
-    # without dump_states: the middle alpha's state turns NaN at step 40,
-    # after the first block of all three rows (32 states each) has been
-    # reduced; the first alpha runs on, and its files are those of a run
-    # at that alpha alone
+    # the middle alpha's state turns NaN at step 40, after the first block
+    # of all three rows (32 states each) has been reduced, and dumped where
+    # the states are: the first alpha runs on, and its files are those of
+    # a run at that alpha alone; the other rows' partial dumps leave no
+    # file behind and nothing open
     real = graphfk.step_cn_extrapolated
     calls = []
 
@@ -638,27 +672,30 @@ def test_windowed_graph_sweep_failure_keeps_earlier_alphas(domains, tmp_path, mo
             C_next[1] = np.nan
         return C_next, stats
 
-    monkeypatch.setattr(graphfk, "step_cn_extrapolated", poisoned)
-    cfg = graph_sweep_config(domains, tmp_path / "sweep", workers=1)
-    cfg.dump_states = False
-    monkeypatch.setattr(trajectory_module, "BLOCK_VALUES", 32 * 3 * 5)  # 32 states a block
     message = "aborted after 1/3 runs: non-finite state after step 40 (t=2)"
-    with pytest.raises(FkneuroError, match=re.escape(message)):
-        harness.sweep(cfg, SWEEP_ALPHAS)
-    assert calls[:40] == [3] * 40 and set(calls[40:]) == {1}
-    monkeypatch.undo()
+    for dump in (False, True):
+        out = tmp_path / f"dump_{dump}"
+        cfg = replace(graph_sweep_config(domains, out / "sweep", workers=1), dump_states=dump)
+        calls.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(graphfk, "step_cn_extrapolated", poisoned)
+            patched.setattr(trajectory_module, "BLOCK_VALUES", 32 * 3 * 5)  # 32 states a block
+            files = open_files()
+            with pytest.raises(FkneuroError, match=re.escape(message)):
+                harness.sweep(cfg, SWEEP_ALPHAS)
+            assert open_files() == files
+        assert calls[:40] == [3] * 40 and set(calls[40:]) == {1}
 
-    cfg = graph_sweep_config(domains, tmp_path / "run", alpha=SWEEP_ALPHAS[0])
-    cfg.dump_states = False
-    harness.run(cfg)
-    swept = files_of(tmp_path / "sweep" / f"alpha_{SWEEP_ALPHAS[0]:g}")
-    assert swept == files_of(tmp_path / "run")
+        harness.run(replace(cfg, alpha=SWEEP_ALPHAS[0]), output_dir=str(out / "run"))
+        assert ("states.bin" in os.listdir(out / "run")) == dump
+        assert_only_first_alpha_finished(out / "sweep", out / "run")
 
 
 def test_mesh_run_keeps_one_window_of_states_whatever_its_length(tmp_path, monkeypatch):
     # the memory a mesh run's time loop allocates (traced by tracemalloc,
-    # which numpy reports to) does not grow with its step count: from 200
-    # to 400 steps it grows by far less than the 200 states it would keep
+    # which numpy reports to) does not grow with its step count, whether
+    # it dumps its states or not: from 200 to 400 steps it grows by far
+    # less than the 200 states it would keep
     mesh = generate_structured_mesh(2, 8, 40.0, labeler=slab_labeler(5, 40.0))
     write_mesh(mesh, tmp_path / "slabs.fkmesh")
     real, growth, kept = harness.solve_fk_mesh, [], []
@@ -676,17 +713,55 @@ def test_mesh_run_keeps_one_window_of_states_whatever_its_length(tmp_path, monke
         domain="mesh", mesh_path=str(tmp_path / "slabs.fkmesh"), atlas_table="slabs",
         seed_regions="II", output_dir=str(tmp_path / "out"),
     )
-    harness.run(replace(cfg, T=10.0))  # every one-time allocation, outside the trace
+    # every one-time allocation, outside the trace
+    harness.run(replace(cfg, T=10.0, dump_states=True))
     tracemalloc.start()
     try:
-        for T in (10.0, 20.0):
-            harness.run(replace(cfg, T=T))
+        for dump in (False, True):
+            for T in (10.0, 20.0):
+                harness.run(replace(cfg, T=T, dump_states=dump))
     finally:
         tracemalloc.stop()
     N = kept[0][1]
     window = stepper_module._ORDER + 1 + trajectory_module.block_states(1, N)
     assert all(rows <= window for rows, _ in kept)
     assert growth[2] - growth[1] < 0.25 * 200 * N * 8
+    assert growth[4] - growth[3] < 0.25 * 200 * N * 8
+    assert len(read_state_dump(tmp_path / "out" / "states.bin")) == 401
+
+
+def test_graph_sweep_dump_holds_no_states(tmp_path, monkeypatch):
+    # the peak memory a graph sweep allocates (traced by tracemalloc) grows
+    # from T to 2T by its curves, which it reports, and a dump adds to that
+    # growth far less than the states of the longer run: a sweep that
+    # dumps streams its states, it does not hold them.  Blocks of 32
+    # states keep the loop's window below the 201 states of the shorter run
+    monkeypatch.setattr(trajectory_module, "BLOCK_VALUES", len(SWEEP_ALPHAS) * 40 * 32)
+    write_connectome(generate_connectome(40, topology="ring"), tmp_path / "ring.csv")
+    cfg = SimulationConfig(
+        domain="graph", graph_path=str(tmp_path / "ring.csv"), atlas_table="slabs",
+        seed_regions="all", workers=1,
+    )
+
+    def peak(**kw):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        harness.sweep(replace(cfg, **kw), SWEEP_ALPHAS, output_dir=str(tmp_path / "out"))
+        return tracemalloc.get_traced_memory()[1] - before
+
+    harness.sweep(replace(cfg, T=10.0, dump_states=True), SWEEP_ALPHAS, str(tmp_path / "out"))
+    tracemalloc.start()
+    growth = {}
+    try:
+        for dump in (False, True):
+            short = peak(T=10.0, dump_states=dump)
+            growth[dump] = peak(T=20.0, dump_states=dump) - short
+    finally:
+        tracemalloc.stop()
+    states = len(SWEEP_ALPHAS) * 200 * 40 * 8  # the states from T = 10 to 20 at dt = 0.05
+    assert growth[True] - growth[False] < 0.25 * states
+    for alpha in SWEEP_ALPHAS:
+        assert len(read_state_dump(tmp_path / "out" / f"alpha_{alpha:g}" / "states.bin")) == 401
 
 
 def test_sweep_rejects_bad_alphas(domains, tmp_path):
@@ -923,6 +998,23 @@ def test_cli_validation_error_before_compute(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "dt" in err and "error" in err
+
+
+def test_python_m_fkneuro_is_the_cli(tmp_path):
+    # `python -m fkneuro` runs cli.main and exits with its code
+    src = str(Path(harness.__file__).resolve().parent.parent)
+
+    def fkneuro(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fkneuro", *argv], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    shown = fkneuro("--show-defaults")
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout == serialize_config(SimulationConfig())
+    bad = fkneuro("simulate", "--domain", "mesh", "--mesh-path", str(tmp_path / "x"), "--dt", "0")
+    assert bad.returncode == 2 and "dt" in bad.stderr
 
 
 def test_cli_missing_file_is_runtime_error(tmp_path, capsys):

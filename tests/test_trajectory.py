@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from fkneuro import graphfk, trajectory
 from fkneuro.geometry import generate_connectome
 from fkneuro.trajectory import (
+    StateDumps,
     Trajectory,
     advance,
     first_crossing,
@@ -118,20 +119,26 @@ def test_series_csv_rejects_non_finite(tmp_path):
 def test_state_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     states = rng.normal(size=(5, 7))
-    traj = Trajectory(times=0.1 * np.arange(5), states=states)
     path = tmp_path / "states.bin"
-    write_state_dump(path, traj)
+    # a loop's blocks of one row: the dump is their states, in order
+    with StateDumps(1, 7, 4, tmp_path) as dumps:
+        dumps(states[None, :2])
+        dumps(states[None, 2:])
+        write_state_dump(path, dumps, 0)
     with open(path, "rb") as f:
         assert f.readline().startswith(b"FKSTATE 1 7 4")
     back = read_state_dump(path)
     assert np.array_equal(back, states)
-    # a trajectory that holds only its last states (a time loop's window)
-    # has no dump: its header would name steps it does not hold
-    window = Trajectory(times=0.1 * np.arange(5), states=states[-2:], first_step=3)
-    assert not window.kept_states
-    with pytest.raises(ValueError, match="needs all 5 states, the trajectory holds 2"):
-        write_state_dump(tmp_path / "window.bin", window)
-    assert not (tmp_path / "window.bin").exists()
+    # a dump handed fewer states than its header names (a row that left
+    # the loop) is not put at a path, and leaves no file behind
+    with StateDumps(2, 7, 4, tmp_path) as dumps:
+        dumps(np.stack([states[:2], states[:2]]))
+        dumps(states[None, 2:])
+        with pytest.raises(ValueError, match="needs all 5 states, it holds 2"):
+            write_state_dump(tmp_path / "window.bin", dumps, 1)
+        write_state_dump(tmp_path / "row0.bin", dumps, 0)
+    assert sorted(os.listdir(tmp_path)) == ["row0.bin", "states.bin"]
+    assert path.read_bytes() == (tmp_path / "row0.bin").read_bytes()
 
 
 def test_state_dump_is_header_and_payload_bytes(tmp_path):
@@ -140,7 +147,9 @@ def test_state_dump_is_header_and_payload_bytes(tmp_path):
     rng = np.random.default_rng(1)
     for states in (rng.normal(size=(4, 6)), rng.normal(size=(6, 4)).T):
         path = tmp_path / "states.bin"
-        write_state_dump(path, Trajectory(times=0.5 * np.arange(4), states=states))
+        with StateDumps(1, 6, 3, tmp_path) as dumps:
+            dumps(states[None])
+            write_state_dump(path, dumps, 0)
         expected = b"FKSTATE 1 6 3\n" + np.ascontiguousarray(states, dtype="<f8").tobytes()
         assert path.read_bytes() == expected
         assert np.array_equal(read_state_dump(path), states)
@@ -499,12 +508,22 @@ def test_advance_window_hands_steps_and_observers_the_kept_states(plan, window, 
 
     blocks = {None: [], window: []}
     runs = {}
-    with patch.object(trajectory, "BLOCK_VALUES", block * k * N):
+    dumps = StateDumps(k, N, n_steps)  # an observer of the windowed loop only
+    with patch.object(trajectory, "BLOCK_VALUES", block * k * N), dumps:
         for kept in (None, window):
+            observers = [lambda b, kept=kept: blocks[kept].append(b.copy())]
+            if kept is not None:
+                observers.append(dumps)
             runs[kept] = advance(
-                stepper(kept), C0, alphas, dt, n_steps * dt, ListLog(), kept,
-                [lambda b, kept=kept: blocks[kept].append(b.copy())],
+                stepper(kept), C0, alphas, dt, n_steps * dt, ListLog(), kept, observers
             )
+        full = runs[None][0]
+        for i in range(k):  # every state of a returned row, fewer of a failed one
+            assert (dumps.written[i] == n_steps + 1) == (i < len(full))
+            dumps.files[i].seek(0)
+            payload = dumps.files[i].read().split(b"\n", 1)[1]
+            if i < len(full):
+                assert payload == full[i].states.tobytes()
     (full, full_failure), (windowed, failure) = runs[None], runs[window]
     assert len(windowed) == len(full)
     assert str(failure) == str(full_failure) and type(failure) is type(full_failure)
