@@ -44,9 +44,12 @@ class SimulationConfig:
     solver_maxit_factor: float = 10.0
     paper_literal_rhs: bool = False
     scale_k: float | None = None  # overrides the connectome file's k
+    # min/max mean neocortical SUVR; positivity cutoff from the neocortical
+    # average criterion
     abeta_theta_low: float = 1.3
     abeta_theta_high: float = 2.2
     abeta_positivity_cutoff: float = 1.55
+    # min global mean / smallest regional max of the tau tracer
     tau_theta_low: float = 0.75
     tau_theta_high: float = 2.2
     tau_gamma: float = 0.25

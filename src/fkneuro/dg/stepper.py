@@ -207,24 +207,21 @@ def solve_fk_mesh(
     rtol: float = 1e-10,
     maxiter_factor: float = 10.0,
     observers=(),
-    keep_states: bool = True,
 ) -> Trajectory:
     """Run the semi-implicit time loop from C0 up to final time T.
 
     ``trajectory.advance`` at one row hands ``MeshStepper.step`` its
     latest states, so each step starts CG from the extrapolant through its
-    last five; the run raises the loop's failure.  Each of ``observers``
-    is called with every block of states, (1, b, N), as ``advance``
-    describes.  With ``keep_states`` the trajectory holds every state;
-    without, the loop keeps only a window of the last five states and one
-    block, and the trajectory holds the window's states at the end, so the
-    memory does not grow with the step count.  The harness runs without:
-    an observer that needs every state, such as the state dump
-    (trajectory.StateDumps), gets them block by block.  Logs one warning
-    when any step fell back to the sparse LU, and one when an element mean
-    of any state, initial one included, lies outside [OVERSHOOT_LOW,
-    OVERSHOOT_HIGH]; the means are scanned block by block, and the states
-    are kept as computed either way.
+    last five; the run raises the loop's failure.  The loop keeps only a
+    window of the last five states and one block, and the trajectory holds
+    the window's states at the end, so the memory does not grow with the
+    step count.  Each of ``observers`` is called with every block of
+    states, (1, b, N), as ``advance`` describes: one that needs every
+    state, such as the state dump (trajectory.StateDumps), gets them block
+    by block.  Logs one warning when any step fell back to the sparse LU,
+    and one when an element mean of any state, initial one included, lies
+    outside [OVERSHOOT_LOW, OVERSHOOT_HIGH]; the means are scanned block by
+    block, and the states are kept as computed either way.
     """
     stepper = MeshStepper(system, dt, rtol=rtol, maxiter=int(maxiter_factor * system.N))
 
@@ -241,9 +238,8 @@ def solve_fk_mesh(
         lows.append(means.min(axis=1))
         highs.append(means.max(axis=1))
 
-    window = None if keep_states else _ORDER + 1
     trajectories, failure = advance(
-        step, C0, [system.alpha], dt, T, logger, window, [scan, *observers]
+        step, C0, [system.alpha], dt, T, logger, _ORDER + 1, [scan, *observers]
     )
     if failure is not None:
         raise failure

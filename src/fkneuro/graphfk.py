@@ -189,7 +189,6 @@ def solve_fk_graph_alphas(
     T: float,
     literal_rhs: bool = False,
     observers=(),
-    keep_states: bool = True,
 ):
     """Run the graph time loop from C0 up to final time T at every alpha at once.
 
@@ -198,11 +197,12 @@ def solve_fk_graph_alphas(
     ``step_cn_extrapolated`` per step, on C^n and C^{n-1} from the states
     the loop holds; the first step self-starts with C^{-1} := C^0.  Each
     row gets the bits of a run at its alpha alone (``solve_fk_graph``,
-    which raises the failure this returns).  ``observers`` get every
-    (live, b, M) block of states, as ``advance`` describes; without
-    ``keep_states`` the loop holds only the last two states and one block,
-    as in every harness run, whose state dumps are observers
-    (trajectory.StateDumps).  Returns advance's (trajectories, failure).
+    which raises the failure this returns).  The loop holds only the last
+    two states and one block; ``observers`` get every (live, b, M) block
+    of states, as ``advance`` describes, so one that needs every state,
+    such as a harness run's state dump (trajectory.StateDumps), gets them
+    block by block.  Returns advance's (trajectories, failure), each
+    trajectory holding the loop's last window of states.
     """
 
     def step(history, live_alphas, t):
@@ -210,8 +210,7 @@ def solve_fk_graph_alphas(
         C_nm1 = history[:, -2] if history.shape[1] > 1 else C_n
         return step_cn_extrapolated(conn, C_n, C_nm1, live_alphas, dt, literal_rhs=literal_rhs)
 
-    window = None if keep_states else 2
-    return advance(step, C0, alphas, dt, T, logger, window, observers)
+    return advance(step, C0, alphas, dt, T, logger, 2, observers)
 
 
 def solve_fk_graph(
@@ -228,7 +227,9 @@ def solve_fk_graph(
     whose solve the module docstring describes.  ``solver_stats`` holds one
     {"iterations", "residual", "fallback"} entry per step, and a run whose
     steps fell back to the LU logs one warning.  This is
-    ``solve_fk_graph_alphas`` at the single alpha, raising its failure.
+    ``solve_fk_graph_alphas`` at the single alpha, raising its failure, so
+    ``states`` holds the loop's last window; a caller that needs every
+    state observes the blocks of ``solve_fk_graph_alphas``.
 
     The scheme needs two back states; its step in
     ``solve_fk_graph_alphas`` self-starts with C^{-1} := C^0, degrading

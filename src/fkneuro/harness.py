@@ -242,7 +242,7 @@ def _runs(cfg: SimulationConfig, loaded: _LoadedDomain, jobs):
                     replace(cfg, alpha=alpha), loaded, solve_fk_mesh(
                         loaded.solver_domain.with_alpha(alpha), loaded.C0, cfg.dt, cfg.T,
                         rtol=cfg.solver_tol, maxiter_factor=cfg.solver_maxit_factor,
-                        observers=[curves, dumps], keep_states=False,
+                        observers=[curves, dumps],
                     ), curves, dumps, 0, outdir,
                 )
         return
@@ -250,7 +250,7 @@ def _runs(cfg: SimulationConfig, loaded: _LoadedDomain, jobs):
     with open_dumps(len(jobs), jobs[0][1]) as dumps:
         trajectories, failure = graphfk.solve_fk_graph_alphas(
             loaded.solver_domain, loaded.C0, [alpha for alpha, _ in jobs], cfg.dt, cfg.T,
-            literal_rhs=cfg.paper_literal_rhs, observers=[curves, dumps], keep_states=False,
+            literal_rhs=cfg.paper_literal_rhs, observers=[curves, dumps],
         )
         for row, ((alpha, outdir), trajectory) in enumerate(zip(jobs, trajectories)):
             yield _run_loaded(

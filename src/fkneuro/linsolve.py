@@ -24,7 +24,8 @@ block of its own:
 
 - row i is solved for b_i / s_i from x0_i / s_i and multiplied back, with
   s_i the power of two just above max |b_i| (at most 2^1023): exact, and
-  no squared norm of a row underflows or overflows;
+  no squared norm of a row underflows or overflows (a start x0_i / s_i
+  that overflows is a far start, which CG gives up on);
 - a definite row (SPD, as the caller knows) with b = 0 is solved by 0;
 - the other definite rows run ``pcg`` to relative residual ``cg_rtol``,
   and one block product gives their true residuals |b - A x| / |b| (a
@@ -145,7 +146,9 @@ def solve(apply, precond, matrix, B, X0, cg_rtol, gate, maxiter, definite):
     ]
     running = [d and norm != 0.0 for d, norm in zip(definite, norms)]
     tol = [cg_rtol * norm for norm in norms]
-    X, iterations, residuals = pcg(apply, precond, B, X0 / scale, tol, maxiter, running)
+    with np.errstate(over="ignore"):  # an overflowing start: pcg's non-finite residual
+        X0 = X0 / scale
+    X, iterations, residuals = pcg(apply, precond, B, X0, tol, maxiter, running)
     converged = [run and res[-1] <= t for run, res, t in zip(running, residuals, tol)]
     # a skipped row with b = 0 is solved by 0, and the LU below solves the
     # others; zero keeps their residuals finite

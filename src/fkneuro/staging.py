@@ -53,17 +53,6 @@ class SuvrMapParams:
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
-    @classmethod
-    def abeta_defaults(cls) -> "SuvrMapParams":
-        # min/max mean neocortical SUVR; positivity cutoff from the
-        # neocortical average criterion
-        return cls(theta_low=1.3, theta_high=2.2, positivity_cutoff=1.55)
-
-    @classmethod
-    def tau_defaults(cls) -> "SuvrMapParams":
-        # min global mean / smallest regional max of the tau tracer
-        return cls(theta_low=0.75, theta_high=2.20, gamma=5.0 / 20.0, epsilon=0.1)
-
 
 def map_suvr_abeta(s: float, p: SuvrMapParams) -> float:
     """Amyloid map: 0 below theta_low, 1 above theta_high, linear between."""

@@ -319,9 +319,9 @@ class Trajectory:
     """Uniform-in-time states: DG coefficients (mesh) or nodal values (graph).
 
     ``states`` holds the states of steps ``first_step`` ... n_steps, oldest
-    first, so ``states[i]`` is the state at ``times[first_step + i]``:
-    every state where the run kept them (``first_step`` 0), else the window
-    that ``advance`` held at the end, which ends with the final state.
+    first, so ``states[i]`` is the state at ``times[first_step + i]``: the
+    window that ``advance`` held at the end, which ends with the final state
+    (and holds every state, ``first_step`` 0, when the run is that short).
     """
 
     times: np.ndarray  # (n_steps + 1,)
@@ -344,11 +344,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    @property
-    def kept_states(self) -> bool:
-        """Whether ``states`` holds every state of the run."""
-        return self.first_step == 0
-
 
 def step_count(T: float, dt: float) -> int:
     """round(T/dt); raises ValueError unless T/dt is within a relative 1e-9 of an integer >= 1."""
@@ -360,7 +355,7 @@ def step_count(T: float, dt: float) -> int:
     return round(ratio)
 
 
-def advance(step, C0, alphas, dt: float, T: float, log, window=None, observers=()):
+def advance(step, C0, alphas, dt: float, T: float, log, window: int, observers=()):
     """Run the time loop of k = len(alphas) rows from C0 up to final time T.
 
     The loop holds the rows' states in one (k, R, N) buffer, C0, (N,) or
@@ -373,12 +368,12 @@ def advance(step, C0, alphas, dt: float, T: float, log, window=None, observers=(
     "error" or a non-finite state, and leaves with every row after it; the
     rows before it run on to T.
 
-    ``window`` is the number of latest states a step reads.  Given, R is
+    ``window`` is the number of latest states a step reads.  R is
     window + B (or n_steps + 1 if that is fewer), B = block_states(k, N):
     the buffer holds those states and a block of at most B newer ones, so
     its size does not grow with the step count, and ``history`` holds the
-    last min(n + 1, window) states.  Left None, R is n_steps + 1: every
-    state is kept, and ``history`` holds C^0 ... C^n.
+    last min(n + 1, window) states.  A caller that needs every state
+    gathers it from the observers' blocks.
 
     Each of ``observers`` is called with every block of states in time
     order, a (live, b, N) view valid only during the call: once B states
@@ -386,22 +381,18 @@ def advance(step, C0, alphas, dt: float, T: float, log, window=None, observers=(
     step.  The blocks of a row that runs to T hold its states C^0 ...
     C^{n_steps}, each once.
 
-    Returns one Trajectory per row before the first that failed, their
-    states views of the buffer's rows (all of them where the states are
-    kept, else those it holds at the end, whose first step is the
-    Trajectory's ``first_step``), and that row's exception (its
-    "error", or a FloatingPointError naming the step and t) or None.  Each
-    returned row whose steps fell back to the sparse LU logs one warning
-    on ``log``.
+    Returns one Trajectory per row before the first that failed, its
+    states a view of the states its buffer row holds at the end, from step
+    ``first_step`` on, and that row's exception (its "error", or a
+    FloatingPointError naming the step and t) or None.  Each returned row
+    whose steps fell back to the sparse LU logs one warning on ``log``.
     """
     n_steps = step_count(T, dt)
     alphas = np.asarray(alphas, dtype=float)
     k = live = len(alphas)  # the rows still stepping are 0 .. live - 1
-    keep = window is None
     N = np.shape(C0)[-1]
     block = block_states(k, N)
-    rows = n_steps + 1 if keep else min(n_steps + 1, window + block)
-    buffer = np.empty((k, rows, N))
+    buffer = np.empty((k, min(n_steps + 1, window + block), N))
     buffer[:, 0] = C0
     start, end = 0, 1  # the block is buffer[:, start:end], the latest state at end - 1
     stats = [[] for _ in range(k)]
@@ -410,13 +401,12 @@ def advance(step, C0, alphas, dt: float, T: float, log, window=None, observers=(
         if end - start == block:
             for observe in observers:
                 observe(buffer[:live, start:end])
-            if not keep:  # the states the next steps read move to the front
-                back = min(end, window)
-                buffer[:live, :back] = buffer[:live, end - back : end]
-                end = back
-            start = end
+            # the states the next steps read move to the front
+            back = min(end, window)
+            buffer[:live, :back] = buffer[:live, end - back : end]
+            start = end = back
         t = (n + 1) * dt
-        history = buffer[:live, 0 if keep else max(end - window, 0) : end]
+        history = buffer[:live, max(end - window, 0) : end]
         nxt, step_stats = step(history, alphas[:live], t)
         finite = np.isfinite(nxt).reshape(live, -1).all(axis=1).tolist()
         for i in range(len(finite)):
@@ -589,10 +579,13 @@ def read_state_dump(path):
 def first_crossing(times, values, level) -> float | None:
     """First time the series reaches `level`, linearly interpolated.
 
-    Returns None when the series never reaches the level.
+    Returns None when the series never reaches the level; raises
+    ValueError when times and values differ in length.
     """
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
+    if len(times) != len(values):
+        raise ValueError(f"{len(times)} times but {len(values)} values")
     at_or_above = values >= level
     if not at_or_above.any():
         return None

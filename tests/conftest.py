@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from fkneuro import graphfk
+from fkneuro.dg import solve_fk_mesh
 from fkneuro.geometry import (
     Connectome,
     Edges,
@@ -16,6 +18,38 @@ def region_mean_weights(domain, region_ids):
     """Dense w with w @ C the mean of C over the regions: the one column of
     the domain's region weight matrix."""
     return domain.region_weight_matrix([region_ids]).toarray()[:, 0]
+
+
+def _observed(solve, *args, **kwargs):
+    """solve(*args, observers=[...], **kwargs) and the states of its time
+    loop's first row in each block, in order."""
+    blocks = []
+    result = solve(*args, observers=[lambda block: blocks.append(block[0].copy())], **kwargs)
+    return result, blocks
+
+
+def _with_states(traj, blocks):
+    """(traj, every state of its run): the blocks concatenated, (n_steps + 1, N),
+    checked to end with the window the trajectory holds."""
+    states = np.concatenate(blocks)
+    assert traj.states.tobytes() == states[traj.first_step :].tobytes()
+    return traj, states
+
+
+def mesh_run(system, C0, dt, T, **kwargs):
+    """A direct solve_fk_mesh call's trajectory and every state of its run."""
+    return _with_states(*_observed(solve_fk_mesh, system, C0, dt, T, **kwargs))
+
+
+def graph_run(conn, C0, alpha, dt, T, **kwargs):
+    """The graph time loop's trajectory at one alpha and every state of its
+    run, from graphfk.solve_fk_graph_alphas; raises the loop's failure."""
+    (trajectories, failure), blocks = _observed(
+        graphfk.solve_fk_graph_alphas, conn, C0, [alpha], dt, T, **kwargs
+    )
+    if failure is not None:
+        raise failure
+    return _with_states(trajectories[0], blocks)
 
 
 def logistic(t, c0, alpha):

@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cn_extrapolated_predicted_error, edgeless_graph, logistic
+from conftest import (
+    cn_extrapolated_predicted_error,
+    edgeless_graph,
+    graph_run,
+    logistic,
+    mesh_run,
+)
 from fkneuro import graphfk, harness
 from fkneuro.config import SimulationConfig
 from fkneuro.dg import assemble, solve_fk_mesh
@@ -26,7 +32,6 @@ from fkneuro.geometry import (
 from fkneuro.staging import (
     ACTIVE,
     LAG,
-    SuvrMapParams,
     braak_activation_order,
     classify_phase,
     inflection_count,
@@ -46,9 +51,9 @@ def report(criterion, checks):
     return ok
 
 
-def mesh_global_average(system, traj):
+def mesh_global_average(system, states):
     weights = system.space.basis_integrals.ravel()
-    return traj.states @ weights / system.mesh.measure
+    return states @ weights / system.mesh.measure
 
 
 def test_criterion_1_graph_logistic_oracle():
@@ -66,8 +71,8 @@ def test_criterion_1_graph_logistic_oracle():
     conn = edgeless_graph(1)
     checks = []
     for alpha, pred in predicted.items():
-        traj = graphfk.solve_fk_graph(conn, np.array([0.1]), alpha=alpha, dt=0.05, T=40.0)
-        err = np.abs(traj.states[:, 0] - logistic(traj.times, 0.1, alpha)).max()
+        traj, states = graph_run(conn, np.array([0.1]), alpha=alpha, dt=0.05, T=40.0)
+        err = np.abs(states[:, 0] - logistic(traj.times, 0.1, alpha)).max()
         bound = 1.05 * pred
         checks.append(
             (
@@ -78,8 +83,8 @@ def test_criterion_1_graph_logistic_oracle():
         )
     errors = []
     for dt in (0.1, 0.05, 0.025):
-        traj = graphfk.solve_fk_graph(conn, np.array([0.1]), alpha=0.61, dt=dt, T=40.0)
-        errors.append(np.abs(traj.states[:, 0] - logistic(traj.times, 0.1, 0.61)).max())
+        traj, states = graph_run(conn, np.array([0.1]), alpha=0.61, dt=dt, T=40.0)
+        errors.append(np.abs(states[:, 0] - logistic(traj.times, 0.1, 0.61)).max())
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     checks.append(
         (all(1.8 <= o <= 2.2 for o in orders), f"orders {[f'{o:.2f}' for o in orders]}")
@@ -96,16 +101,16 @@ def test_criterion_2_dg_logistic_oracle():
     for alpha in (0.61, 0.70):
         system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=alpha, eta0=10.0, degree=2)
         C0 = system.space.seed_vector([1], 0.1)
-        traj = solve_fk_mesh(system, C0, dt=0.01, T=40.0)
-        avg = mesh_global_average(system, traj)
+        traj, states = mesh_run(system, C0, dt=0.01, T=40.0)
+        avg = mesh_global_average(system, states)
         err = np.abs(avg - logistic(traj.times, 0.1, alpha)).max()
         checks.append((err <= 5e-3, f"alpha={alpha}: max err {err:.3e} (<=5e-3)"))
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=2)
     C0 = system.space.seed_vector([1], 0.1)
     errors = []
     for dt in (0.1, 0.05, 0.025):
-        traj = solve_fk_mesh(system, C0, dt=dt, T=40.0)
-        avg = mesh_global_average(system, traj)
+        traj, states = mesh_run(system, C0, dt=dt, T=40.0)
+        avg = mesh_global_average(system, states)
         errors.append(np.abs(avg - logistic(traj.times, 0.1, 0.61)).max())
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     checks.append(
@@ -259,12 +264,12 @@ def test_criterion_6_sensitivity_monotonicity(sweep_domains, tmp_path):
 
 def test_criterion_7_suvr_mapping_goldens():
     checks = []
-    pa = SuvrMapParams.abeta_defaults()
+    pa = SimulationConfig().suvr_abeta()
     checks.append((map_suvr_abeta(1.3, pa) == 0.0, "abeta(1.3)=0"))
     checks.append((map_suvr_abeta(2.2, pa) == 1.0, "abeta(2.2)=1"))
     v = map_suvr_abeta(1.55, pa)
     checks.append((abs(v - 0.2778) <= 1e-4, f"abeta(1.55)={v:.6f} (0.2778 +/- 1e-4)"))
-    pt = SuvrMapParams.tau_defaults()
+    pt = SimulationConfig().suvr_tau()
     lag_v = map_suvr_tau(1.475, LAG, pt)
     checks.append((abs(lag_v - 0.125) <= 1e-12, f"tau lag(1.475)={lag_v!r}"))
 
@@ -283,8 +288,8 @@ def test_criterion_8_staging_order_and_robustness():
     atlas = slab_atlas()
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.70, eta0=10.0, degree=2)
     C0 = system.space.seed_vector(atlas.stages["II"], 0.1)
-    traj = solve_fk_mesh(system, C0, dt=0.05, T=20.0)
-    curves = stage_average_curves(traj.states, atlas, system.space)
+    traj, states = mesh_run(system, C0, dt=0.05, T=20.0)
+    curves = stage_average_curves(states, atlas, system.space)
 
     checks = []
     timelines = {}

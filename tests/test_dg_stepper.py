@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic, region_mean_weights, scalar_euler_semi_implicit
+from conftest import logistic, mesh_run, region_mean_weights, scalar_euler_semi_implicit
+from fkneuro import trajectory as trajectory_module
 from fkneuro.dg import assemble, solve_fk_mesh, solve_linear
 from fkneuro.dg import stepper as stepper_module
 from fkneuro.dg.stepper import MeshStepper
@@ -57,9 +58,9 @@ def test_uniform_state_tracks_scalar_recursion_exactly():
     mesh = generate_structured_mesh(2, 3, 1.0)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=2)
     C0 = system.space.seed_vector([1], 0.1)
-    traj = solve_fk_mesh(system, C0, dt=0.05, T=1.0)
+    traj, states = mesh_run(system, C0, dt=0.05, T=1.0)
     oracle = scalar_euler_semi_implicit(0.1, 0.61, 0.05, traj.n_steps)
-    avgs = traj.states @ region_mean_weights(system.space, [1])
+    avgs = states @ region_mean_weights(system.space, [1])
     assert np.abs(avgs - oracle).max() <= 1e-10
 
 
@@ -67,16 +68,16 @@ def test_uniform_seed_short_logistic_run():
     mesh = generate_structured_mesh(2, 2, 1.0)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
     C0 = system.space.seed_vector([1], 0.1)
-    traj = solve_fk_mesh(system, C0, dt=0.01, T=5.0)
-    avgs = traj.states @ region_mean_weights(system.space, [1])
+    traj, states = mesh_run(system, C0, dt=0.01, T=5.0)
+    avgs = states @ region_mean_weights(system.space, [1])
     assert np.abs(avgs - logistic(traj.times, 0.1, 0.61)).max() <= 2.5e-3
 
 
 def test_zero_initial_condition_stays_zero():
     mesh = generate_structured_mesh(2, 2, 1.0)
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
-    traj = solve_fk_mesh(system, np.zeros(system.N), dt=0.05, T=1.0)
-    assert np.abs(traj.states).max() == 0.0
+    _, states = mesh_run(system, np.zeros(system.N), dt=0.05, T=1.0)
+    assert np.abs(states).max() == 0.0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -114,8 +115,8 @@ def test_faster_conversion_reaches_half_sooner():
     for alpha in (0.08, 8.54):
         system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=alpha, eta0=10.0, degree=1)
         C0 = system.space.seed_vector([1], 0.1)
-        traj = solve_fk_mesh(system, C0, dt=0.05, T=40.0)
-        avgs = traj.states @ np.concatenate(
+        traj, states = mesh_run(system, C0, dt=0.05, T=40.0)
+        avgs = states @ np.concatenate(
             [system.space.basis_integrals[e] for e in range(mesh.n_elements)]
         )
         from fkneuro.trajectory import first_crossing
@@ -130,8 +131,8 @@ def test_temporal_order_one():
     C0 = system.space.seed_vector([1], 0.1)
     errors = []
     for dt in (0.1, 0.05, 0.025):
-        traj = solve_fk_mesh(system, C0, dt=dt, T=10.0)
-        avgs = traj.states @ region_mean_weights(system.space, [1])
+        traj, states = mesh_run(system, C0, dt=dt, T=10.0)
+        avgs = states @ region_mean_weights(system.space, [1])
         errors.append(np.abs(avgs - logistic(traj.times, 0.1, 0.61)).max())
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for order in orders:
@@ -399,3 +400,14 @@ def test_solver_stats_recorded():
         assert entry["residual"] <= 1e-10
         assert entry["fallback"] is False
         assert 1 <= entry["iterations"] <= 10
+
+
+def test_direct_call_keeps_a_window_of_states(monkeypatch):
+    # a direct call holds the five states a step reads and one block, as a
+    # harness run does: blocks of 8 states here, over 40 steps
+    mesh = generate_structured_mesh(2, 2, 1.0)
+    system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.61, eta0=10.0, degree=1)
+    monkeypatch.setattr(trajectory_module, "BLOCK_VALUES", 8 * system.N)
+    traj, states = mesh_run(system, system.space.seed_vector([1], 0.1), dt=0.05, T=2.0)
+    assert len(states) == 41 and len(traj.states) <= stepper_module._ORDER + 1 + 8
+    assert traj.first_step == 41 - len(traj.states) > 0

@@ -7,8 +7,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edgeless_graph, logistic, scalar_cn_extrapolated
-from fkneuro import graphfk
+from conftest import edgeless_graph, graph_run, logistic, scalar_cn_extrapolated
+from fkneuro import graphfk, trajectory
 from fkneuro.dg.stepper import solve_linear
 from fkneuro.errors import LinearSolverError
 from fkneuro.geometry import Connectome, Edges, generate_connectome
@@ -57,12 +57,12 @@ def test_step_residuals_are_true_residuals():
     conn = generate_connectome(5, topology="chain")
     L = conn.laplacian
     alpha, dt = 3.0, 0.05
-    traj = graphfk.solve_fk_graph(conn, np.array([0.1, 0, 0, 0, 0]), alpha, dt, T=40.0)
+    traj, states = graph_run(conn, np.array([0.1, 0, 0, 0, 0]), alpha, dt, T=40.0)
     iterations = [stats["iterations"] for stats in traj.solver_stats]
     assert 0 in iterations and max(iterations) > 0
     for n, stats in enumerate(traj.solver_stats):
-        C_n, C_next = traj.states[n], traj.states[n + 1]
-        C_nm1 = traj.states[max(n - 1, 0)]
+        C_n, C_next = states[n], states[n + 1]
+        C_nm1 = states[max(n - 1, 0)]
         reaction = alpha * dt * (1.0 - 0.5 * (3.0 * C_n - C_nm1))
         rhs = (2.0 + reaction) * C_n - dt * (L @ C_n)
         d = rhs - ((2.0 - reaction) * C_next + dt * (L @ C_next))
@@ -123,20 +123,20 @@ def test_diffusion_only_mass_conservation():
 def test_no_edges_matches_scalar_scheme_and_logistic():
     conn = edgeless_graph(4)
     C0 = np.full(4, 0.1)
-    traj = graphfk.solve_fk_graph(conn, C0, alpha=0.70, dt=0.05, T=40.0)
+    traj, states = graph_run(conn, C0, alpha=0.70, dt=0.05, T=40.0)
     oracle = scalar_cn_extrapolated(0.1, 0.70, 0.05, traj.n_steps)
     for j in range(4):
-        assert np.abs(traj.states[:, j] - oracle).max() <= 1e-12
+        assert np.abs(states[:, j] - oracle).max() <= 1e-12
     # the scheme itself sits ~7e-5 from the continuous logistic at this step
-    assert np.abs(traj.states[:, 0] - logistic(traj.times, 0.1, 0.70)).max() <= 1e-4
+    assert np.abs(states[:, 0] - logistic(traj.times, 0.1, 0.70)).max() <= 1e-4
 
 
 def test_temporal_order_two():
     errors = []
     conn = edgeless_graph(1)
     for dt in (0.1, 0.05, 0.025):
-        traj = graphfk.solve_fk_graph(conn, np.array([0.1]), alpha=0.61, dt=dt, T=40.0)
-        errors.append(np.abs(traj.states[:, 0] - logistic(traj.times, 0.1, 0.61)).max())
+        traj, states = graph_run(conn, np.array([0.1]), alpha=0.61, dt=dt, T=40.0)
+        errors.append(np.abs(states[:, 0] - logistic(traj.times, 0.1, 0.61)).max())
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for order in orders:
         assert 1.8 <= order <= 2.2
@@ -163,9 +163,9 @@ def test_permutation_equivariance():
         edges=Edges(inv[conn.edges.nodes], counts, lengths),
     )
     C0 = rng.uniform(0.0, 0.3, n)
-    t1 = graphfk.solve_fk_graph(conn, C0, alpha=0.7, dt=0.05, T=2.0)
-    t2 = graphfk.solve_fk_graph(conn_p, C0[perm], alpha=0.7, dt=0.05, T=2.0)
-    assert np.abs(t1.states[:, perm] - t2.states).max() <= 1e-12
+    _, states = graph_run(conn, C0, alpha=0.7, dt=0.05, T=2.0)
+    _, states_p = graph_run(conn_p, C0[perm], alpha=0.7, dt=0.05, T=2.0)
+    assert np.abs(states[:, perm] - states_p).max() <= 1e-12
 
 
 def test_cn_system_matrix_symmetric(triangle_graph):
@@ -185,8 +185,8 @@ def test_cn_system_matrix_symmetric(triangle_graph):
 
 def test_chain_activation_monotone_in_hops(chain5):
     C0 = graphfk.seed_vector(chain5, [1], 0.3)
-    traj = graphfk.solve_fk_graph(chain5, C0, alpha=0.70, dt=0.05, T=40.0)
-    times = [first_crossing(traj.times, traj.states[:, i], 0.5) for i in range(5)]
+    traj, states = graph_run(chain5, C0, alpha=0.70, dt=0.05, T=40.0)
+    times = [first_crossing(traj.times, states[:, i], 0.5) for i in range(5)]
     assert all(t is not None for t in times)
     assert all(b > a for a, b in zip(times, times[1:]))
 
@@ -196,9 +196,9 @@ def test_large_graph_matches_dense_direct_solve():
         300, topology="ring", extra_edges=[(1, 150), (40, 260), (75, 226)]
     )
     C0 = graphfk.seed_vector(conn, [1, 150], 0.4)
-    traj = graphfk.solve_fk_graph(conn, C0, alpha=0.7, dt=0.05, T=0.5)
+    traj, states = graph_run(conn, C0, alpha=0.7, dt=0.05, T=0.5)
     reference = dense_cn_states(conn, C0, 0.7, 0.05, traj.n_steps)
-    assert np.abs(traj.states - reference).max() <= 1e-12
+    assert np.abs(states - reference).max() <= 1e-12
 
     ones = np.ones(300)
     nxt, _ = graphfk.step_cn_extrapolated(conn, ones, ones, alpha=0.7, dt=0.05)
@@ -357,12 +357,12 @@ def test_hub_and_ring_graph_passes_the_gate_and_matches_the_direct_solve():
         scale_k=100.0,
     )
     C0 = graphfk.seed_vector(conn, [2], 0.1)
-    traj = graphfk.solve_fk_graph(conn, C0, 0.61, 0.05, 2.0)
+    traj, states = graph_run(conn, C0, 0.61, 0.05, 2.0)
     assert traj.n_steps == 40
     assert all(row["residual"] <= 1e-12 for row in traj.solver_stats)
     assert min(row["iterations"] for row in traj.solver_stats) >= 40
     reference = dense_cn_states(conn, C0, 0.61, 0.05, traj.n_steps)
-    assert np.abs(traj.states - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert np.abs(states - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 def test_block_step_keeps_a_singular_rows_error_to_itself():
@@ -531,3 +531,15 @@ def test_lu_fallback_logs_one_warning_per_alpha(chain5, caplog):
     with caplog.at_level(logging.WARNING, logger="fkneuro.graphfk"):
         graphfk.solve_fk_graph(chain5, C0, 0.61, 0.05, 0.1)
     assert not caplog.records
+
+
+def test_direct_call_keeps_a_window_of_states(chain5, monkeypatch):
+    # a direct call holds the two states a step reads and one block, as a
+    # harness run does: blocks of 8 states here, over 40 steps
+    monkeypatch.setattr(trajectory, "BLOCK_VALUES", 8 * chain5.n_nodes)
+    C0 = graphfk.seed_vector(chain5, [1], 0.3)
+    traj = graphfk.solve_fk_graph(chain5, C0, 0.61, 0.05, 2.0)
+    assert traj.n_steps == 40 and len(traj.states) <= 2 + 8
+    assert traj.first_step == 41 - len(traj.states) > 0
+    _, states = graph_run(chain5, C0, 0.61, 0.05, 2.0)
+    assert traj.states.tobytes() == states[traj.first_step :].tobytes()

@@ -259,3 +259,13 @@ def test_solve_rows_equal_their_single_solves():
 
     check()
     assert seen == {"zero", "cg", "fallback", "error"}
+
+
+@pytest.mark.parametrize("definite", [True, False])
+def test_solve_takes_a_start_that_overflows_its_row_scaling(definite):
+    # max |b| < 1/2 scales the row by 2, so a start near the largest double
+    # overflows: the row is solved by the LU, with no warning
+    A, b = np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([0.25, 0.4])
+    X, (stats,) = solve_rows([A], b[None], np.array([[0.0, 1.5e308]]), [definite], MAXITER)
+    assert stats["fallback"] and "error" not in stats and stats["residual"] <= GATE
+    assert np.abs(X[0] - np.linalg.solve(A, b)).max() <= 1e-15

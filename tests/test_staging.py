@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic, region_mean_weights
+from conftest import graph_run, logistic, mesh_run, region_mean_weights
 from fkneuro import graphfk
-from fkneuro.dg import DGSpace, assemble, solve_fk_mesh
+from fkneuro.config import SimulationConfig
+from fkneuro.dg import DGSpace, assemble
 from fkneuro.geometry import (
     STAGE_ORDER,
     BraakAtlas,
@@ -25,7 +26,6 @@ from fkneuro.staging import (
     SATURATION,
     STATIONARY,
     TIME_CHUNK,
-    SuvrMapParams,
     braak_activation_order,
     classify_phase,
     inflection_count,
@@ -227,7 +227,7 @@ def test_average_empty_region_rejected(weight_domains, kind):
 
 
 def test_abeta_map_goldens():
-    p = SuvrMapParams.abeta_defaults()
+    p = SimulationConfig().suvr_abeta()
     assert map_suvr_abeta(1.3, p) == 0.0
     assert map_suvr_abeta(2.2, p) == 1.0
     assert map_suvr_abeta(1.75, p) == pytest.approx(0.5, abs=1e-15)
@@ -238,7 +238,7 @@ def test_abeta_map_goldens():
 
 
 def test_tau_map_goldens():
-    p = SuvrMapParams.tau_defaults()
+    p = SimulationConfig().suvr_tau()
     assert p.gamma == pytest.approx(0.25, abs=1e-15)
     for phase in (STATIONARY, LAG, ACTIVE):
         assert map_suvr_tau(0.75, phase, p) == pytest.approx(0.0, abs=1e-15)
@@ -248,8 +248,8 @@ def test_tau_map_goldens():
 
 
 def test_maps_monotone_and_bounded():
-    pa = SuvrMapParams.abeta_defaults()
-    pt = SuvrMapParams.tau_defaults()
+    pa = SimulationConfig().suvr_abeta()
+    pt = SimulationConfig().suvr_tau()
     s_grid = np.linspace(0.0, 3.0, 301)
     ab = [map_suvr_abeta(s, pa) for s in s_grid]
     assert all(b >= a for a, b in zip(ab, ab[1:]))
@@ -264,7 +264,7 @@ def test_maps_monotone_and_bounded():
 
 
 def tau_params(threshold=1.5):
-    p = SuvrMapParams.tau_defaults()
+    p = SimulationConfig().suvr_tau()
     p.abnormality_thresholds["ROI"] = threshold
     return p
 
@@ -285,7 +285,7 @@ def test_classifier_back_shift_two_stages():
 
 def test_classifier_early_region_active_from_first_stage():
     means = [0.9, 1.2, 1.5, 1.8, 2.0, 2.1, 2.3]
-    row = classify_phase("Braak II", means, SuvrMapParams.tau_defaults(), early_region=True)
+    row = classify_phase("Braak II", means, SimulationConfig().suvr_tau(), early_region=True)
     assert row.phases[0] == ACTIVE
     assert row.phases[-1] == SATURATION  # crosses theta_high=2.2 at the end
 
@@ -315,7 +315,7 @@ def test_classifier_phase_monotonicity_random_sequences():
 
 def test_classifier_requires_threshold():
     with pytest.raises(KeyError):
-        classify_phase("unknown", [1.0, 2.0], SuvrMapParams.tau_defaults())
+        classify_phase("unknown", [1.0, 2.0], SimulationConfig().suvr_tau())
 
 
 # -- macrostages and activation order ---------------------------------------
@@ -388,9 +388,9 @@ def test_macrostage_grid_refinement_equivariance():
 def test_activation_order_slab_mesh(slab_mesh, atlas5):
     system = assemble(slab_mesh, DiffusionModel(8.0, 80.0), alpha=0.70, eta0=10.0, degree=2)
     C0 = system.space.seed_vector(atlas5.stages["II"], 0.1)
-    traj = solve_fk_mesh(system, C0, dt=0.05, T=12.0)
+    traj, states = mesh_run(system, C0, dt=0.05, T=12.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj.states, atlas5, system.space), 0.5
+        traj.times, stage_average_curves(states, atlas5, system.space), 0.5
     )
     assert report.order == "anatomical"
     assert [s for s, _ in report.entries] == ["II", "III", "IV", "V", "VI"]
@@ -403,9 +403,9 @@ def test_activation_order_slab_mesh_3d(atlas5):
     assert set(mesh.regions) == {1, 2, 3, 4, 5}
     system = assemble(mesh, DiffusionModel(8.0, 80.0), alpha=0.70, eta0=10.0, degree=1)
     C0 = system.space.seed_vector(atlas5.stages["II"], 0.1)
-    traj = solve_fk_mesh(system, C0, dt=0.1, T=10.0)
+    traj, states = mesh_run(system, C0, dt=0.1, T=10.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj.states, atlas5, system.space), 0.5
+        traj.times, stage_average_curves(states, atlas5, system.space), 0.5
     )
     assert report.order == "anatomical"
 
@@ -434,9 +434,9 @@ def test_activation_order_separated_reverse_stays_by_time():
 
 def test_activation_order_uniform_is_degenerate(atlas5, chain5):
     C0 = np.full(5, 0.1)
-    traj = graphfk.solve_fk_graph(chain5, C0, alpha=0.70, dt=0.05, T=10.0)
+    traj, states = graph_run(chain5, C0, alpha=0.70, dt=0.05, T=10.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj.states, atlas5, chain5), 0.5
+        traj.times, stage_average_curves(states, atlas5, chain5), 0.5
     )
     assert report.order == "degenerate"
 
@@ -444,9 +444,9 @@ def test_activation_order_uniform_is_degenerate(atlas5, chain5):
 def test_activation_order_shortcut_violation(atlas5):
     conn = generate_connectome(5, topology="chain", extra_edges=[(1, 5)])
     C0 = graphfk.seed_vector(conn, [1], 0.3)
-    traj = graphfk.solve_fk_graph(conn, C0, alpha=0.70, dt=0.05, T=20.0)
+    traj, states = graph_run(conn, C0, alpha=0.70, dt=0.05, T=20.0)
     report = braak_activation_order(
-        traj.times, stage_average_curves(traj.states, atlas5, conn), 0.5
+        traj.times, stage_average_curves(states, atlas5, conn), 0.5
     )
     assert report.order == "violated"
 
@@ -484,9 +484,9 @@ def test_clinical_mapping_pipeline(tmp_path):
     path.write_text(CLINICAL)
     rows = load_clinical_csv(path)
     assert len(rows) == 10
-    tau_params = SuvrMapParams.tau_defaults()
+    tau_params = SimulationConfig().suvr_tau()
     tau_params.abnormality_thresholds["Braak III"] = 1.5
-    mapped = map_clinical_rows(rows, SuvrMapParams.abeta_defaults(), tau_params)
+    mapped = map_clinical_rows(rows, SimulationConfig().suvr_abeta(), tau_params)
     ab = [m for m in mapped if m[0].protein == "abeta"]
     assert [m[2] for m in ab] == pytest.approx([0.0, 0.25 / 0.9, 1.0], abs=1e-12)
     tau = [m for m in mapped if m[0].protein == "tau"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import graph_run
 from fkneuro import graphfk, trajectory
 from fkneuro.geometry import generate_connectome
 from fkneuro.trajectory import (
@@ -42,7 +43,7 @@ def test_trajectory_validation():
     with pytest.raises(ValueError, match="step count"):
         Trajectory(times=[0.0, 0.1, 0.2], states=np.zeros((2, 2)), first_step=2)
     last = Trajectory(times=[0.0, 0.1, 0.2], states=np.zeros((2, 2)), first_step=1)
-    assert last.n_steps == 2 and not last.kept_states
+    assert last.n_steps == 2
 
 
 def test_series_csv_roundtrip(tmp_path):
@@ -163,6 +164,15 @@ def test_first_crossing_interpolates_linearly():
     assert first_crossing(times, vals, 0.9) is None
     # first sample already above the level
     assert first_crossing(times, np.array([0.7, 0.8, 0.9]), 0.5) == 0.0
+
+
+def test_first_crossing_rejects_series_of_other_lengths():
+    # a window of states against the run's times would cross at a wrong time
+    times = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="3 times but 2 values"):
+        first_crossing(times, np.array([0.0, 0.8]), 0.5)
+    with pytest.raises(ValueError, match="3 times but 4 values"):
+        first_crossing(times, np.array([0.0, 0.8, 0.9, 1.0]), 0.9)
 
 
 def test_fmt17_reproduces_double():
@@ -360,8 +370,8 @@ def test_concentration_table_takes_no_python_path(monkeypatch):
     conn = generate_connectome(83, "ring", extra_edges=[(1, 42), (10, 60), (20, 75)])
     C0 = np.zeros(83)
     C0[0] = 0.1
-    traj = graphfk.solve_fk_graph(conn, C0, alpha=0.61, dt=0.05, T=40.0)
-    table = np.column_stack([traj.times, traj.states, traj.states.mean(axis=1)])
+    traj, states = graph_run(conn, C0, alpha=0.61, dt=0.05, T=40.0)
+    table = np.column_stack([traj.times, states, states.mean(axis=1)])
     assert table.shape == (801, 85)
     calls = []
     digits = trajectory._python_digits
@@ -369,7 +379,7 @@ def test_concentration_table_takes_no_python_path(monkeypatch):
     text, node_text = node_rows17(table, conn.region_ids.tolist(), list(range(1, 84)))
     assert calls == []
     assert text == percent_rows(table)
-    assert node_text == percent_labelled(traj.times, traj.states, conn.region_ids.tolist())
+    assert node_text == percent_labelled(traj.times, states, conn.region_ids.tolist())
     assert np.count_nonzero((table > 0) & (table < 1e-4)) > 1000
 
 
@@ -407,9 +417,35 @@ class ListLog:
         self.records.append(msg % args)
 
 
+def keep_every_state(step, C0, alphas, dt, n_steps):
+    """The reference of ``advance``: a plain loop that keeps every state and
+    hands each step all of its live rows' states.  Returns the states of
+    each row before the first that failed, (n_steps + 1, N), their stats
+    and that row's exception or None."""
+    alphas = np.asarray(alphas, dtype=float)
+    rows, stats = [[c] for c in C0], [[] for _ in C0]
+    live, failure = len(rows), None
+    for n in range(1, n_steps + 1):
+        t = n * dt
+        out, step_stats = step(np.array(rows[:live]), alphas[:live], t)
+        for i in range(live):
+            error = step_stats[i].get("error")
+            if error is None and not np.isfinite(out[i]).all():
+                error = FloatingPointError(f"non-finite state after step {n} (t={t:g})")
+            if error is not None:
+                failure, live = error, i
+                break
+            stats[i].append(step_stats[i])
+        if not live:
+            break
+        for i in range(live):
+            rows[i].append(out[i])
+    return [np.array(row) for row in rows[:live]], stats[:live], failure
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(plan=loop_plans())
-def test_advance_keeps_the_rows_before_the_first_failure(plan):
+@given(plan=loop_plans(), window=st.integers(1, 5), block=st.integers(1, 4))
+def test_advance_keeps_the_rows_before_the_first_failure(plan, window, block):
     k, n_steps, faults, fallbacks, alphas = plan
     dt, N = 0.25, 3
     C0 = np.arange(k * N, dtype=float).reshape(k, N)
@@ -418,12 +454,13 @@ def test_advance_keeps_the_rows_before_the_first_failure(plan):
     def step(history, live_alphas, t):
         n = len(returned) + 1
         assert t == n * dt
-        # the states so far of the live rows: C0, then each earlier output
+        # the latest states of the live rows: the window's tail of C0, then
+        # each earlier output
         live = len(live_alphas)
-        assert history.shape == (live, n, N)
+        assert history.shape == (live, min(n, window), N)
         for i in range(live):
             earlier = [C0[i]] + [out[i] for out in returned]
-            assert history[i].tobytes() == np.array(earlier).tobytes()
+            assert history[i].tobytes() == np.array(earlier[-window:]).tobytes()
         out = history[:, -1] + live_alphas[:, None]
         stats = []
         for i in range(live):
@@ -438,18 +475,23 @@ def test_advance_keeps_the_rows_before_the_first_failure(plan):
         returned.append(out)
         return out, stats
 
-    log = ListLog()
-    trajectories, failure = advance(step, C0, alphas, dt, n_steps * dt, log)
+    log, blocks = ListLog(), []
+    with patch.object(trajectory, "BLOCK_VALUES", block * k * N):
+        trajectories, failure = advance(
+            step, C0, alphas, dt, n_steps * dt, log, window, [lambda b: blocks.append(b.copy())]
+        )
 
-    # the reference: at each step the first live row with a fault fails
+    # the reference, a loop that keeps every state: at each step the first
+    # live row with a fault fails, and the rows before it step on
+    rows = [[C0[i]] for i in range(k)]
     live, failed_at = k, None
     for n in range(1, n_steps + 1):
         for i in range(live):
             if (i, n) in faults:
                 live, failed_at = i, (i, n)
                 break
-        if not live:
-            break
+        for i in range(live):
+            rows[i].append(rows[i][-1] + alphas[i])
     assert len(trajectories) == live
     if failed_at is None:
         assert failure is None
@@ -462,10 +504,9 @@ def test_advance_keeps_the_rows_before_the_first_failure(plan):
     expected_log = []
     for i, traj in enumerate(trajectories):
         assert traj.times.tolist() == (dt * np.arange(n_steps + 1)).tolist()
-        row = [C0[i]]
-        for _ in range(n_steps):
-            row.append(row[-1] + alphas[i])
-        assert traj.states.tobytes() == np.array(row).tobytes()
+        row = np.array(rows[i])
+        assert traj.states.tobytes() == row[traj.first_step :].tobytes()
+        assert np.concatenate([b[i] for b in blocks]).tobytes() == row.tobytes()
         assert len(traj.solver_stats) == n_steps
         assert all(a is b for a, b in zip(traj.solver_stats, produced[i]))
         count = sum((i, n) in fallbacks for n in range(1, n_steps + 1))
@@ -481,18 +522,19 @@ def test_advance_keeps_the_rows_before_the_first_failure(plan):
 @given(plan=loop_plans(), window=st.integers(1, 5), block=st.integers(1, 4))
 def test_advance_window_hands_steps_and_observers_the_kept_states(plan, window, block):
     # a step that reads only the last `window` states gives the same rows
-    # whether the loop keeps every state or only a window and a block; the
-    # windowed history is the kept one's last rows, and the blocks handed
-    # to the observers hold each returned row's states once, in order
+    # in advance as in a loop that keeps every state; advance holds only a
+    # window and a block, its history is the reference's last rows, and
+    # the blocks handed to the observers hold each returned row's states
+    # once, in order
     k, n_steps, faults, fallbacks, alphas = plan
     dt, N = 0.25, 3
     C0 = np.arange(k * N, dtype=float).reshape(k, N) / 7
-    histories = {None: [], window: []}
+    histories = {"every": [], "window": []}
 
-    def stepper(kept):
+    def stepper(loop):
         def step(history, live_alphas, t):
             n = round(t / dt)
-            histories[kept].append(history.copy())
+            histories[loop].append(history.copy())
             out = history[:, -window:].sum(axis=1) / 3 + live_alphas[:, None]
             stats = []
             for i in range(len(live_alphas)):
@@ -506,42 +548,35 @@ def test_advance_window_hands_steps_and_observers_the_kept_states(plan, window, 
 
         return step
 
-    blocks = {None: [], window: []}
-    runs = {}
-    dumps = StateDumps(k, N, n_steps)  # an observer of the windowed loop only
-    with patch.object(trajectory, "BLOCK_VALUES", block * k * N), dumps:
-        for kept in (None, window):
-            observers = [lambda b, kept=kept: blocks[kept].append(b.copy())]
-            if kept is not None:
-                observers.append(dumps)
-            runs[kept] = advance(
-                stepper(kept), C0, alphas, dt, n_steps * dt, ListLog(), kept, observers
-            )
-        full = runs[None][0]
+    blocks = []
+    every, every_stats, every_failure = keep_every_state(stepper("every"), C0, alphas, dt, n_steps)
+    with patch.object(trajectory, "BLOCK_VALUES", block * k * N), StateDumps(k, N, n_steps) as dumps:
+        observers = [lambda b: blocks.append(b.copy()), dumps]
+        windowed, failure = advance(
+            stepper("window"), C0, alphas, dt, n_steps * dt, ListLog(), window, observers
+        )
         for i in range(k):  # every state of a returned row, fewer of a failed one
-            assert (dumps.written[i] == n_steps + 1) == (i < len(full))
+            assert (dumps.written[i] == n_steps + 1) == (i < len(every))
             dumps.files[i].seek(0)
             payload = dumps.files[i].read().split(b"\n", 1)[1]
-            if i < len(full):
-                assert payload == full[i].states.tobytes()
-    (full, full_failure), (windowed, failure) = runs[None], runs[window]
-    assert len(windowed) == len(full)
-    assert str(failure) == str(full_failure) and type(failure) is type(full_failure)
-    for whole, part in zip(histories[None], histories[window]):
+            if i < len(every):
+                assert payload == every[i].tobytes()
+    assert len(windowed) == len(every)
+    assert str(failure) == str(every_failure) and type(failure) is type(every_failure)
+    assert len(histories["window"]) == len(histories["every"])
+    for whole, part in zip(histories["every"], histories["window"]):
         assert part.shape[1] == min(whole.shape[1], window)
         assert part.tobytes() == whole[:, -window:].tobytes()
-    for kept in (None, window):
-        assert all(1 <= b.shape[1] <= block for b in blocks[kept])
-    for i, (whole, part) in enumerate(zip(full, windowed)):
-        assert whole.kept_states and not (part.kept_states and n_steps + 1 > window + block)
+    assert all(1 <= b.shape[1] <= block for b in blocks)
+    for i, (states, part) in enumerate(zip(every, windowed)):
+        assert part.first_step > 0 or n_steps + 1 <= window + block
         assert len(part.states) <= window + block
-        assert whole.first_step == 0 and part.first_step == n_steps + 1 - len(part.states)
-        assert part.states.tobytes() == whole.states[-len(part.states):].tobytes()
-        assert part.times.tolist() == whole.times.tolist()
-        assert part.solver_stats == whole.solver_stats
-        for kept in (None, window):
-            observed = np.concatenate([b[i] for b in blocks[kept]])
-            assert observed.tobytes() == whole.states.tobytes()
+        assert part.first_step == n_steps + 1 - len(part.states)
+        assert part.states.tobytes() == states[-len(part.states) :].tobytes()
+        assert part.times.tolist() == (dt * np.arange(n_steps + 1)).tolist()
+        assert part.solver_stats == every_stats[i]
+        observed = np.concatenate([b[i] for b in blocks])
+        assert observed.tobytes() == states.tobytes()
 
 
 def test_advance_rejects_a_final_time_between_steps(chain5):
