@@ -1,13 +1,14 @@
 """Gauss quadrature on reference simplices and faces.
 
-Simplex rules come from Gauss-Legendre tensor rules pushed through the
-collapsed-coordinate map of the unit square/cube onto the reference
-simplex; the point counts account for the polynomial degree the Jacobian
-adds, so a rule built for ``exactness`` integrates all polynomials of that
-total degree exactly.
+Every simplex rule, and through it every face rule, comes from one
+construction: a Gauss-Legendre tensor rule on the unit d-cube pushed
+through the collapsed-coordinate (Duffy) map onto the reference
+d-simplex, for d = 1, 2 and 3.  The point counts account for the
+polynomial degree the Jacobian adds, so a rule built for ``exactness``
+integrates all polynomials of that total degree exactly.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -21,32 +22,20 @@ def gauss_legendre_01(n: int):
 
 @lru_cache(maxsize=None)
 def reference_simplex_rule(d: int, exactness: int):
-    """Points/weights on the reference d-simplex, weights sum to 1/d!."""
-    p = max(int(exactness), 0)
-    if d == 1:
-        x, w = gauss_legendre_01(max((p + 2) // 2, 1))
-        return x[:, None].copy(), w.copy()
-    if d == 2:
-        n = max((p + 3) // 2, 1)  # ceil((p+2)/2)
-        u, wu = gauss_legendre_01(n)
-        v, wv = gauss_legendre_01(n)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        WU, WV = np.meshgrid(wu, wv, indexing="ij")
-        xi = U.ravel()
-        eta = (V * (1.0 - U)).ravel()
-        w = (WU * WV * (1.0 - U)).ravel()
-        return np.stack([xi, eta], axis=1), w
-    if d == 3:
-        n = max((p + 4) // 2, 1)  # ceil((p+3)/2)
-        u, wu = gauss_legendre_01(n)
-        U, V, W = np.meshgrid(u, u, u, indexing="ij")
-        WU, WV, WW = np.meshgrid(wu, wu, wu, indexing="ij")
-        xi = U.ravel()
-        eta = (V * (1.0 - U)).ravel()
-        zeta = (W * (1.0 - U) * (1.0 - V)).ravel()
-        w = (WU * WV * WW * (1.0 - U) ** 2 * (1.0 - V)).ravel()
-        return np.stack([xi, eta, zeta], axis=1), w
-    raise ValueError(f"unsupported simplex dimension {d}")
+    """Points/weights on the reference d-simplex, d = 1, 2 or 3; weights
+    sum to 1/d!.  A tensor rule of ceil((exactness + d)/2) Gauss-Legendre
+    points per axis on the unit cube, mapped by
+    x_k = u_k (1 - u_0) ... (1 - u_{k-1}), with weights times the map's
+    Jacobian prod_j (1 - u_j)^(d-1-j)."""
+    if d not in (1, 2, 3):
+        raise ValueError(f"unsupported simplex dimension {d}")
+    u, wu = gauss_legendre_01((max(int(exactness), 0) + d + 1) // 2)
+    U = [a.ravel() for a in np.meshgrid(*[u] * d, indexing="ij")]
+    w = np.prod([a.ravel() for a in np.meshgrid(*[wu] * d, indexing="ij")], axis=0)
+    for j in range(d - 1):
+        w = w * (1.0 - U[j]) ** (d - 1 - j)
+    pts = [reduce(lambda x, v: x * (1.0 - v), U[:k], U[k]) for k in range(d)]
+    return np.stack(pts, axis=1), w
 
 
 def simplex_rule(verts: np.ndarray, exactness: int):
@@ -65,14 +54,15 @@ def simplex_rule(verts: np.ndarray, exactness: int):
 
 def face_rule(verts: np.ndarray, exactness: int):
     """Quadrature on (d-1)-faces embedded in R^d, segments (2D) or triangles
-    (3D), given their (..., d, d) vertices: points (..., q, d), weights (..., q)."""
+    (3D), given their (..., d, d) vertices: points (..., q, d), weights (..., q).
+
+    The reference (d-1)-simplex rule mapped onto each face, with weights
+    scaled by the face's measure."""
     verts = np.asarray(verts, dtype=float)
+    ref_pts, ref_w = reference_simplex_rule(verts.shape[-1] - 1, exactness)
     span = verts[..., 1:, :] - verts[..., :1, :]  # (..., d-1, d)
-    if verts.shape[-1] == 2:
-        x, ref_w = gauss_legendre_01(max((int(exactness) + 2) // 2, 1))
-        ref_pts = x[:, None]
+    if verts.shape[-1] == 2:  # segment length
         scale = np.linalg.norm(span[..., 0, :], axis=-1)
-    else:
-        ref_pts, ref_w = reference_simplex_rule(2, exactness)  # weights sum to 1/2
+    else:  # twice the triangle's area: its reference weights sum to 1/2
         scale = np.linalg.norm(np.cross(span[..., 0, :], span[..., 1, :]), axis=-1)
     return verts[..., :1, :] + ref_pts @ span, ref_w * scale[..., None]

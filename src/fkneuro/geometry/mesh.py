@@ -409,8 +409,8 @@ def generate_structured_mesh(
         raise ValueError(f"dimension must be 2 or 3, got {d}")
     if n < 1:
         raise ValueError(f"cells per axis must be >= 1, got {n}")
-    if extent <= 0:
-        raise ValueError(f"extent must be > 0, got {extent}")
+    if not 0 < extent < math.inf:
+        raise ValueError(f"extent must be finite and > 0, got {extent}")
 
     axes = [np.linspace(0.0, extent, n + 1) for _ in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -532,7 +532,7 @@ def load_mesh(path) -> PolytopalMesh:
     if tokens[0] != "VERTICES" or len(tokens) != 2:
         raise MeshFormatError("expected 'VERTICES <count>'", line=line)
     n_vertices = _count(tokens[1], "VERTICES", line)
-    vertices = np.empty((n_vertices, d))
+    rows = []  # not preallocated: the count may be larger than the file
     for i in range(n_vertices):
         tokens, line = r.expect(f"vertex {i}")
         if len(tokens) != d:
@@ -540,9 +540,12 @@ def load_mesh(path) -> PolytopalMesh:
                 f"vertex {i}: expected {d} coordinates, got {len(tokens)}", line=line
             )
         try:
-            vertices[i] = [float(t) for t in tokens]
+            rows.append([float(t) for t in tokens])
         except ValueError:
             raise MeshFormatError(f"vertex {i}: bad coordinate", line=line)
+        if not all(map(math.isfinite, rows[-1])):
+            raise MeshFormatError(f"vertex {i}: coordinates must be finite", line=line)
+    vertices = np.array(rows, dtype=float).reshape(n_vertices, d)
 
     tokens, line = r.expect("ELEMENTS")
     if tokens[0] != "ELEMENTS" or len(tokens) != 2:
@@ -559,10 +562,11 @@ def load_mesh(path) -> PolytopalMesh:
                         f"element {e}: expected {1 + k + 1 + d} fields, got {len(tokens)}",
                         line=line,
                     )
-                cells.append(np.array([int(t) for t in tokens[1 : 1 + k]], dtype=int))
-                regions.append(int(tokens[1 + k]))
+                # an id outside int64 raises OverflowError
+                cells.append(np.array([int(t) for t in tokens[1 : 1 + k]], dtype=np.int64))
+                regions.append(np.int64(int(tokens[1 + k])))
                 axons.append([float(t) for t in tokens[2 + k : 2 + k + d]])
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise MeshFormatError(f"element {e}: bad field", line=line)
             element_lines.append(line)
     except MeshFormatError:
@@ -594,6 +598,10 @@ def load_mesh(path) -> PolytopalMesh:
                     )
                 if s > 0:
                     vals = np.array([float(t) for t in tokens[1:]])
+                    if not np.isfinite(vals).all():
+                        raise MeshFormatError(
+                            f"sub-tessellation {e}: coordinates must be finite", line=line
+                        )
                     subtess[e] = vals.reshape(s, d + 1, d)
             except MeshFormatError:
                 raise

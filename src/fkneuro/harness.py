@@ -211,8 +211,8 @@ def _existing_dir(path: Path) -> Path:
 
 
 def _runs(cfg: SimulationConfig, loaded: _LoadedDomain, jobs):
-    """The RunResult of each (alpha, output_dir) of jobs in turn, on a domain
-    `_load` has loaded for cfg; an output_dir of None is cfg.output_dir.
+    """The RunResult of each (alpha, output directory Path) of jobs in turn,
+    on a domain `_load` has loaded for cfg.
 
     A mesh solves each alpha only when its result is asked for; a graph
     solves all its alphas in lockstep first (see
@@ -225,7 +225,6 @@ def _runs(cfg: SimulationConfig, loaded: _LoadedDomain, jobs):
     finish are discarded, with nothing left on disk or open.
     """
     n_steps = step_count(cfg.T, cfg.dt)
-    jobs = [(alpha, Path(out if out is not None else cfg.output_dir)) for alpha, out in jobs]
 
     def open_dumps(rows: int, outdir: Path) -> StateDumps:
         # a dump as large as the run's states is written on the file system
@@ -289,12 +288,12 @@ def write_staging_report(path, times, stage_curves: dict, c_crit: float):
     return timeline
 
 
-def run(cfg: SimulationConfig, output_dir=None) -> RunResult:
+def run(cfg: SimulationConfig) -> RunResult:
     """Single simulation: trajectory, region-average and staging artifacts,
-    and with cfg.dump_states the states (and a graph's nodes.csv).  The
-    result's trajectory holds the time loop's last window of states; the
-    dump, streamed from the loop, holds all of them."""
-    return next(_runs(cfg, _load(cfg), [(cfg.alpha, output_dir)]))
+    and with cfg.dump_states the states (and a graph's nodes.csv), written
+    to cfg.output_dir.  The result's trajectory holds the time loop's last
+    window of states; the dump, streamed from the loop, holds all of them."""
+    return next(_runs(cfg, _load(cfg), [(cfg.alpha, Path(cfg.output_dir))]))
 
 
 def _run_loaded(
@@ -399,8 +398,9 @@ def _sweep_batch(cfg_text: str, jobs):
     return rows, None, None
 
 
-def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
-    """One run per alpha; summary CSV with half-crossing and saturation times.
+def sweep(cfg: SimulationConfig, alphas) -> Path:
+    """One run per alpha; summary CSV with half-crossing and saturation times,
+    all written under cfg.output_dir.
 
     The alphas are split into contiguous batches, one per worker, and each
     batch loads and assembles its domain once.  A batch takes its
@@ -433,10 +433,10 @@ def sweep(cfg: SimulationConfig, alphas, output_dir=None) -> Path:
                 f"alphas {dirs[name]!r} and {a!r} would share the output directory {name}"
             )
         dirs[name] = a
-    outdir = Path(output_dir if output_dir is not None else cfg.output_dir)
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg_text = serialize_config(cfg)
-    jobs = [(a, str(outdir / name)) for name, a in dirs.items()]
+    jobs = [(a, outdir / name) for name, a in dirs.items()]
 
     n_workers = max_workers_allowed(cfg.workers, len(alphas))
     if n_workers > 1:

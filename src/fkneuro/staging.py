@@ -3,8 +3,9 @@
 Every space average a run reports (per region, per Braak stage and over
 the whole domain) is the mean over disjoint groups of regions, taken in one
 product of a (rows, N) array of states with the domain's
-``region_weight_matrix``: a trajectory's states, or a block of them that a
-time loop hands its observers.
+``region_weight_matrix``: a block of states that a time loop hands its
+observers, which holds at most ``trajectory.BLOCK_VALUES`` values and so
+bounds the product's copy of it.
 
 Clinical PET-SUVR values are mapped to the simulation's [0,1] scale with
 piecewise-linear maps; simulated region curves are reduced to activation
@@ -28,8 +29,6 @@ LAG = "lag"
 ACTIVE = "active"
 SATURATION = "saturation"
 PHASE_ORDER = (STATIONARY, LAG, ACTIVE, SATURATION)
-
-TIME_CHUNK = 32  # time rows per product in _group_means
 
 
 @dataclass
@@ -166,15 +165,13 @@ def _group_means(states: np.ndarray, groups, domain) -> np.ndarray:
     shape (len(groups), len(states)).
 
     One product with the domain's ``region_weight_matrix`` reduces every
-    group at once, TIME_CHUNK time rows at a time: the sparse product
-    copies its transposed dense operand, so a chunk bounds that copy.  A
-    column of the product does not depend on the others, so the curves
-    have the same bits however the rows are split into calls.
+    group at once.  The sparse product copies its transposed dense
+    operand, so a caller passes one time-loop block of states, which holds
+    at most ``trajectory.BLOCK_VALUES`` values.  A column of the product
+    does not depend on the others, so the curves have the same bits
+    however the rows are split into calls.
     """
-    weights_t = domain.region_weight_matrix(groups).T
-    return np.hstack(
-        [weights_t @ states[i : i + TIME_CHUNK].T for i in range(0, len(states), TIME_CHUNK)]
-    )
+    return domain.region_weight_matrix(groups).T @ states.T
 
 
 def spatial_average(states: np.ndarray, region_ids, domain) -> np.ndarray:

@@ -308,9 +308,9 @@ def test_sweep_uniform_seed_matches_logistic_inversion(domains, tmp_path):
 
 def test_single_alpha_sweep_reduces_to_run(domains, tmp_path):
     cfg = graph_config(domains, seed_regions="all", T=10.0)
-    harness.sweep(cfg, [0.7], output_dir=str(tmp_path / "sweep"))
+    harness.sweep(replace(cfg, output_dir=str(tmp_path / "sweep")), [0.7])
     cfg_run = graph_config(domains, seed_regions="all", T=10.0, alpha=0.7)
-    result = harness.run(cfg_run, output_dir=str(tmp_path / "run"))
+    result = harness.run(replace(cfg_run, output_dir=str(tmp_path / "run")))
     sweep_traj = (tmp_path / "sweep" / "alpha_0.7" / "trajectory.csv").read_bytes()
     assert sweep_traj == open(result.paths["trajectory"], "rb").read()
 
@@ -360,7 +360,7 @@ def test_sweep_failure_preserves_partial(domains, tmp_path, monkeypatch):
         lines = (out / "sweep" / "sweep_summary.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header plus the completed run
 
-        harness.run(replace(cfg, alpha=SWEEP_ALPHAS[0]), output_dir=str(out / "run"))
+        harness.run(replace(cfg, alpha=SWEEP_ALPHAS[0], output_dir=str(out / "run")))
         assert ("states.bin" in os.listdir(out / "run")) == dump
         assert_only_first_alpha_finished(out / "sweep", out / "run")
 
@@ -686,9 +686,49 @@ def test_windowed_graph_sweep_failure_keeps_earlier_alphas(domains, tmp_path, mo
             assert open_files() == files
         assert calls[:40] == [3] * 40 and set(calls[40:]) == {1}
 
-        harness.run(replace(cfg, alpha=SWEEP_ALPHAS[0]), output_dir=str(out / "run"))
+        harness.run(replace(cfg, alpha=SWEEP_ALPHAS[0], output_dir=str(out / "run")))
         assert ("states.bin" in os.listdir(out / "run")) == dump
         assert_only_first_alpha_finished(out / "sweep", out / "run")
+
+
+def test_graph_loop_whose_first_row_fails_finishes_no_run(domains, tmp_path, monkeypatch):
+    # row 0 turns NaN at step 1, before any row has finished: a sweep
+    # writes a summary of no runs and raises that row's error, and a run
+    # raises it bare; neither leaves a run's files behind or a dump open
+    real = graphfk.step_cn_extrapolated
+    calls = []
+
+    def poisoned(conn, C_n, C_nm1, alpha, dt, literal_rhs=False):
+        C_next, stats = real(conn, C_n, C_nm1, alpha, dt, literal_rhs=literal_rhs)
+        calls.append(len(C_next))
+        if len(calls) == 1:
+            C_next[0] = np.nan
+        return C_next, stats
+
+    message = "non-finite state after step 1 (t=0.05)"
+    for dump in (False, True):
+        out = tmp_path / f"dump_{dump}"
+        cfg = replace(graph_sweep_config(domains, out / "sweep", workers=1), dump_states=dump)
+        with monkeypatch.context() as patched:
+            patched.setattr(graphfk, "step_cn_extrapolated", poisoned)
+            files = open_files()
+            calls.clear()
+            aborted = re.escape(f"aborted after 0/2 runs: {message}")
+            with pytest.raises(FkneuroError, match=aborted) as info:
+                harness.sweep(cfg, SWEEP_ALPHAS[:2])
+            assert isinstance(info.value.__cause__, FloatingPointError)
+            assert calls[0] == 2
+            assert open_files() == files
+            assert [p.name for p in (out / "sweep").iterdir()] == ["sweep_summary.csv"]
+            summary = (out / "sweep" / "sweep_summary.csv").read_text()
+            assert summary == "alpha,t_half,t_saturation\n"
+
+            calls.clear()
+            with pytest.raises(FloatingPointError, match=re.escape(message)):
+                harness.run(replace(cfg, alpha=SWEEP_ALPHAS[0], output_dir=str(out / "run")))
+            assert calls == [1]
+            assert open_files() == files
+            assert not (out / "run").exists()
 
 
 def test_mesh_run_keeps_one_window_of_states_whatever_its_length(tmp_path, monkeypatch):
@@ -746,10 +786,12 @@ def test_graph_sweep_dump_holds_no_states(tmp_path, monkeypatch):
     def peak(**kw):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        harness.sweep(replace(cfg, **kw), SWEEP_ALPHAS, output_dir=str(tmp_path / "out"))
+        harness.sweep(replace(cfg, output_dir=str(tmp_path / "out"), **kw), SWEEP_ALPHAS)
         return tracemalloc.get_traced_memory()[1] - before
 
-    harness.sweep(replace(cfg, T=10.0, dump_states=True), SWEEP_ALPHAS, str(tmp_path / "out"))
+    harness.sweep(
+        replace(cfg, T=10.0, dump_states=True, output_dir=str(tmp_path / "out")), SWEEP_ALPHAS
+    )
     tracemalloc.start()
     growth = {}
     try:

@@ -25,7 +25,6 @@ from fkneuro.staging import (
     LAG,
     SATURATION,
     STATIONARY,
-    TIME_CHUNK,
     braak_activation_order,
     classify_phase,
     inflection_count,
@@ -176,15 +175,17 @@ def test_region_average_curves_are_the_region_means(weight_domains, kind):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     picks=st.lists(st.integers(0, len(STAGE_ORDER)), min_size=5, max_size=5),
-    n_times=st.integers(1, 2 * TIME_CHUNK + 1),
+    n_times=st.integers(1, 12),
+    split=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_group_means_are_one_product_of_the_dense_means(
-    weight_domains, kind, picks, n_times, seed
+    weight_domains, kind, picks, n_times, split, seed
 ):
     # picks[r] puts region r+1 in the stage group STAGE_ORDER[picks[r] - 1],
     # or in none when 0; the stage, global and per-region curves all come
-    # from the one product, and time rows cross the TIME_CHUNK boundaries
+    # from the one product, and two calls on the rows either side of a split
+    # give the bits of one call, as the blocks of a time loop do
     assume(any(picks))
     domain = weight_domains[kind]
     stages = {
@@ -195,13 +196,23 @@ def test_group_means_are_one_product_of_the_dense_means(
     atlas = BraakAtlas(stages, frozenset(), frozenset(), frozenset())
     states = np.random.default_rng(seed).normal(size=(n_times, len(unit_labels(domain))))
     traj = make_traj(np.arange(n_times, dtype=float), states)
-    curves = stage_average_curves(traj.states, atlas, domain)
-    assert list(curves) == [s for s in STAGE_ORDER if s in stages]
-    curves["all"] = spatial_average(traj.states, atlas.all_region_ids(), domain)
+
+    def reduce(rows):
+        curves = stage_average_curves(rows, atlas, domain)
+        curves["all"] = spatial_average(rows, atlas.all_region_ids(), domain)
+        curves.update(region_average_curves(rows, sorted(atlas.all_region_ids()), domain))
+        return curves
+
+    curves = reduce(traj.states)
+    assert list(curves)[: len(stages)] == [s for s in STAGE_ORDER if s in stages]
+    split = split % (n_times + 1)
+    head, tail = reduce(traj.states[:split]), reduce(traj.states[split:])
+    assert list(head) == list(tail) == list(curves)
+    for key, curve in curves.items():
+        joined = np.concatenate([head[key], tail[key]])
+        assert joined.tobytes() == curve.tobytes()
     stages["all"] = atlas.all_region_ids()
-    regions = region_average_curves(traj.states, sorted(atlas.all_region_ids()), domain)
-    curves.update(regions)
-    stages.update({rid: [rid] for rid in regions})
+    stages.update({rid: [rid] for rid in sorted(atlas.all_region_ids())})
     for key, ids in stages.items():
         dense = states @ dense_mean_weights(domain, ids)
         assert curves[key].shape == (n_times,)
